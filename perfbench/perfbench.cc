@@ -4,9 +4,10 @@
  *
  * Runs one named workload through the simulator's public entry points
  * (the FleetSim constructor and run(), or ServerSim's phased
- * start/advanceTo/beginMeasurement/collect API) back to back until a
- * host-time budget is spent, checks every report, and prints one JSON
- * object of raw measurements as the last line of stdout. run.py turns
+ * start/advanceTo/beginMeasurement/collect API) back to back, as many
+ * times as fill a host-time budget at a fixed nominal speed, checks
+ * every report, and prints one JSON object of raw measurements as the
+ * last line of stdout. run.py turns
  * those into the benchmark's metrics; README.md explains why each
  * workload exists and which layer each metric watches.
  *
@@ -25,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,9 +46,32 @@ using Phase = obs::PhaseProfiler::Phase;
 /** Simulated length of one engine epoch and of one phased-API step. */
 constexpr sim::Tick kEpoch = 200 * sim::kUs;
 
-/** Constructions timed before the measured runs: they give setup_s
- *  enough samples for a median and let the allocator warm up. */
-constexpr int kWarmSetups = 8;
+/** Set-up-only constructions timed before each measured run. Spread over
+ *  the whole invocation, they sample the host's fast and slow phases
+ *  alike, so the fastest of them is a steady setup_s. */
+constexpr int kSetupsPerRun = 4;
+
+/**
+ * Host seconds one run of each workload takes on the reference host
+ * (4-vCPU Xeon virtual machine, Release build), rounded up a little so
+ * that slow host phases rarely overrun --seconds. The number of runs is
+ * fixed from these and --seconds alone, never from the speed being
+ * measured, so every commit takes its per-epoch minima over the same
+ * number of runs.
+ */
+struct Nominal
+{
+    const char *workload;
+    double runS;
+};
+constexpr Nominal kNominalRunS[] = {{"pc1a_low_load", 7.5},
+                                    {"spine_high_load", 2.5},
+                                    {"observed_fleet", 5.0},
+                                    {"paper_fig7", 0.2}};
+
+/** At least two runs, so every seed's digest is checked against a
+ *  repetition and every epoch has a minimum over two samples. */
+constexpr std::size_t kMinRuns = 2;
 
 /** Benchmark spans kept in memory per invocation; later ones are only
  *  counted. */
@@ -301,6 +326,10 @@ fleetConfig(const Args &a, fleet::FleetConfig &fc)
 {
     if (a.workload == "pc1a_low_load") {
         fc = fleetBase(1024, 0.10, a);
+        // 205 epochs (p95 has 10 gaps beyond it), short enough that
+        // three runs fit the benchmark's run time.
+        fc.warmup = 5 * sim::kMs;
+        fc.duration = 36 * sim::kMs;
     } else if (a.workload == "spine_high_load") {
         fc = spineFleet(0.50, a);
         fc.budget.enabled = true;
@@ -682,6 +711,36 @@ printPairs(const std::vector<std::pair<std::string, double>> &kv)
     std::printf("}");
 }
 
+/** Runs per invocation: as many as fill --seconds at the nominal
+ *  speed, and never fewer than kMinRuns. */
+std::size_t
+runCount(const Args &a)
+{
+    for (const Nominal &n : kNominalRunS)
+        if (a.workload == n.workload)
+            return std::max(kMinRuns,
+                            static_cast<std::size_t>(a.seconds / n.runS));
+    return kMinRuns;
+}
+
+/** @return host seconds to construct the workload's simulators, which
+ *  are destroyed after the clock has stopped. */
+double
+setupOnly(bool fig7, const fleet::FleetConfig &fc, const Args &a)
+{
+    std::vector<std::unique_ptr<server::ServerSim>> servers;
+    std::unique_ptr<fleet::FleetSim> fleet;
+    const auto t0 = Clock::now();
+    if (fig7) {
+        for (const Fig7Cell &c : kFig7Cells)
+            servers.push_back(
+                std::make_unique<server::ServerSim>(fig7Config(c, a)));
+    } else {
+        fleet = std::make_unique<fleet::FleetSim>(fc);
+    }
+    return secondsSince(t0);
+}
+
 } // namespace
 
 int
@@ -706,17 +765,6 @@ main(int argc, char **argv)
 
     SpanLog spans(a.trace);
     std::vector<double> setups;
-    for (int i = 0; i < kWarmSetups; ++i) {
-        // Set-up only: construct and destroy.
-        const auto t0 = Clock::now();
-        if (fig7) {
-            for (const Fig7Cell &c : kFig7Cells)
-                server::ServerSim s(fig7Config(c, a));
-        } else {
-            fleet::FleetSim fs(fc);
-        }
-        setups.push_back(secondsSince(t0));
-    }
 
     // Every run of one seed simulates the same epochs with the same
     // work, and host interference only ever adds time. So each epoch
@@ -727,14 +775,10 @@ main(int argc, char **argv)
     std::vector<double> epoch_us, best_us;
     double best_rest = 0; ///< fastest run time outside the epoch gaps
     double peak_rss = 0;
-    // At least two runs, so every seed's digest is checked against a
-    // repetition; three of the long pc1a_low_load runs, so its
-    // per-epoch minima settle.
-    const std::size_t min_reps = a.workload == "pc1a_low_load" ? 3 : 2;
-    const auto start = Clock::now();
-    double longest = 0;
-    do {
-        const auto t0 = Clock::now();
+    const std::size_t n_reps = runCount(a);
+    while (reps.size() < n_reps) {
+        for (int i = 0; i < kSetupsPerRun; ++i)
+            setups.push_back(setupOnly(fig7, fc, a));
         epoch_us.clear();
         reps.push_back(fig7 ? runFig7(a, spans, epoch_us)
                             : runFleet(fc, a, spans, epoch_us));
@@ -756,9 +800,7 @@ main(int argc, char **argv)
         // freed memory unevenly, so their count must not move it.
         if (reps.size() == 1)
             peak_rss = peakRssMb();
-        longest = std::max(longest, secondsSince(t0));
-    } while (reps.size() < min_reps ||
-             secondsSince(start) + longest <= a.seconds);
+    }
     double best_run = best_rest;
     for (const double us : best_us)
         best_run += us * 1e-6;

@@ -5,9 +5,9 @@ AgilePkgC simulator on four workloads, plus a per-layer engine census.
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Builds the simulator and the perfbench driver from source into
-.bench_build/ (incremental), runs the workload back to back for about
-S seconds, checks every report, and prints one JSON object as the last
-line of stdout:
+.bench_build/ (incremental), runs the workload a fixed number of times
+sized to take about S seconds on the reference host, checks every
+report, and prints one JSON object as the last line of stdout:
 
     {"correct": ..., "attempted": ..., "failed": ...,
      "metrics": {name: {"value": ..., "unit": ...}, ...}}
@@ -216,7 +216,10 @@ def end_to_end(args, ledger: Ledger) -> dict[str, float]:
         "sim_s_per_wall_s": sim_s / res["best_run_s"],
         "epoch_wall_p50_us": res["epoch_p50_us"],
         "epoch_wall_p95_us": res["epoch_p95_us"],
-        "setup_s": statistics.median(res["setup_s"]),
+        # The fastest construction: the host's speed flips between two
+        # levels ~1.5x apart, and a median over samples from both
+        # levels flips with it.
+        "setup_s": min(res["setup_s"]),
         "peak_rss_mb": res["peak_rss_mb"],
     }
 
@@ -270,31 +273,45 @@ def per_layer(args, ledger: Ledger) -> dict[str, float]:
     return {name: census.get(name, 0.0) for name in PER_LAYER}
 
 
+def phase_times(census: dict[str, float]) -> dict[str, float]:
+    return {p: census[f"fleet.{p}_s"]
+            for p in ("route", "advance", "merge", "collect")}
+
+
+def layer_load(w: str, census: dict[str, float],
+               wall: float) -> tuple[str, float, float]:
+    """The share of time that fleet workload @p w spends in the layer it
+    was chosen to load, and the floor that share must reach.
+
+    @return (what the share measures, share, floor)
+    """
+    phases = phase_times(census)
+    total = sum(phases.values())
+    if w == "pc1a_low_load":
+        return "advance share of phase time", phases["advance"] / total, 0.85
+    if w == "spine_high_load":
+        return ("route+merge share of phase time",
+                (phases["route"] + phases["merge"]) / total, 0.30)
+    return ("unprofiled share of run wall",
+            census["fleet.unprofiled_s"] / wall, 0.50)
+
+
 def print_census(w, seed, traced, census, wall, plain_wall, spans) -> None:
     log(f"per-layer census: {w} seed {seed}, traced run wall {wall:.3f} s "
         f"vs untraced {plain_wall:.3f} s")
     for name, value in census.items():
         log(f"  {name:<34} {value:.6g}")
     if w in FLEETS:
-        phases = {p: census[f"fleet.{p}_s"]
-                  for p in ("route", "advance", "merge", "collect")}
+        phases = phase_times(census)
         total = sum(phases.values())
         shards = traced["reps"][0]["shard_s"]
         log("  phase shares: " + ", ".join(
             f"{p} {v / total:.1%}" for p, v in phases.items()))
         log(f"  per-shard advance s: "
             + " ".join(f"{s:.3f}" for s in shards))
-        checks = {
-            "pc1a_low_load": ("advance >= 85% of phase time",
-                              phases["advance"] / total >= 0.85),
-            "spine_high_load": ("route+merge >= 30% of phase time",
-                                (phases["route"] + phases["merge"])
-                                / total >= 0.30),
-            "observed_fleet": ("unprofiled >= 50% of run wall",
-                               census["fleet.unprofiled_s"] / wall >= 0.50),
-        }
-        what, ok = checks[w]
-        log(f"  layer load check: {what}: {'ok' if ok else 'NOT MET'}")
+        what, share, floor = layer_load(w, census, wall)
+        log(f"  layer load check: {what} {share:.1%} (floor {floor:.0%}): "
+            f"{'ok' if share >= floor else 'NOT MET'}")
     log(f"  benchmark spans: {traced['spans']} kept, "
         f"{traced['spans_dropped']} dropped, written to {spans}")
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """The benchmark's own tests: every workload smoke-runs at a tiny
 window in both modes, the printed metric names are exactly those in
-BENCHMARK.json, and the report digest is a function of the seed.
+BENCHMARK.json, each fleet workload loads the layer it was chosen for,
+and the report digest is a function of the seed.
 
     python3 perfbench/test_perfbench.py
 """
@@ -69,6 +70,15 @@ class PerfbenchTest(unittest.TestCase):
         for w in run.WORKLOADS:
             with self.subTest(workload=w):
                 self.check_output(bench(w, 1), "per_layer")
+
+    def test_fleet_workloads_load_their_layer(self):
+        # At the default window: a tiny one is all set-up and drain.
+        for w in run.FLEETS:
+            with self.subTest(workload=w):
+                res = run.perfbench(w, run.PINNED_SEED, trace=True)
+                what, share, floor = run.layer_load(
+                    w, run.census_of(res), run.median_of(res, "run_s"))
+                self.assertGreaterEqual(share, floor, what)
 
     def test_same_seed_same_digest_other_seed_differs(self):
         for w in ("spine_high_load", "paper_fig7"):
