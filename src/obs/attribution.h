@@ -8,11 +8,11 @@
  * coalescing/IRQ DMA hold, the package C-state exit, dispatch-queue
  * wait, cap-induced stalls (idle-injection gate overlap and DVFS-clamp
  * dilation), service, and response transit. This module reassembles
- * those spans — post-run, from `Tracer::merged()` — into one causal
- * chain per (request, server) replica with the invariant that the
- * chain's segments **sum exactly** (integer ticks) to the replica's
- * client-observed latency; for fanout requests the slowest replica's
- * chain sums to the request's end-to-end latency.
+ * those spans — post-run, in one pass over each writer's ring — into
+ * one causal chain per (request, server) replica with the invariant
+ * that the chain's segments **sum exactly** (integer ticks) to the
+ * replica's client-observed latency; for fanout requests the slowest
+ * replica's chain sums to the request's end-to-end latency.
  *
  * Writer convention (FleetSim's layout): writer 0 is the fleet spine —
  * its segment spans carry the target server in `value` — and writer
@@ -137,9 +137,12 @@ struct AttributionResult
 };
 
 /**
- * Reassemble per-request causal chains from @p tracer's merged record
- * stream (FleetSim writer convention; see file header). Requests with
- * no end-to-end `Request` span (still in flight at trace end) are
+ * Reassemble per-request causal chains from @p tracer's live records
+ * (FleetSim writer convention; see file header). The result is what a
+ * walk of the records in `(ts, writer, seq)` order would build: a
+ * request's replicas appear in the order their first spans do, and a
+ * duplicate Request span resolves to the last. Requests with no
+ * end-to-end `Request` span (still in flight at trace end) are
  * ignored. In debug builds, asserts that no chain mismatches its
  * measured latency unless ring drops explain the gap.
  */

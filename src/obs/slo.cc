@@ -145,17 +145,14 @@ double
 SloMonitor::windowP99(sim::Tick t1)
 {
     const sim::Tick from = t1 - policies_[0].longWindow;
-    p99Scratch_.clear();
+    p99Runs_.clear();
     for (auto it = window_.rbegin(); it != window_.rend(); ++it) {
         if (it->t1 <= from)
             break;
-        p99Scratch_.insert(p99Scratch_.end(), it->latency.begin(),
-                           it->latency.end());
+        p99Runs_.push_back({it->latency.data(),
+                            it->latency.data() + it->latency.size()});
     }
-    if (p99Scratch_.empty())
-        return 0.0;
-    std::sort(p99Scratch_.begin(), p99Scratch_.end());
-    return stats::quantileSorted(p99Scratch_, 99, 100);
+    return stats::quantileSortedRuns(p99Runs_, 99, 100);
 }
 
 void
@@ -172,6 +169,9 @@ SloMonitor::onEpoch(sim::Tick t0, sim::Tick t1)
 
     cur_.t0 = t0;
     cur_.t1 = t1;
+    // Sorted once here, so every window p99 this bucket takes part in
+    // only selects across the window's sorted runs.
+    std::sort(cur_.latency.begin(), cur_.latency.end());
     window_.push_back(std::move(cur_));
     cur_ = Bucket{};
 

@@ -40,6 +40,7 @@
 
 #include "obs/tracer.h"
 #include "sim/time.h"
+#include "stats/rank.h"
 
 namespace apc::obs {
 
@@ -172,7 +173,9 @@ class SloMonitor
         sim::Tick t0 = 0, t1 = 0;
         std::uint64_t good[kNumSlis] = {};
         std::uint64_t bad[kNumSlis] = {};
-        std::vector<double> latency; ///< bounded percentile context
+        /** Bounded percentile context; sorted when the bucket is
+         *  sealed. */
+        std::vector<double> latency;
     };
 
     struct AlertState
@@ -188,6 +191,7 @@ class SloMonitor
     double burnRate(std::size_t sli, sim::Tick t1,
                     sim::Tick window) const;
     double errorBudget(std::size_t sli) const;
+    /** Exact-rank p99 over the fast long window's sorted buckets. */
     double windowP99(sim::Tick t1);
 
     SloConfig cfg_;
@@ -207,7 +211,7 @@ class SloMonitor
     sim::Tick inViolation_ = 0;
     double worstP99Us_ = 0.0;
     std::uint64_t latDropped_ = 0;
-    std::vector<double> p99Scratch_;
+    std::vector<stats::SortedRun<double>> p99Runs_;
 };
 
 } // namespace apc::obs

@@ -89,9 +89,13 @@ Tracer::totalDropped() const
 std::vector<Tracer::MergedRecord>
 Tracer::merged() const
 {
+    // Live records only: recorded() also counts what the rings have
+    // already overwritten.
+    std::size_t live = 0;
+    for (const auto &w : writers_)
+        live += w->size();
     std::vector<MergedRecord> out;
-    out.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(totalRecorded(), SIZE_MAX)));
+    out.reserve(live);
     for (std::size_t wi = 0; wi < writers_.size(); ++wi)
         writers_[wi]->forEach([&out, wi](const TraceRecord &r) {
             out.push_back({&r, static_cast<std::uint32_t>(wi)});

@@ -14,6 +14,7 @@
 #ifndef APC_STATS_RANK_H
 #define APC_STATS_RANK_H
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -79,6 +80,54 @@ quantileSorted(const std::vector<T> &sorted, std::uint64_t num,
     if (k == 0)
         k = 1;
     return sorted[k - 1];
+}
+
+/** One ascending-sorted run [first, last) of a multi-run population. */
+template <typename T>
+struct SortedRun
+{
+    const T *first = nullptr;
+    const T *last = nullptr;
+};
+
+/**
+ * Exact-rank p = num/den quantile over the union of ascending-sorted
+ * @p runs: the value quantileSorted() returns for their sorted
+ * concatenation, found without concatenating or sorting. The n - k
+ * largest values are popped off a max-heap over the run tails, so the
+ * cost is O((n - k + r) log r) for r runs — a few thousand heap steps
+ * for a p99 over ~10^5 samples. @p runs is consumed as the heap.
+ */
+template <typename T>
+T
+quantileSortedRuns(std::vector<SortedRun<T>> &runs, std::uint64_t num,
+                   std::uint64_t den)
+{
+    runs.erase(std::remove_if(runs.begin(), runs.end(),
+                              [](const SortedRun<T> &r) {
+                                  return r.first == r.last;
+                              }),
+               runs.end());
+    std::size_t n = 0;
+    for (const SortedRun<T> &r : runs)
+        n += static_cast<std::size_t>(r.last - r.first);
+    if (n == 0)
+        return T{};
+    std::size_t k = exactRankCount(n, num, den);
+    if (k == 0)
+        k = 1;
+    const auto tail_less = [](const SortedRun<T> &a, const SortedRun<T> &b) {
+        return a.last[-1] < b.last[-1];
+    };
+    std::make_heap(runs.begin(), runs.end(), tail_less);
+    for (std::size_t pops = n - k; pops > 0; --pops) {
+        std::pop_heap(runs.begin(), runs.end(), tail_less);
+        if (--runs.back().last == runs.back().first)
+            runs.pop_back();
+        else
+            std::push_heap(runs.begin(), runs.end(), tail_less);
+    }
+    return runs.front().last[-1];
 }
 
 } // namespace apc::stats

@@ -166,6 +166,23 @@ TEST(Tracer, MergeIsTimeWriterSeqOrdered)
     EXPECT_NE(d, tr.digest());
 }
 
+TEST(Tracer, MergeOfWrappedRingsReservesOnlyLiveRecords)
+{
+    obs::TraceConfig tc;
+    tc.enabled = true;
+    tc.ringCapacity = 4;
+    obs::Tracer tr(tc, 2);
+    for (int i = 0; i < 1000; ++i)
+        tr.writer(0)->instant(i * kUs, obs::Name::NicIrq, obs::Track::Nic);
+    tr.writer(1)->instant(0, obs::Name::NicDrop, obs::Track::Nic);
+    ASSERT_EQ(tr.totalRecorded(), 1001u);
+
+    // Overwritten records are neither merged nor reserved for.
+    const auto m = tr.merged();
+    EXPECT_EQ(m.size(), 5u);
+    EXPECT_LT(m.capacity(), 16u);
+}
+
 TEST(Tracer, DynamicNamesResolveAboveStaticVocabulary)
 {
     obs::Tracer tr({}, 1);

@@ -7,9 +7,13 @@
 
 #include <cmath>
 #include <cstdio>
+#include <algorithm>
+#include <array>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "stats/histogram.h"
 #include "stats/rank.h"
@@ -501,6 +505,89 @@ TEST(Rank, QuantileSortedPicksExactRanks)
     EXPECT_EQ(quantileSorted(std::vector<int>{}, 1, 2), 0);
     EXPECT_DOUBLE_EQ(quantileSorted(std::vector<double>{7.5}, 99, 100),
                      7.5);
+}
+
+/** quantileSortedRuns over @p runs (each sorted here) against
+ *  quantileSorted of their sorted concatenation. */
+template <typename T>
+void
+expectRunsMatchConcatenation(std::vector<std::vector<T>> runs,
+                             std::uint64_t num, std::uint64_t den)
+{
+    std::vector<T> all;
+    std::vector<SortedRun<T>> heap;
+    for (std::vector<T> &r : runs) {
+        std::sort(r.begin(), r.end());
+        all.insert(all.end(), r.begin(), r.end());
+        heap.push_back({r.data(), r.data() + r.size()});
+    }
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(quantileSortedRuns(heap, num, den),
+              quantileSorted(all, num, den))
+        << all.size() << " samples in " << runs.size() << " runs, p"
+        << num << "/" << den;
+}
+
+TEST(Rank, SortedRunsMatchSortedConcatenation)
+{
+    std::mt19937_64 rng(20221018);
+    std::uniform_real_distribution<double> lat(1.0, 5000.0);
+    std::uniform_int_distribution<int> small(0, 7);
+    const std::uint64_t quantiles[][2] = {
+        {99, 100}, {1, 2}, {19, 20}, {999, 1000}, {1, 1}, {0, 1}};
+    for (int trial = 0; trial < 100; ++trial) {
+        const std::size_t nruns = 1 + rng() % 60;
+        std::vector<std::vector<double>> runs(nruns);
+        std::vector<std::vector<int>> int_runs(nruns);
+        for (std::size_t r = 0; r < nruns; ++r) {
+            // Some runs empty, the rest up to ~400 samples; the int
+            // runs draw from 8 values, so ties dominate.
+            const std::size_t len = rng() % 4 == 0 ? 0 : rng() % 400;
+            for (std::size_t i = 0; i < len; ++i) {
+                runs[r].push_back(lat(rng));
+                int_runs[r].push_back(small(rng));
+            }
+        }
+        for (const auto &q : quantiles) {
+            expectRunsMatchConcatenation(runs, q[0], q[1]);
+            expectRunsMatchConcatenation(int_runs, q[0], q[1]);
+        }
+    }
+}
+
+TEST(Rank, SortedRunsEdgeCases)
+{
+    using Runs = std::vector<std::vector<double>>;
+    // No runs, and only empty runs: T{} like quantileSorted.
+    std::vector<SortedRun<double>> none;
+    EXPECT_EQ(quantileSortedRuns(none, 99, 100), 0.0);
+    expectRunsMatchConcatenation(Runs{{}, {}, {}}, 99, 100);
+    // A single sample, alone or among empty runs, is every quantile.
+    for (const auto &q : {std::array<std::uint64_t, 2>{99, 100},
+                          std::array<std::uint64_t, 2>{0, 1},
+                          std::array<std::uint64_t, 2>{1, 1}}) {
+        expectRunsMatchConcatenation(Runs{{7.5}}, q[0], q[1]);
+        expectRunsMatchConcatenation(Runs{{}, {7.5}, {}}, q[0], q[1]);
+    }
+    // All-equal values across runs.
+    expectRunsMatchConcatenation(Runs{{3.0, 3.0}, {3.0}, {3.0, 3.0, 3.0}},
+                                 99, 100);
+    // ceil(0.99 n) == n for every n < 100: p99 is the maximum.
+    for (std::size_t n = 1; n < 100; ++n) {
+        ASSERT_EQ(exactRankCount(n, 99, 100), n);
+        Runs runs(3);
+        for (std::size_t i = 0; i < n; ++i)
+            runs[i % 3].push_back(static_cast<double>((i * 37) % 101));
+        expectRunsMatchConcatenation(runs, 99, 100);
+    }
+    // p0 clamps to the minimum, wherever it sits.
+    std::vector<std::vector<double>> spread = {{5.0, 9.0}, {2.0, 8.0},
+                                               {4.0}};
+    std::vector<SortedRun<double>> heap;
+    for (const auto &r : spread)
+        heap.push_back({r.data(), r.data() + r.size()});
+    EXPECT_EQ(quantileSortedRuns(heap, 0, 1), 2.0);
+    expectRunsMatchConcatenation(spread, 0, 1);
 }
 
 } // namespace
