@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
+#include <tuple>
 
 #include "stats/reduce.h"
 
@@ -26,6 +28,43 @@ mixSeed(std::uint64_t seed, std::uint64_t stream)
  *  the thread or shard count) so the reduction shape — and with it
  *  every merged statistic — is identical for any parallelism. */
 constexpr std::size_t kReduceLeaf = 64;
+
+/** @p cfg, or std::invalid_argument if the engine cannot run it. */
+FleetConfig
+checked(FleetConfig cfg)
+{
+    if (cfg.numServers == 0)
+        throw std::invalid_argument("FleetConfig: numServers must be > 0");
+    if (cfg.epoch <= 0)
+        // t1 = t + epoch would never advance the run.
+        throw std::invalid_argument("FleetConfig: epoch must be > 0");
+    return cfg;
+}
+
+/** Take the entries of @p queue due by @p t1 out of it and apply them
+ *  in @p key order (a tuple led by the due instant): a canonical firing
+ *  order, whatever the queueing order. @return whether any was due. */
+template <typename Entry, typename Key, typename Apply>
+bool
+applyDue(std::vector<Entry> &queue, sim::Tick t1, Key key, Apply &&apply)
+{
+    std::vector<Entry> due;
+    std::size_t kept = 0;
+    for (const Entry &e : queue) {
+        if (std::get<0>(key(e)) <= t1)
+            due.push_back(e);
+        else
+            queue[kept++] = e;
+    }
+    queue.resize(kept);
+    std::sort(due.begin(), due.end(),
+              [&key](const Entry &a, const Entry &b) {
+                  return key(a) < key(b);
+              });
+    for (const Entry &e : due)
+        apply(e);
+    return !due.empty();
+}
 
 } // namespace
 
@@ -78,7 +117,7 @@ FleetReport::writeCsv(std::FILE *out, bool with_header) const
 }
 
 FleetSim::FleetSim(FleetConfig cfg)
-    : cfg_(std::move(cfg)),
+    : cfg_(checked(std::move(cfg))),
       layout_(ShardLayout::make(
           cfg_.numServers, cfg_.shardSize,
           std::min<unsigned>(cfg_.threads,
@@ -86,7 +125,6 @@ FleetSim::FleetSim(FleetConfig cfg)
       pool_(std::min<unsigned>(cfg_.threads,
                                static_cast<unsigned>(cfg_.numServers)))
 {
-    assert(cfg_.numServers > 0);
     // Attribution rides on the trace layer: the segment spans land in
     // the same per-entity rings, so enabling it forces tracing on.
     attr_ = cfg_.attribution.enabled;
@@ -442,63 +480,46 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
         Flight fl;
         fl.arrival = ev.at;
         fl.service = ev.service;
-        fl.remaining = 0;
-        fl.lost = 0;
-        fl.lastDone = 0;
         fl.measured = measuring_ && ev.at >= measureStart_;
-        fl.fanout = ev.fanout > 1;
+        fl.failover = cfg_.recovery.enabled && ev.fanout <= 1;
         if (fl.measured)
             ++dispatched_;
         const auto it = inFlight_.emplace(id, std::move(fl)).first;
         Flight &f = it->second;
-        if (!f.fanout) {
+        if (ev.fanout <= 1) {
             const std::size_t srv = dispatcher_->pick();
             if (srv == Dispatcher::kNone) {
                 // Every server is out of the pick set (mass outage):
                 // fail the zeroth attempt — recovery backs off and
                 // retries, otherwise the request is lost to the fault.
-                // failAttempt may erase the flight; don't touch `it`.
-                failAttempt(it, ev.at);
-                continue;
-            }
-            dispatcher_->onDispatch(srv);
-            f.attempts = 1;
-            f.curSrv = static_cast<std::uint32_t>(srv);
-            f.attemptAt = ev.at;
-            if (routeReplica(ev.at, ev.service, srv, id)) {
-                ++f.remaining;
-                armTimeout(it, ev.at);
-            } else if (cfg_.recovery.enabled) {
                 failAttempt(it, ev.at);
             } else {
-                ++f.lost;
-                finishFlight(it); // the only replica died in transit
+                f.attempts = 1;
+                sendAttempt(it, srv, ev.at);
             }
             continue;
         }
-        {
-            // Fanout replicas land on distinct servers (capped at the
-            // fleet size): the slowest replica gates completion, and
-            // all shards must answer — a destroyed replica is a lost
-            // request, not a failover (the shard's data is gone).
-            const int replicas = std::min<int>(
-                ev.fanout, static_cast<int>(servers_.size()));
-            for (int k = 0; k < replicas; ++k) {
-                const std::size_t srv = dispatcher_->pick();
-                if (srv == Dispatcher::kNone) {
-                    ++f.lost;
-                    f.crashLoss = true;
-                    continue;
-                }
-                dispatcher_->onDispatch(srv);
-                dispatcher_->exclude(srv);
-                if (routeReplica(ev.at, ev.service, srv, id))
-                    ++f.remaining;
-                else
-                    ++f.lost;
+        // Fanout replicas land on distinct servers (capped at the
+        // fleet size): the slowest replica gates completion, and all
+        // shards must answer — a destroyed replica is a lost request,
+        // not a failover (the shard's data is gone).
+        const int replicas =
+            std::min<int>(ev.fanout, static_cast<int>(servers_.size()));
+        for (int k = 0; k < replicas; ++k) {
+            const std::size_t srv = dispatcher_->pick();
+            if (srv == Dispatcher::kNone) {
+                ++f.lost;
+                f.crashLoss = true;
+                continue;
             }
-            dispatcher_->clearExclusions();
+            dispatcher_->onDispatch(srv);
+            dispatcher_->exclude(srv);
+            if (routeReplica(ev.at, ev.service, srv, id))
+                ++f.remaining;
+            else
+                ++f.lost;
         }
+        dispatcher_->clearExclusions();
         if (f.remaining == 0)
             finishFlight(it); // nothing routed (fabric loss / outage)
     }
@@ -649,34 +670,44 @@ FleetSim::resolveFlight(FlightMap::iterator it, sim::Tick done,
 }
 
 void
-FleetSim::maybeEraseFlight(FlightMap::iterator it)
+FleetSim::finishFlight(FlightMap::iterator it)
 {
-    const Flight &fl = it->second;
+    Flight &fl = it->second;
     // The shell persists until every routed replica delivered or
     // aborted and no retry is scheduled: late responses and crash
     // aborts from superseded attempts must find their flight. (Stale
     // timeout entries look the flight up by id and tolerate absence.)
-    if (!fl.resolved || fl.remaining > 0 || fl.retryPending)
+    if (fl.remaining > 0 || fl.retryPending)
         return;
+    if (!fl.resolved) {
+        if (fl.timeoutsArmed > 0)
+            return;
+        resolveFlight(it, fl.lastDone, fl.lost > 0);
+    }
     ++flightsFinished_;
     inFlight_.erase(it);
 }
 
 void
-FleetSim::finishFlight(FlightMap::iterator it)
+FleetSim::sendAttempt(FlightMap::iterator it, std::size_t srv,
+                      sim::Tick at)
 {
     Flight &fl = it->second;
-    if (!fl.resolved && fl.remaining <= 0 && !fl.retryPending &&
-        fl.timeoutsArmed == 0)
-        resolveFlight(it, fl.lastDone, fl.lost > 0);
-    maybeEraseFlight(it);
+    dispatcher_->onDispatch(srv);
+    fl.curSrv = static_cast<std::uint32_t>(srv);
+    fl.attemptAt = at;
+    ++fl.remaining;
+    if (routeReplica(at, fl.service, srv, it->first))
+        armTimeout(it, at);
+    else
+        replicaFailed(it, fl.curSrv, at, false, false);
 }
 
 void
 FleetSim::armTimeout(FlightMap::iterator it, sim::Tick at)
 {
     Flight &fl = it->second;
-    if (!cfg_.recovery.enabled || fl.fanout)
+    if (!fl.failover)
         return;
     timeoutQueue_.push_back(
         {at + cfg_.recovery.requestTimeout, it->first, fl.attempts - 1});
@@ -688,21 +719,20 @@ FleetSim::failAttempt(FlightMap::iterator it, sim::Tick at)
 {
     Flight &fl = it->second;
     if (fl.resolved) {
-        maybeEraseFlight(it);
+        finishFlight(it);
         return;
     }
     if (fl.attempts > 0 &&
         std::find(fl.failedSrv.begin(), fl.failedSrv.end(), fl.curSrv) ==
             fl.failedSrv.end())
         fl.failedSrv.push_back(fl.curSrv);
-    const bool rec = cfg_.recovery.enabled && !fl.fanout;
-    if (!rec || fl.attempts >= cfg_.recovery.maxAttempts) {
+    if (!fl.failover || fl.attempts >= cfg_.recovery.maxAttempts) {
         // Out of attempts (or no recovery): the client gives up now.
         // Anything still physically in flight drains into the shell.
         ++fl.lost;
         fl.crashLoss = true;
         resolveFlight(it, at, true);
-        maybeEraseFlight(it);
+        finishFlight(it);
         return;
     }
     // Record the abandoned window for the blame report; the whole gap
@@ -718,137 +748,108 @@ FleetSim::failAttempt(FlightMap::iterator it, sim::Tick at)
 }
 
 void
+FleetSim::replicaFailed(FlightMap::iterator it, std::uint32_t srv,
+                        sim::Tick at, bool crash, bool silent)
+{
+    Flight &fl = it->second;
+    --fl.remaining;
+    if (fl.failover && !silent && !fl.resolved && !fl.retryPending &&
+        srv == fl.curSrv) {
+        failAttempt(it, at);
+        return;
+    }
+    // A failover flight only resolves through a success or
+    // failAttempt, which sets the loss fields itself, so counting a
+    // superseded attempt's replica here never reaches a report.
+    if (!fl.resolved) {
+        ++fl.lost;
+        if (crash)
+            fl.crashLoss = true;
+    }
+    finishFlight(it);
+}
+
+void
 FleetSim::drainAborts()
 {
     mergeStaged(&ShardSlot::aborts, [this](const StagedEvent &ev) {
         const auto it = inFlight_.find(ev.id);
         assert(it != inFlight_.end());
-        Flight &fl = it->second;
-        --fl.remaining;
-        const bool rec = cfg_.recovery.enabled && !fl.fanout;
-        if (!rec) {
-            // No failover path: a destroyed replica is a lost request
-            // (for fanout, that shard's answer is gone for good).
-            if (!fl.resolved) {
-                ++fl.lost;
-                fl.crashLoss = true;
-            }
-            finishFlight(it);
-            return;
-        }
-        if (!fl.resolved && !fl.retryPending && ev.srv == fl.curSrv) {
-            // The current attempt died on the server: fail over now
-            // instead of waiting out the timeout.
-            failAttempt(it, ev.at);
-            return;
-        }
-        // A superseded attempt's death — the flight already moved on.
-        finishFlight(it);
+        replicaFailed(it, ev.srv, ev.at, true, false);
     });
 }
 
 void
 FleetSim::processRecovery(sim::Tick t1)
 {
-    if (timeoutQueue_.empty() && retryQueue_.empty())
-        return;
+    const auto fireTimeout = [this](const PendingTimeout &pt) {
+        const auto it = inFlight_.find(pt.id);
+        if (it == inFlight_.end())
+            return; // shell already drained
+        Flight &fl = it->second;
+        --fl.timeoutsArmed;
+        if (fl.resolved || fl.retryPending ||
+            pt.attempt != fl.attempts - 1) {
+            // Stale: the flight resolved or moved to a newer attempt
+            // before this deadline came up.
+            finishFlight(it);
+            return;
+        }
+        ++timeoutsFired_;
+        failAttempt(it, pt.deadline);
+    };
+    const auto redispatch = [this, t1](const auto &rt) {
+        const auto it = inFlight_.find(rt.second);
+        assert(it != inFlight_.end()); // retryPending pins the shell
+        Flight &fl = it->second;
+        fl.retryPending = false;
+        // Re-dispatch at the quiescent epoch edge (the servers already
+        // advanced past the nominal due instant).
+        const sim::Tick at = std::max(rt.first, t1);
+        ++fl.attempts;
+        // The backoff window closes here even if no server is left: an
+        // attempt that finds none fails at once, with no timeout wait.
+        if (attr_ && at > fl.lastFailAt)
+            fl.gaps.push_back({fl.lastFailAt, at - fl.lastFailAt, true});
+        fl.attemptAt = at;
+        for (const std::uint32_t s : fl.failedSrv)
+            dispatcher_->exclude(s);
+        const std::size_t srv = dispatcher_->pick();
+        dispatcher_->clearExclusions();
+        if (srv == Dispatcher::kNone) {
+            // No server this request hasn't already failed on.
+            failAttempt(it, at);
+            return;
+        }
+        ++failovers_;
+        if (attr_) {
+            // Emit the full gap history valued at the new target: its
+            // replica chain then sums from the original dispatch,
+            // keeping the blame report additive.
+            for (const Flight::Gap &g : fl.gaps)
+                fleetTrace_->span(g.at, g.dur,
+                                  g.backoff ? obs::Name::SegFailover
+                                            : obs::Name::SegTimeoutWait,
+                                  obs::Track::Segments, rt.second,
+                                  static_cast<double>(srv));
+        }
+        sendAttempt(it, srv, at);
+    };
     // Fixpoint over this epoch: a fired timeout can schedule a retry
     // due before t1, and a re-dispatched attempt can arm a timeout
     // that also expires before t1. Attempts are capped, so each round
     // strictly consumes attempt budget and the loop terminates.
-    bool progress = true;
-    std::vector<PendingTimeout> dueT;
-    std::vector<std::pair<sim::Tick, std::uint64_t>> dueR;
-    while (progress) {
-        progress = false;
-        dueT.clear();
-        std::size_t kept = 0;
-        for (const PendingTimeout &pt : timeoutQueue_) {
-            if (pt.deadline <= t1)
-                dueT.push_back(pt);
-            else
-                timeoutQueue_[kept++] = pt;
-        }
-        timeoutQueue_.resize(kept);
-        // Canonical firing order regardless of arming order.
-        std::sort(dueT.begin(), dueT.end(),
-                  [](const PendingTimeout &a, const PendingTimeout &b) {
-                      return a.deadline != b.deadline
-                          ? a.deadline < b.deadline
-                          : (a.id != b.id ? a.id < b.id
-                                          : a.attempt < b.attempt);
-                  });
-        for (const PendingTimeout &pt : dueT) {
-            progress = true;
-            const auto it = inFlight_.find(pt.id);
-            if (it == inFlight_.end())
-                continue; // shell already drained
-            Flight &fl = it->second;
-            --fl.timeoutsArmed;
-            if (fl.resolved || fl.retryPending ||
-                pt.attempt != fl.attempts - 1) {
-                // Stale: the flight resolved or moved to a newer
-                // attempt before this deadline came up.
-                finishFlight(it);
-                continue;
-            }
-            ++timeoutsFired_;
-            failAttempt(it, pt.deadline);
-        }
-        dueR.clear();
-        kept = 0;
-        for (const auto &rt : retryQueue_) {
-            if (rt.first <= t1)
-                dueR.push_back(rt);
-            else
-                retryQueue_[kept++] = rt;
-        }
-        retryQueue_.resize(kept);
-        std::sort(dueR.begin(), dueR.end());
-        for (const auto &rt : dueR) {
-            progress = true;
-            const auto it = inFlight_.find(rt.second);
-            assert(it != inFlight_.end()); // retryPending pins the shell
-            Flight &fl = it->second;
-            fl.retryPending = false;
-            // Re-dispatch at the quiescent epoch edge (the servers
-            // already advanced past the nominal due instant).
-            const sim::Tick at = std::max(rt.first, t1);
-            ++fl.attempts;
-            for (const std::uint32_t s : fl.failedSrv)
-                dispatcher_->exclude(s);
-            const std::size_t srv = dispatcher_->pick();
-            dispatcher_->clearExclusions();
-            if (srv == Dispatcher::kNone) {
-                // No server this request hasn't already failed on.
-                failAttempt(it, at);
-                continue;
-            }
-            dispatcher_->onDispatch(srv);
-            ++failovers_;
-            if (attr_) {
-                // Emit the full gap history valued at the new target:
-                // its replica chain then sums from the original
-                // dispatch, keeping the blame report additive.
-                if (at > fl.lastFailAt)
-                    fl.gaps.push_back(
-                        {fl.lastFailAt, at - fl.lastFailAt, true});
-                for (const Flight::Gap &g : fl.gaps)
-                    fleetTrace_->span(g.at, g.dur,
-                                      g.backoff ? obs::Name::SegFailover
-                                                : obs::Name::SegTimeoutWait,
-                                      obs::Track::Segments, rt.second,
-                                      static_cast<double>(srv));
-            }
-            fl.curSrv = static_cast<std::uint32_t>(srv);
-            fl.attemptAt = at;
-            if (routeReplica(at, fl.service, srv, rt.second)) {
-                ++fl.remaining;
-                armTimeout(it, at);
-            } else {
-                failAttempt(it, at);
-            }
-        }
+    for (bool progress = true; progress;) {
+        const bool fired = applyDue(
+            timeoutQueue_, t1,
+            [](const PendingTimeout &pt) {
+                return std::tie(pt.deadline, pt.id, pt.attempt);
+            },
+            fireTimeout);
+        progress = applyDue(retryQueue_, t1,
+                            [](const auto &rt) { return rt; },
+                            redispatch) ||
+            fired;
     }
 }
 
@@ -859,28 +860,20 @@ FleetSim::drainCompletions()
         const auto it = inFlight_.find(ev.id);
         assert(it != inFlight_.end());
         Flight &fl = it->second;
-        // First successful response resolves a recovery-managed flight
-        // immediately — even one from a timed-out attempt that beat
-        // its own failover (the client takes whichever answer lands
-        // first; the accounting happens exactly once).
-        const bool single = cfg_.recovery.enabled && !fl.fanout;
+        sim::Tick done = ev.at;
         if (fabric_) {
             const auto tr = fabric_->toClient(ev.at, ev.srv);
             netRetransmits_ +=
                 static_cast<std::uint64_t>(tr.retransmits);
             if (tr.lost) {
-                // Under recovery the armed timeout notices the missing
-                // response and drives the failover; without it the
-                // request is lost outright.
-                if (!single)
-                    ++fl.lost;
-            } else {
-                traceSendSegments(ev.at, tr.deliverAt, tr.rtoWait,
-                                  ev.srv, ev.id, true);
-                fl.lastDone = std::max(fl.lastDone, tr.deliverAt);
-                if (single && !fl.resolved)
-                    resolveFlight(it, tr.deliverAt, false);
+                // Silent: under failover the armed timeout notices the
+                // missing response and drives the failover.
+                replicaFailed(it, ev.srv, ev.at, false, true);
+                return;
             }
+            traceSendSegments(ev.at, tr.deliverAt, tr.rtoWait, ev.srv,
+                              ev.id, true);
+            done = tr.deliverAt;
         } else {
             // The response half of the teleport RTT (see routeReplica).
             const sim::Tick resp =
@@ -889,10 +882,14 @@ FleetSim::drainCompletions()
                 fleetTrace_->span(ev.at, resp, obs::Name::SegXmitResp,
                                   obs::Track::Segments, ev.id,
                                   static_cast<double>(ev.srv));
-            fl.lastDone = std::max(fl.lastDone, ev.at);
-            if (single && !fl.resolved)
-                resolveFlight(it, ev.at, false);
         }
+        fl.lastDone = std::max(fl.lastDone, done);
+        // First successful response resolves a failover flight
+        // immediately — even one from a timed-out attempt that beat
+        // its own failover (the client takes whichever answer lands
+        // first; the accounting happens exactly once).
+        if (fl.failover && !fl.resolved)
+            resolveFlight(it, done, false);
         --fl.remaining;
         finishFlight(it);
     });
@@ -915,52 +912,34 @@ FleetSim::drainNicDrops(sim::Tick now_floor)
             fl.triesBySrv.emplace_back(ev.srv, 1);
             entry = fl.triesBySrv.end() - 1;
         }
-        if (entry->second >= cfg_.fabric.maxTries) {
-            --fl.remaining;
-            if (cfg_.recovery.enabled && !fl.fanout && !fl.resolved &&
-                !fl.retryPending && ev.srv == fl.curSrv) {
-                // The current attempt exhausted its NIC resends: fail
-                // over instead of losing the request outright.
-                failAttempt(it, ev.at);
+        if (entry->second < cfg_.fabric.maxTries) {
+            // Client resend of the tail-dropped replica to the same
+            // server after the RTO (floored at the fleet's current
+            // epoch edge: the drop was only observed at the drain
+            // point). The resend schedules directly — the servers are
+            // quiescent between epochs, and its bucket was already
+            // consumed.
+            ++entry->second;
+            ++netRetransmits_;
+            const sim::Tick at =
+                std::max(ev.at + cfg_.fabric.rto, now_floor);
+            // The drop-to-resend gap is pure retransmit penalty in the
+            // request's timeline; the fresh transit then adds its own
+            // RTO/wire spans.
+            if (attr_ && at > ev.at)
+                fleetTrace_->span(ev.at, at - ev.at, obs::Name::SegRto,
+                                  obs::Track::Segments, ev.id,
+                                  static_cast<double>(ev.srv));
+            sim::Tick deliver, rto_wait;
+            if (transit(at, ev.srv, deliver, rto_wait)) {
+                traceSendSegments(at, deliver, rto_wait, ev.srv, ev.id,
+                                  false);
+                scheduleInject(ev.srv, deliver, ev.id, fl.service);
                 return;
             }
-            if (!fl.resolved)
-                ++fl.lost;
-            finishFlight(it);
-            return;
         }
-        // Client resend of the tail-dropped replica to the same
-        // server after the RTO (floored at the fleet's current epoch
-        // edge: the drop was only observed at the drain point). The
-        // resend schedules directly — the servers are quiescent
-        // between epochs, and its bucket was already consumed.
-        ++entry->second;
-        ++netRetransmits_;
-        const sim::Tick at =
-            std::max(ev.at + cfg_.fabric.rto, now_floor);
-        // The drop-to-resend gap is pure retransmit penalty in the
-        // request's timeline; the fresh transit then adds its own
-        // RTO/wire spans.
-        if (attr_ && at > ev.at)
-            fleetTrace_->span(ev.at, at - ev.at, obs::Name::SegRto,
-                              obs::Track::Segments, ev.id,
-                              static_cast<double>(ev.srv));
-        sim::Tick deliver, rto_wait;
-        if (transit(at, ev.srv, deliver, rto_wait)) {
-            traceSendSegments(at, deliver, rto_wait, ev.srv, ev.id,
-                              false);
-            scheduleInject(ev.srv, deliver, ev.id, fl.service);
-        } else {
-            --fl.remaining;
-            if (cfg_.recovery.enabled && !fl.fanout && !fl.resolved &&
-                !fl.retryPending && ev.srv == fl.curSrv) {
-                failAttempt(it, ev.at);
-                return;
-            }
-            if (!fl.resolved)
-                ++fl.lost;
-            finishFlight(it);
-        }
+        // Out of resends, or the resend was lost in transit.
+        replicaFailed(it, ev.srv, ev.at, false, false);
     });
 }
 
@@ -982,9 +961,26 @@ FleetSim::run()
 
     const sim::Tick measure_at = cfg_.warmup;
     const sim::Tick end = cfg_.warmup + cfg_.duration;
+    const sim::Tick deadline = end + cfg_.drainLimit;
     sim::Tick t = 0;
-    while (t < end) {
-        if (!measuring_ && t >= measure_at) {
+    bool routing = true; // inside [0, end): arrivals are routed
+    for (;;) {
+        if (routing && t >= end) {
+            routing = false;
+            // Freeze per-server metrics at the end of the measurement
+            // window so every server's power average covers exactly
+            // [warmup, end]; latch fabric power on the same boundary
+            // (drain traffic would otherwise smear busy time into a
+            // fixed-length window).
+            const auto sc = profiler_.scope(Phase::Collect);
+            collectServers();
+            if (fabric_)
+                fabricPowerW_ = fabric_->averagePowerW(cfg_.duration);
+        }
+        // Past the window: no new arrivals; let in-flight work drain.
+        if (!routing && (inFlight_.empty() || t >= deadline))
+            break;
+        if (routing && !measuring_ && t >= measure_at) {
             for (auto &s : servers_)
                 s->beginMeasurement();
             if (fabric_)
@@ -994,9 +990,10 @@ FleetSim::run()
         }
         // Epoch boundaries align with the start of measurement so RAPL
         // windows begin at a quiescent, single-threaded instant.
-        const sim::Tick limit = measuring_ ? end : measure_at;
+        const sim::Tick limit =
+            !routing ? deadline : measuring_ ? end : measure_at;
         const sim::Tick t1 = std::min(t + cfg_.epoch, limit);
-        {
+        if (routing) {
             const auto sc = profiler_.scope(Phase::Route);
             if (allocator_ && t >= nextAllocAt_) {
                 allocateBudgets(t);
@@ -1004,36 +1001,6 @@ FleetSim::run()
             }
             dispatchEpoch(t, t1);
         }
-        advanceShards(t1);
-        {
-            const auto sc = profiler_.scope(Phase::Merge);
-            drainCompletions();
-            drainNicDrops(t1);
-            drainAborts();
-            processRecovery(t1);
-        }
-        if (metrics_ && metrics_->due(t1))
-            sampleMetrics(t1);
-        if (health_ && measuring_)
-            healthEpoch(t, t1);
-        t = t1;
-    }
-
-    // Freeze per-server metrics at the end of the measurement window so
-    // every server's power average covers exactly [warmup, end]; latch
-    // fabric power on the same boundary (drain traffic would otherwise
-    // smear busy time into a fixed-length window).
-    {
-        const auto sc = profiler_.scope(Phase::Collect);
-        collectServers();
-    }
-    if (fabric_)
-        fabricPowerW_ = fabric_->averagePowerW(cfg_.duration);
-
-    // Drain: no new arrivals; let in-flight work finish.
-    const sim::Tick deadline = end + cfg_.drainLimit;
-    while (!inFlight_.empty() && t < deadline) {
-        const sim::Tick t1 = std::min(t + cfg_.epoch, deadline);
         advanceShards(t1);
         {
             const auto sc = profiler_.scope(Phase::Merge);

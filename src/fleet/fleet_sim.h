@@ -399,9 +399,9 @@ class FleetSim
     {
         sim::Tick arrival;
         sim::Tick service;  ///< dispatcher-chosen demand (resends)
-        int remaining;      ///< replicas still running
-        int lost;           ///< replicas dropped beyond retry
-        sim::Tick lastDone; ///< slowest replica completion so far
+        int remaining = 0;      ///< replicas still running
+        int lost = 0;           ///< replicas dropped beyond retry
+        sim::Tick lastDone = 0; ///< slowest replica completion so far
         bool measured;      ///< arrived inside the measurement window
         /**
          * Client outcome (success or loss) already recorded. The shell
@@ -414,7 +414,9 @@ class FleetSim
          *  dispatch failure, or failover-attempt exhaustion. Splits
          *  lostToCrash from lostRequests at resolution. */
         bool crashLoss = false;
-        bool fanout = false; ///< multi-replica (no failover path)
+        /** Recovery on and a single replica: a failed attempt fails
+         *  over instead of losing the request. Fixed at creation. */
+        bool failover = false;
         /** Dispatch attempts consumed (recovery bookkeeping). */
         int attempts = 0;
         /** A failover re-dispatch is scheduled but not yet routed. */
@@ -489,20 +491,33 @@ class FleetSim
      *  dispatcher, retarget the budget allocator, and reinsert
      *  recovered servers whose restart completed. */
     void applyFaults(sim::Tick from, sim::Tick to);
+    /** Send a single-replica flight's current attempt to the picked
+     *  server @p srv at @p at; arms its timeout (failover flights). */
+    void sendAttempt(FlightMap::iterator it, std::size_t srv,
+                     sim::Tick at);
     /** Arm the per-attempt client timeout for a just-routed attempt
-     *  (recovery-enabled single-replica flights only). */
+     *  (failover flights only). */
     void armTimeout(FlightMap::iterator it, sim::Tick at);
     /** One dispatch attempt failed at @p at: give the request up
      *  (crash-class loss) or schedule the backoff retry. */
     void failAttempt(FlightMap::iterator it, sim::Tick at);
+    /**
+     * The one replica-outcome rule: a routed replica ended on @p srv
+     * at @p at without answering — lost in the fabric, out of NIC
+     * resends, or destroyed by a crash (@p crash). The live attempt of
+     * an unresolved failover flight with no retry pending fails over,
+     * unless the loss is @p silent (a lost response, which the client
+     * learns of only from the attempt's timeout). Any other replica
+     * counts lost, and the flight finishes once nothing is pending.
+     */
+    void replicaFailed(FlightMap::iterator it, std::uint32_t srv,
+                       sim::Tick at, bool crash, bool silent);
     /** One-time client outcome accounting + request trace record. */
     void resolveFlight(FlightMap::iterator it, sim::Tick done,
                        bool lost);
     /** Resolve when nothing can still make progress, then erase the
      *  shell once every routed replica has drained. */
     void finishFlight(FlightMap::iterator it);
-    /** Erase the shell once resolved and fully drained. */
-    void maybeEraseFlight(FlightMap::iterator it);
     /** Parallel per-shard ServerSim::collect into perServerResults_. */
     void collectServers();
     FleetReport aggregate();

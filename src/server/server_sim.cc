@@ -51,7 +51,14 @@ ServerSim::ServerSim(ServerConfig cfg)
                 deliverNicBatch(std::move(batch), irq_at);
             });
         nic_->onRxDrop([this](std::uint64_t id, sim::Tick at) {
-            if (id != kNoRequestId && rxDropFn_)
+            if (id == kNoRequestId)
+                return;
+            // The ring tail-dropped the request inject() just recorded
+            // as live: it never entered the server, so a later crash
+            // must not report it destroyed as well.
+            assert(!liveIds_.empty() && liveIds_.back() == id);
+            liveIds_.pop_back();
+            if (rxDropFn_)
                 rxDropFn_(id, at);
         });
     }

@@ -289,6 +289,36 @@ TEST(ServerLifecycle, DrainStopsAdmissionButFinishesWork)
     EXPECT_EQ(srv.outstanding(), 0u);
 }
 
+TEST(ServerLifecycle, CrashReportsOnlyRequestsTheRingAccepted)
+{
+    server::ServerConfig sc;
+    sc.policy = soc::PackagePolicy::Cpc1a;
+    sc.workload = workload::WorkloadConfig::memcachedEtc(0);
+    sc.externalArrivals = true;
+    sc.seed = 3;
+    sc.nic.enabled = true;
+    sc.nic.rxRingSize = 2;
+    sc.nic.rxUsecs = 1 * kMs; // no interrupt before the crash
+    server::ServerSim srv(std::move(sc));
+    std::vector<std::uint64_t> dropped, aborted;
+    srv.onRxDrop(
+        [&](std::uint64_t id, sim::Tick) { dropped.push_back(id); });
+    srv.onAbort(
+        [&](std::uint64_t id, sim::Tick) { aborted.push_back(id); });
+    srv.start();
+
+    srv.advanceTo(1 * kMs);
+    for (std::uint64_t id = 1; id <= 5; ++id)
+        srv.inject(id, 200 * kUs);
+    EXPECT_EQ(dropped, (std::vector<std::uint64_t>{3, 4, 5}));
+
+    srv.scheduleCrash(1 * kMs + 100 * kUs);
+    srv.advanceTo(2 * kMs);
+    // Each request ends exactly once: the tail-dropped ones never
+    // entered the server, so the crash reports only the ring's two.
+    EXPECT_EQ(aborted, (std::vector<std::uint64_t>{1, 2}));
+}
+
 // ------------------------------------------------- fleet churn grid
 
 std::string

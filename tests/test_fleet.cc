@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 
 #include "fleet/dispatch.h"
 #include "fleet/fleet_sim.h"
@@ -261,6 +262,23 @@ TEST(Fleet, RequestConservation)
     // The drain window is generous: everything finishes.
     EXPECT_EQ(rep.inFlightAtEnd, 0u);
     EXPECT_EQ(rep.dispatched, rep.completed);
+}
+
+TEST(Fleet, NonPositiveEpochRejectedAtConstruction)
+{
+    // t + epoch would never advance: run() used to spin forever.
+    auto fc = smallFleet(DispatchKind::LeastOutstanding, 0.2);
+    fc.epoch = 0;
+    EXPECT_THROW({ FleetSim fleet(fc); }, std::invalid_argument);
+    fc.epoch = -1;
+    EXPECT_THROW({ FleetSim fleet(fc); }, std::invalid_argument);
+}
+
+TEST(Fleet, EmptyFleetRejectedAtConstruction)
+{
+    auto fc = smallFleet(DispatchKind::LeastOutstanding, 0.2);
+    fc.numServers = 0;
+    EXPECT_THROW({ FleetSim fleet(fc); }, std::invalid_argument);
 }
 
 TEST(Fleet, IdenticalSeedsIdenticalReports)

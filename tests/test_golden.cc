@@ -1,9 +1,13 @@
 /**
  * @file
- * Observer golden pin: a small fleet with every observer on, whose
- * report row, blame JSON, alert-log JSON and metrics CSV are pinned by
- * FNV-1a hash. Any change to the simulator or to an observer that
- * moves one byte of these outputs fails here.
+ * Golden pins. The observer pin runs a small fleet with every observer
+ * on and pins its report row, blame JSON, alert-log JSON and metrics
+ * CSV by FNV-1a hash. The replica-outcome pins run one small fleet per
+ * way a routed replica can end (answered, lost in the fabric, dropped
+ * by a full NIC ring, destroyed by a crash, never routed because every
+ * server is down) and pin the report row and the trace digest. Any
+ * change to the simulator or to an observer that moves one byte of
+ * these outputs fails here.
  *
  * Re-pinning is allowed only for a change that means to move an
  * output, and it needs a line in CHANGES.md that names the output and
@@ -144,6 +148,196 @@ TEST_P(ObserverGolden, OutputsMatchThePin)
 
 INSTANTIATE_TEST_SUITE_P(Threads, ObserverGolden,
                          ::testing::Values(1u, 2u));
+
+/** Shared base of the replica-outcome scenarios: MMPP arrivals, a
+ *  short window, tracing with attribution, so the trace digest covers
+ *  request spans, losses and every send/failover segment, and health
+ *  with a fail-fast conservation audit (so forcing the audit on from
+ *  the environment changes nothing). */
+fleet::FleetConfig
+outcomeFleet(std::size_t servers, double util, std::uint64_t seed)
+{
+    fleet::FleetConfig fc;
+    fc.numServers = servers;
+    fc.policy = soc::PackagePolicy::Cpc1a;
+    fc.workload = workload::WorkloadConfig::memcachedEtc(0);
+    fc.dispatch = fleet::DispatchKind::LeastOutstanding;
+    fc.traffic.arrivalKind = workload::ArrivalKind::Mmpp;
+    fc.traffic.burstiness = 6.0;
+    fc.traffic.burstMean = fc.workload.burstMean;
+    fc.traffic.qps = fc.workload.qpsForUtilization(
+        util, static_cast<int>(servers) * 10);
+    fc.sloUs = 10000.0;
+    fc.warmup = 2 * kMs;
+    fc.duration = 10 * kMs;
+    fc.seed = seed;
+    fc.attribution.enabled = true;
+    fc.trace.ringCapacity = 1u << 20;
+    fc.health.enabled = true;
+    fc.health.audit.failFast = true;
+    return fc;
+}
+
+/** Teleport network with fanout: every replica answers. */
+fleet::FleetConfig
+teleportFanout()
+{
+    fleet::FleetConfig fc = outcomeFleet(8, 0.30, 101);
+    fc.traffic.fanout = {0.2, 3};
+    return fc;
+}
+
+/** Starved fabric buffers, a two-descriptor NIC ring, one resend per
+ *  packet and fanout under edge-link flaps, a crash hazard and a
+ *  scripted crash: replicas and responses die in transit, replicas in
+ *  the ring and on crashed servers. */
+fleet::FleetConfig
+lossyChurn()
+{
+    fleet::FleetConfig fc = outcomeFleet(16, 0.40, 202);
+    fc.traffic.fanout = {0.2, 3};
+    fc.fabric.enabled = true;
+    fc.fabric.edge.queuePackets = 3;
+    fc.fabric.core.queuePackets = 24;
+    fc.fabric.rto = 300 * kUs;
+    fc.fabric.maxTries = 2;
+    fc.nic.enabled = true;
+    fc.nic.rxRingSize = 2;
+    fc.faults.enabled = true;
+    fc.faults.scripted = {
+        {5 * kMs, 2 * kMs, fault::FaultKind::ServerCrash, 3}};
+    fc.faults.crash.ratePerSec = 40.0;
+    fc.faults.crash.mttr = 2 * kMs;
+    fc.faults.flap.ratePerSec = 40.0;
+    fc.faults.flap.mttr = 1 * kMs;
+    return fc;
+}
+
+/** lossyChurn with client recovery. The timeout is shorter than a NIC
+ *  resend, so lost responses and slow resent replicas both time out,
+ *  and a late answer can beat its own failover. */
+fleet::FleetConfig
+lossyChurnRecovery()
+{
+    fleet::FleetConfig fc = lossyChurn();
+    fc.recovery.enabled = true;
+    fc.recovery.requestTimeout = 300 * kUs;
+    return fc;
+}
+
+/** Every server of a four-server fleet crashes at once, so dispatch
+ *  finds no server for first sends, fanout replicas and failovers.
+ *  The 1.5 ms outage outlasts the failover backoff of early arrivals
+ *  but not of late ones. */
+fleet::FleetConfig
+massOutage()
+{
+    fleet::FleetConfig fc = outcomeFleet(4, 0.30, 303);
+    fc.traffic.fanout = {0.2, 2};
+    fc.faults.enabled = true;
+    for (std::uint32_t s = 0; s < 4; ++s)
+        fc.faults.scripted.push_back(
+            {5 * kMs, 1 * kMs, fault::FaultKind::ServerCrash, s});
+    fc.faults.restartCost = 500 * kUs;
+    fc.recovery.enabled = true;
+    return fc;
+}
+
+/** massOutage without recovery: outage dispatch failures are lost at
+ *  once. */
+fleet::FleetConfig
+massOutageNoRecovery()
+{
+    fleet::FleetConfig fc = massOutage();
+    fc.recovery.enabled = false;
+    return fc;
+}
+
+struct OutcomeScenario
+{
+    const char *name;
+    fleet::FleetConfig (*make)();
+    std::uint64_t csvRowHash;
+    std::uint64_t traceDigest;
+    /** Asserts the counters proving the scenario takes its branches. */
+    void (*exercised)(const fleet::FleetReport &);
+};
+
+// Recorded on the parent of the commit that introduced them, except
+// MassOutage's trace digest: that commit also fixed the failover
+// segments of a retry that finds no server (the parent dropped its
+// backoff window and made the blame chain non-additive), which moves
+// only that digest. See the file comment before changing any of them.
+const OutcomeScenario kOutcomeScenarios[] = {
+    {"TeleportFanout", teleportFanout, 0x46e677bba2573dd2ULL,
+     0x283869f0108a4473ULL,
+     [](const fleet::FleetReport &r) {
+         EXPECT_GT(r.replicaLatencyUs.count(), r.completed);
+         EXPECT_EQ(r.completed, r.dispatched);
+     }},
+    {"LossyChurn", lossyChurn, 0x48ef47306f554173ULL,
+     0xbb2076605c9412eaULL,
+     [](const fleet::FleetReport &r) {
+         EXPECT_GT(r.nicRxDrops, 0u);
+         EXPECT_GT(r.lostRequests, 0u);
+         EXPECT_GT(r.lostToCrash, 0u);
+         EXPECT_EQ(r.failovers, 0u);
+     }},
+    {"LossyChurnRecovery", lossyChurnRecovery, 0x0859b991a1eb4aadULL,
+     0x20b7d32455cb4933ULL,
+     [](const fleet::FleetReport &r) {
+         EXPECT_GT(r.nicRxDrops, 0u);
+         EXPECT_GT(r.lostRequests, 0u);
+         EXPECT_GT(r.lostToCrash, 0u);
+         EXPECT_GT(r.failovers, 0u);
+         EXPECT_GT(r.timeouts, 0u);
+     }},
+    {"MassOutage", massOutage, 0x6cb5768a93fe25e9ULL,
+     0x985c4307c7cbd0cbULL,
+     [](const fleet::FleetReport &r) {
+         EXPECT_GT(r.lostToCrash, 0u);
+         EXPECT_GT(r.failovers, 0u);
+     }},
+    {"MassOutageNoRecovery", massOutageNoRecovery,
+     0xb6bdc7e6ba813fbfULL, 0x151ce0a318161be6ULL,
+     [](const fleet::FleetReport &r) {
+         EXPECT_GT(r.lostToCrash, 0u);
+         EXPECT_EQ(r.failovers, 0u);
+     }},
+};
+
+class ReplicaOutcomeGolden
+    : public ::testing::TestWithParam<OutcomeScenario>
+{
+};
+
+TEST_P(ReplicaOutcomeGolden, OutputsMatchThePin)
+{
+    const OutcomeScenario &sc = GetParam();
+    fleet::FleetSim fleet(sc.make());
+    const fleet::FleetReport rep = fleet.run();
+
+    ASSERT_GT(rep.dispatched, 300u);
+    // Every measured request is counted exactly once.
+    EXPECT_EQ(rep.inFlightAtEnd, 0u);
+    EXPECT_EQ(rep.dispatched,
+              rep.completed + rep.lostRequests + rep.lostToCrash);
+    EXPECT_EQ(rep.traceDrops, 0u);
+    EXPECT_EQ(rep.attribution.violations, 0u);
+    EXPECT_EQ(rep.health.auditViolations, 0u);
+    sc.exercised(rep);
+
+    expectPinned("csvRow()", rep.csvRow(), sc.csvRowHash);
+    const std::uint64_t digest = fleet.tracer()->digest();
+    EXPECT_EQ(digest, sc.traceDigest)
+        << "trace digest is 0x" << std::hex << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, ReplicaOutcomeGolden, ::testing::ValuesIn(kOutcomeScenarios),
+    [](const ::testing::TestParamInfo<OutcomeScenario> &p) {
+        return std::string(p.param.name);
+    });
 
 } // namespace
 } // namespace apc
