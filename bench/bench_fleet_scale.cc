@@ -248,8 +248,8 @@ main()
         "(speedup/efficiency vs the 1-thread cell of the same row; on "
         "a single-core host threads cannot pay — the interesting "
         "single-core number is events/sec, which the sharded engine "
-        "lifts via O(log n) dispatch, bucketed staging and wheel-jump "
-        "advances)\nDeterminism across the grid: %s\n",
+        "lifts via O(log n) dispatch and bucketed staging)\n"
+        "Determinism across the grid: %s\n",
         deterministic ? "OK (reports byte-identical)" : "VIOLATED");
     const bool csv_ok = bench::closeCsv(csv);
 

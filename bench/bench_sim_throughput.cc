@@ -209,9 +209,9 @@ runCancelChurn(Queue &q, std::uint64_t requests)
 }
 
 /**
- * Workload 3 — mixed horizons: short wheel-range timers interleaved
- * with far-future (heap-range) events, exercising the wheel/heap
- * boundary both ways.
+ * Workload 3 — mixed horizons: sub-microsecond timers interleaved with
+ * far-future events, so every pop compares the near run's head with
+ * the heap's.
  */
 template <typename Queue>
 struct MixedLane
@@ -227,7 +227,7 @@ struct MixedLane
             return;
         --*remaining;
         const sim::Tick d = lane % 4 == 0
-            ? 5 * sim::kMs + lane * sim::kUs // beyond the wheel horizon
+            ? 5 * sim::kMs + lane * sim::kUs // far: the heap
             : 700 * sim::kNs + lane * 31 * sim::kNs;
         q->scheduleAfter(d,
                          MixedLane{q, remaining, (lane + 1) % 16});
@@ -402,7 +402,7 @@ main()
             return runMixedHorizon(q, n);
         }));
 
-    TablePrinter t("Event-queue throughput, pooled+wheel vs legacy");
+    TablePrinter t("Event-queue throughput, pooled vs legacy");
     t.header({"Workload", "Pooled Mev/s", "Legacy Mev/s", "Speedup"});
     for (const QueuePoint &p : points)
         t.row({p.workload, TablePrinter::num(p.pooledEps / 1e6, 2),

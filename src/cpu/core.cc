@@ -111,11 +111,11 @@ Core::requestWake(std::function<void()> on_active)
         return;
       case Phase::Exiting:
         if (on_active)
-            wakeCallbacks_.push_back(std::move(on_active));
+            wakeCallbacks_.push(std::move(on_active));
         return;
       case Phase::Entering:
         if (on_active)
-            wakeCallbacks_.push_back(std::move(on_active));
+            wakeCallbacks_.push(std::move(on_active));
         wakePending_ = true;
         // The PMA reports the wake immediately so package-level exit can
         // start concurrently with the core's own transition.
@@ -124,7 +124,7 @@ Core::requestWake(std::function<void()> on_active)
         return;
       case Phase::Idle:
         if (on_active)
-            wakeCallbacks_.push_back(std::move(on_active));
+            wakeCallbacks_.push(std::move(on_active));
         wakePending_ = true;
         beginExit();
         return;
@@ -155,10 +155,7 @@ Core::finishExit()
     wakePending_ = false;
     ++wakeups_;
     governor_->recordIdle(sim_.now() - idleStart_);
-    auto cbs = std::move(wakeCallbacks_);
-    wakeCallbacks_.clear();
-    for (auto &cb : cbs)
-        cb();
+    wakeCallbacks_.drain();
 }
 
 } // namespace apc::cpu

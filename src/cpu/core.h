@@ -25,6 +25,7 @@
 #include "power/energy_meter.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
+#include "sim/wait_list.h"
 #include "stats/residency.h"
 
 namespace apc::cpu {
@@ -149,7 +150,7 @@ class Core
     stats::ResidencyCounter<kNumCStates> residency_;
     sim::EventHandle transitionEvent_;
     sim::EventHandle promotionEvent_;
-    std::vector<std::function<void()>> wakeCallbacks_;
+    sim::WaitList wakeCallbacks_;
     bool wakePending_ = false;
     sim::Tick idleStart_ = 0;
     std::uint64_t wakeups_ = 0;

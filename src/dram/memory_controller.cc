@@ -89,11 +89,7 @@ MemoryController::beginWake()
         if (state_ == McState::CkeOff)
             ++ckeWakes_;
         setState(McState::Active);
-        auto waiters = std::move(waiters_);
-        waiters_.clear();
-        for (auto &w : waiters)
-            if (w)
-                w();
+        waiters_.drain();
         // If the wake was spurious (e.g. Allow_CKE_OFF still set and no
         // traffic arrived), drop straight back down.
         maybePowerDown();
@@ -122,7 +118,7 @@ MemoryController::access(sim::Tick hold_time, std::function<void()> on_ready)
         serve();
         return;
     }
-    waiters_.push_back(std::move(serve));
+    waiters_.push(std::move(serve));
     if (!transitioning_)
         beginWake();
 }
@@ -174,7 +170,7 @@ void
 MemoryController::exitSelfRefresh(std::function<void()> done)
 {
     assert(state_ == McState::SelfRefresh);
-    waiters_.push_back(std::move(done));
+    waiters_.push(std::move(done));
     if (!transitioning_)
         beginWake();
 }

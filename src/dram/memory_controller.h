@@ -27,6 +27,7 @@
 #include "power/energy_meter.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
+#include "sim/wait_list.h"
 #include "stats/residency.h"
 
 namespace apc::dram {
@@ -147,7 +148,7 @@ class MemoryController
     stats::ResidencyCounter<kNumMcStates> residency_;
     sim::EventHandle downEvent_;       ///< pending CKE-off entry
     sim::EventHandle transitionEvent_; ///< wake / self-refresh entry
-    std::vector<std::function<void()>> waiters_;
+    sim::WaitList waiters_;
     std::uint64_t ckeWakes_ = 0;
 };
 

@@ -916,9 +916,8 @@ FleetSim::drainNicDrops(sim::Tick now_floor)
             // Client resend of the tail-dropped replica to the same
             // server after the RTO (floored at the fleet's current
             // epoch edge: the drop was only observed at the drain
-            // point). The resend schedules directly — the servers are
-            // quiescent between epochs, and its bucket was already
-            // consumed.
+            // point). The resend schedules straight into the server's
+            // event queue: the servers are quiescent between epochs.
             ++entry->second;
             ++netRetransmits_;
             const sim::Tick at =

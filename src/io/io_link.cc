@@ -118,11 +118,7 @@ IoLink::beginShallowExit()
         exiting_ = false;
         ++shallowWakes_;
         setState(LState::L0);
-        auto waiters = std::move(wakeWaiters_);
-        wakeWaiters_.clear();
-        for (auto &w : waiters)
-            if (w)
-                w();
+        wakeWaiters_.drain();
         updateIdleTimer();
     });
 }
@@ -149,19 +145,19 @@ IoLink::transfer(sim::Tick payload_time, std::function<void()> done)
         if (exiting_) {
             // A wake is already in flight; queue behind it. (Unreachable
             // in practice: exiting_ implies a non-L0 state.)
-            wakeWaiters_.push_back(std::move(start_payload));
+            wakeWaiters_.push(std::move(start_payload));
         } else {
             start_payload();
         }
         break;
       case LState::L0s:
       case LState::L0p:
-        wakeWaiters_.push_back(std::move(start_payload));
+        wakeWaiters_.push(std::move(start_payload));
         if (!exiting_)
             beginShallowExit();
         break;
       case LState::L1:
-        wakeWaiters_.push_back(std::move(start_payload));
+        wakeWaiters_.push(std::move(start_payload));
         if (!exiting_) {
             exiting_ = true;
             inL0s_.write(false);
@@ -169,11 +165,7 @@ IoLink::transfer(sim::Tick payload_time, std::function<void()> done)
             wakeEvent_ = sim_.after(cfg_.l1ExitLatency, [this] {
                 exiting_ = false;
                 setState(LState::L0);
-                auto waiters = std::move(wakeWaiters_);
-                wakeWaiters_.clear();
-                for (auto &w : waiters)
-                    if (w)
-                        w();
+                wakeWaiters_.drain();
                 updateIdleTimer();
             });
         }
@@ -226,7 +218,7 @@ IoLink::exitL1(std::function<void()> done)
     // exit already in flight, abort a not-yet-completed entry (the
     // link never left L0), and treat an awake link as a no-op.
     if (exiting_) {
-        wakeWaiters_.push_back(std::move(done));
+        wakeWaiters_.push(std::move(done));
         return;
     }
     if (enteringL1_) {
@@ -242,18 +234,14 @@ IoLink::exitL1(std::function<void()> done)
             done();
         return;
     }
-    wakeWaiters_.push_back(std::move(done));
+    wakeWaiters_.push(std::move(done));
     exiting_ = true;
     inL0s_.write(false);
     load_.setPower(cfg_.powerL0);
     wakeEvent_ = sim_.after(cfg_.l1ExitLatency, [this] {
         exiting_ = false;
         setState(LState::L0);
-        auto waiters = std::move(wakeWaiters_);
-        wakeWaiters_.clear();
-        for (auto &w : waiters)
-            if (w)
-                w();
+        wakeWaiters_.drain();
         updateIdleTimer();
     });
 }

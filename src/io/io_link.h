@@ -27,6 +27,7 @@
 #include "power/energy_meter.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
+#include "sim/wait_list.h"
 #include "stats/residency.h"
 
 namespace apc::io {
@@ -135,7 +136,7 @@ class IoLink
     sim::EventHandle idleTimer_;
     sim::EventHandle wakeEvent_;
     sim::EventHandle entryEvent_;
-    std::vector<std::function<void()>> wakeWaiters_;
+    sim::WaitList wakeWaiters_;
     std::uint64_t shallowWakes_ = 0;
     std::uint64_t transfers_ = 0;
 };

@@ -125,20 +125,17 @@ EventQueue::prepareSchedule(Tick when)
     rec.scheduled = true;
     ++live_;
 
-    // An idle wheel may lag far behind after a quiet stretch; resync the
-    // window to now so short-horizon timers keep hitting buckets.
-    if (wheelCount_ == 0 && runPos_ >= run_.size()) {
-        const Tick aligned = now_ & ~(kBucketTicks - 1);
-        if (aligned > wheelNext_)
-            wheelNext_ = aligned;
-    }
-
     const Ref ref{when, rec.seq, slot};
-    if (when >= wheelNext_ && when - wheelNext_ < kWheelSpan) {
-        const std::size_t b = bucketIndex(when);
-        buckets_[b].push_back(ref);
-        occupied_[b >> 6] |= std::uint64_t(1) << (b & 63);
-        ++wheelCount_;
+    if (when - now_ < kNearHorizon &&
+        (run_.empty() || when >= run_.back().when)) {
+        // Drop the consumed prefix once it is at least half the run:
+        // amortised O(1), and a run that never drains stays bounded.
+        if (runPos_ != 0 && 2 * runPos_ >= run_.size()) {
+            run_.erase(run_.begin(),
+                       run_.begin() + static_cast<std::ptrdiff_t>(runPos_));
+            runPos_ = 0;
+        }
+        run_.push_back(ref);
         ++wheelScheduled_;
     } else {
         heap_.push_back(ref);
@@ -163,92 +160,27 @@ EventQueue::cancelEvent(std::uint32_t slot, std::uint32_t gen)
     maybeCompact();
 }
 
-void
-EventQueue::loadNextBucket()
-{
-    run_.clear();
-    runPos_ = 0;
-    std::size_t b = bucketIndex(wheelNext_);
-    if (buckets_[b].empty()) {
-        // Skip the empty stretch in one hop. Only called with
-        // wheelCount_ > 0, so an occupied bucket exists; it may still
-        // land on a stale-set empty bucket (compaction), in which case
-        // the caller's loop just hops again.
-        occupied_[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
-        const std::size_t d = nextOccupiedDistance(b);
-        wheelNext_ += static_cast<Tick>(d) * kBucketTicks;
-        b = (b + d) & (kNumBuckets - 1);
-    }
-    std::vector<Ref> &bucket = buckets_[b];
-    occupied_[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
-    if (!bucket.empty()) {
-        run_.swap(bucket);
-        wheelCount_ -= run_.size();
-        if (run_.size() > 1)
-            std::sort(run_.begin(), run_.end(),
-                      [](const Ref &x, const Ref &y) {
-                          if (x.when != y.when)
-                              return x.when < y.when;
-                          return x.seq < y.seq;
-                      });
-    }
-    wheelNext_ += kBucketTicks;
-}
-
-std::size_t
-EventQueue::nextOccupiedDistance(std::size_t from) const
-{
-    constexpr std::size_t kWords = kNumBuckets / 64;
-    std::size_t word = from >> 6;
-    const std::size_t bit = from & 63;
-    // Bits strictly after `from` in its word, then whole words,
-    // circularly (the wrap revisit of the first word is harmless: any
-    // bit found maps to a correct circular distance).
-    std::uint64_t w = bit == 63
-        ? 0
-        : occupied_[word] & (~std::uint64_t(0) << (bit + 1));
-    for (std::size_t step = 0; step <= kWords; ++step) {
-        if (w != 0) {
-            const std::size_t idx = (word << 6) |
-                static_cast<std::size_t>(__builtin_ctzll(w));
-            return (idx + kNumBuckets - from) & (kNumBuckets - 1);
-        }
-        word = (word + 1) & (kWords - 1);
-        w = occupied_[word];
-    }
-    return 1; // clean bitmap: fall back to the single-bucket step
-}
-
 /**
- * Establish the pop invariant: the run cursor and heap top are live, and
- * every wheel bucket that could hold an entry preceding the heap top has
- * been loaded. @return true if any event is pending.
+ * Reap tombstones off the run cursor and the heap top, so both heads
+ * are live. @return true if any event is pending.
  */
 bool
 EventQueue::prepareNext()
 {
-    for (;;) {
-        if (dead_ > 0) {
-            while (runPos_ < run_.size() && refDead(run_[runPos_])) {
-                --dead_;
-                freeSlot(run_[runPos_].slot);
-                ++runPos_;
-            }
-            while (!heap_.empty() && refDead(heap_.front())) {
-                --dead_;
-                freeSlot(heap_.front().slot);
-                std::pop_heap(heap_.begin(), heap_.end(), RefLater{});
-                heap_.pop_back();
-            }
+    if (dead_ > 0) {
+        while (runPos_ < run_.size() && refDead(run_[runPos_])) {
+            --dead_;
+            freeSlot(run_[runPos_].slot);
+            ++runPos_;
         }
-        if (runPos_ < run_.size())
-            return true;
-        if (wheelCount_ == 0)
-            return !heap_.empty();
-        if (!heap_.empty() && heap_.front().when < wheelNext_)
-            return true; // heap top precedes all unloaded wheel content
-        loadNextBucket();
+        while (!heap_.empty() && refDead(heap_.front())) {
+            --dead_;
+            freeSlot(heap_.front().slot);
+            std::pop_heap(heap_.begin(), heap_.end(), RefLater{});
+            heap_.pop_back();
+        }
     }
+    return runPos_ < run_.size() || !heap_.empty();
 }
 
 bool
@@ -335,7 +267,7 @@ EventQueue::maybeCompact()
         compact();
 }
 
-/** Reap every tombstone from the heap, wheel buckets, and run tail. */
+/** Reap every tombstone from the heap and the run tail. */
 void
 EventQueue::compact()
 {
@@ -355,18 +287,6 @@ EventQueue::compact()
     reap(heap_);
     if (heap_.size() != heapBefore)
         std::make_heap(heap_.begin(), heap_.end(), RefLater{});
-
-    // Every bucket entry, live or dead, is counted in wheelCount_, so
-    // an empty wheel skips the 2048-bucket sweep entirely.
-    if (wheelCount_ > 0) {
-        for (std::vector<Ref> &bucket : buckets_) {
-            if (!bucket.empty()) {
-                const std::size_t before = bucket.size();
-                reap(bucket);
-                wheelCount_ -= before - bucket.size();
-            }
-        }
-    }
 
     // The run prefix [0, runPos_) is already consumed; reap the tail in
     // place (it stays sorted — reaping preserves relative order).

@@ -19,13 +19,15 @@
  *    list; `EventHandle`s carry a generation counter and go stale (not
  *    dangling) when their slot is reused.
  *
- *  - **Near-future timer wheel.** Events within ~2 ms of the wheel
- *    window land in one of 2048 ~1 µs buckets and bypass the binary
- *    heap entirely; a bucket is sorted once when the queue advances
- *    into it. Far-future events (and events landing in an
- *    already-consumed bucket) fall back to the heap. This absorbs the
- *    common short timers — C-state hysteresis, rx-usecs coalescing,
- *    RTO, cap sampling — at O(1) push instead of O(log n) heap churn.
+ *  - **Near run plus heap.** Almost every event a server schedules is
+ *    due within a microsecond and no earlier than the last one
+ *    scheduled (choreography steps, wire delays, hysteresis timers).
+ *    Such an event is appended to a sorted run: its sequence number is
+ *    the largest yet, so the run stays in (when, seq) order without a
+ *    sort. Every other event goes to a binary heap, and each pop takes
+ *    the earlier of the two heads. A server's queue peaks at a few
+ *    dozen to a couple of hundred pending events, too few for a timer
+ *    wheel's bucket array to pay for its memory.
  *
  *  - **Tombstone reaping.** `EventHandle::cancel()` is O(1) (flag +
  *    immediate callback destruction); dead entries are dropped lazily
@@ -37,7 +39,6 @@
 #ifndef APC_SIM_EVENT_QUEUE_H
 #define APC_SIM_EVENT_QUEUE_H
 
-#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -126,14 +127,15 @@ class EventHandle
 class EventQueue
 {
   public:
-    /** Wheel bucket width: 2^20 ps ≈ 1.05 µs. */
-    static constexpr int kBucketShift = 20;
-    static constexpr Tick kBucketTicks = Tick(1) << kBucketShift;
-    /** Bucket count (power of two for mask indexing). */
-    static constexpr std::size_t kNumBuckets = 2048;
-    /** Wheel horizon: events beyond it go to the heap (~2.1 ms). */
-    static constexpr Tick kWheelSpan =
-        kBucketTicks * static_cast<Tick>(kNumBuckets);
+    /**
+     * Near horizon: only an event due less than this far past now()
+     * may join the run (2^20 ps ≈ 1.05 µs). A farther event would pin
+     * the run's tail and push every nearer event that follows it into
+     * the heap. Picked by measurement over 2^16 .. 2^22 on a
+     * 1024-server C_PC1A fleet at 10% load: 2^19 and 2^20 send the
+     * fewest schedules to the heap (39%).
+     */
+    static constexpr Tick kNearHorizon = Tick(1) << 20;
 
     EventQueue();  // registers in the debug live-queue registry
     ~EventQueue(); // unregisters
@@ -215,7 +217,7 @@ class EventQueue
      */
     std::uint64_t debugEpoch() const { return epoch_; }
 
-    /** Events that entered through the timer wheel / the binary heap. */
+    /** Events appended to the near run / pushed on the binary heap. */
     std::uint64_t wheelScheduled() const { return wheelScheduled_; }
     std::uint64_t heapScheduled() const { return heapScheduled_; }
 
@@ -235,7 +237,7 @@ class EventQueue
         bool cancelled = false;
     };
 
-    /** Lightweight entry stored in the wheel buckets and the heap. */
+    /** Lightweight entry stored in the near run and the heap. */
     struct Ref
     {
         Tick when;
@@ -255,28 +257,17 @@ class EventQueue
         }
     };
 
-    static std::size_t
-    bucketIndex(Tick when)
-    {
-        return static_cast<std::size_t>(when >> kBucketShift) &
-            (kNumBuckets - 1);
-    }
-
     bool refDead(const Ref &r) const { return records_[r.slot].cancelled; }
 
     /**
      * Allocate a record, assign its sequence number, and place the
-     * (when, seq, slot) ref in the wheel or heap. The caller fills in
-     * the callable. @return the record slot.
+     * (when, seq, slot) ref in the near run or the heap. The caller
+     * fills in the callable. @return the record slot.
      */
     std::uint32_t prepareSchedule(Tick when);
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
-    void loadNextBucket();
-    /** Circular bucket distance from @p from to the next bucket whose
-     *  occupancy bit is set (1 when the bitmap is clean). */
-    std::size_t nextOccupiedDistance(std::size_t from) const;
     bool prepareNext();
     bool takeNext(Ref &out);
     bool peekWhen(Tick &when);
@@ -298,25 +289,10 @@ class EventQueue
     std::vector<Record> records_;
     std::uint32_t freeHead_ = kNoSlot;
 
-    /** Far-future / already-consumed-bucket events, min-heap by (when, seq). */
+    /** Events that could not join the run, min-heap by (when, seq). */
     std::vector<Ref> heap_;
 
-    /** Near-future wheel. Buckets hold unsorted refs until consumed. */
-    std::array<std::vector<Ref>, kNumBuckets> buckets_;
-    /**
-     * Bucket-occupancy bitmap (bit = bucket may be non-empty). Lets a
-     * sparse advance jump straight to the next occupied bucket instead
-     * of stepping empty ones — a fleet of mostly-idle servers advanced
-     * in ~200 µs epochs otherwise walks ~200 empty buckets per server
-     * per epoch. Bits can be stale-set (bucket emptied by compaction);
-     * they are cleared when visited. A clear bit is always truthful.
-     */
-    std::array<std::uint64_t, kNumBuckets / 64> occupied_{};
-    std::size_t wheelCount_ = 0;
-    /** Start tick of the first not-yet-consumed bucket (bucket-aligned). */
-    Tick wheelNext_ = 0;
-
-    /** The bucket being drained: sorted by (when, seq), consumed in order. */
+    /** Near run, sorted by (when, seq); [0, runPos_) is consumed. */
     std::vector<Ref> run_;
     std::size_t runPos_ = 0;
 

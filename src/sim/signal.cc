@@ -47,8 +47,8 @@ Signal::applyEdge(bool v)
 void
 Signal::write(bool v)
 {
-    // Any direct write supersedes in-flight delayed writes.
-    ++writeGen_;
+    // Any direct write supersedes an in-flight delayed write.
+    pendingWrite_.cancel();
     applyEdge(v);
 }
 
@@ -59,12 +59,9 @@ Signal::writeAfter(Tick delay, bool v)
         write(v);
         return;
     }
-    const std::uint64_t gen = ++writeGen_;
-    sim_.after(delay, [this, gen, v] {
-        // Only apply if no newer write superseded this one.
-        if (writeGen_ == gen)
-            applyEdge(v);
-    });
+    pendingWrite_.cancel();
+    if (v != value_)
+        pendingWrite_ = sim_.after(delay, [this, v] { applyEdge(v); });
 }
 
 std::uint64_t

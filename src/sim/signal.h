@@ -61,7 +61,12 @@ class Signal
     /**
      * Drive the wire after @p delay ticks. A subsequent write (immediate
      * or scheduled) supersedes any in-flight scheduled write: last write
-     * wins, mirroring a driver that re-drives the wire.
+     * wins, mirroring logic that re-drives the wire. The delay is
+     * inertial: a write cancels the pending one, so at most one event
+     * is ever in flight, and a write of the current level schedules
+     * nothing (the edge it cancelled can no longer happen, and no other
+     * write can move the level before it would land). Re-driving the
+     * pending level re-times its edge to the new delay.
      */
     void writeAfter(Tick delay, bool v);
 
@@ -108,14 +113,15 @@ class Signal
         SignalObserver fn;
     };
 
-    /** Apply an edge (no generation bump) and notify observers. */
+    /** Apply an edge and notify observers. */
     void applyEdge(bool v);
 
     Simulation &sim_;
     std::string name_;
     bool value_;
     std::uint64_t nextSub_ = 1;
-    std::uint64_t writeGen_ = 0;
+    /** The scheduled write in flight, if any. */
+    EventHandle pendingWrite_;
     std::uint64_t rising_ = 0;
     std::uint64_t falling_ = 0;
     std::vector<Sub> subs_;

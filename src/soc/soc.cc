@@ -124,7 +124,7 @@ Soc::whenFabricReady(std::function<void()> fn)
         fn();
         return;
     }
-    fabricWaiters_.push_back(std::move(fn));
+    fabricWaiters_.push(std::move(fn));
 }
 
 void
@@ -132,10 +132,7 @@ Soc::drainFabricWaiters()
 {
     if (fabricWaiters_.empty() || !fabricReady())
         return;
-    auto waiters = std::move(fabricWaiters_);
-    fabricWaiters_.clear();
-    for (auto &w : waiters)
-        w();
+    fabricWaiters_.drain();
 }
 
 void

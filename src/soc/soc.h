@@ -24,6 +24,7 @@
 #include "io/io_link.h"
 #include "power/energy_meter.h"
 #include "power/rapl.h"
+#include "sim/wait_list.h"
 #include "soc/skx_config.h"
 #include "stats/histogram.h"
 #include "stats/residency.h"
@@ -144,7 +145,7 @@ class Soc
     sim::Tick idleStart_ = 0;
     sim::Tick fullIdleTime_ = 0;
     sim::Tick socWatchIdleTime_ = 0;
-    std::vector<std::function<void()>> fabricWaiters_;
+    sim::WaitList fabricWaiters_;
 };
 
 /** Build a governor instance per the configuration. */

@@ -1,18 +1,20 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel (sim/event_queue.h,
- * sim/simulation.h, sim/time.h).
+ * sim/simulation.h, sim/time.h, sim/wait_list.h).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/simulation.h"
 #include "sim/time.h"
+#include "sim/wait_list.h"
 
 namespace apc::sim {
 namespace {
@@ -179,65 +181,74 @@ TEST(EventQueue, ExecutedCountsOnlyLiveEvents)
     EXPECT_EQ(q.executedEvents(), 1u);
 }
 
-TEST(EventQueue, SameTickFifoAcrossWheelAndHeap)
+TEST(EventQueue, SameTickFifoAcrossRunAndHeap)
 {
-    // An event landing in the *current* (already-loaded) wheel bucket
-    // goes to the binary heap while its same-tick sibling sits in the
-    // sorted bucket run; FIFO order by sequence number must still hold
-    // across the two containers.
+    // Same-tick events split across the near run and the heap must
+    // fire in sequence order, whichever container holds the earlier
+    // one: a heap entry before a run entry (0, 1), and run entries
+    // before heap entries that missed the run because its tail is
+    // later (1, then 2 and 3, then the tail 4).
     EventQueue q;
-    const Tick target = EventQueue::kBucketTicks + 100;
+    const Tick target = 2 * EventQueue::kNearHorizon;
     std::vector<int> order;
-    q.scheduleAt(target, [&] { order.push_back(0); });      // via wheel
+    q.scheduleAt(target, [&] { order.push_back(0); }); // beyond horizon
     q.scheduleAt(target - 50, [&] {
-        // Running inside target's bucket: these same-tick events take
-        // the heap path (their bucket has already been consumed).
-        q.scheduleAt(target, [&] { order.push_back(1); });
-        q.scheduleAt(target, [&] { order.push_back(2); });
+        q.scheduleAt(target, [&] { order.push_back(1); });     // run
+        q.scheduleAt(target + 5, [&] { order.push_back(4); }); // run tail
+        q.scheduleAt(target, [&] { order.push_back(2); });     // heap
+        q.scheduleAt(target, [&] { order.push_back(3); });     // heap
     });
     q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(q.wheelScheduled(), 2u);
+    EXPECT_EQ(q.heapScheduled(), 4u);
 }
 
-TEST(EventQueue, WheelHeapBoundaryCrossings)
+TEST(EventQueue, NearHorizonBoundaryCrossings)
 {
-    // Events straddling the wheel horizon (± a few buckets) must fire
-    // in global time order regardless of container.
+    // Events straddling the near horizon, and near events that fall
+    // behind the run's tail, must fire in global (time, FIFO) order
+    // regardless of container.
     EventQueue q;
-    std::vector<Tick> fired;
-    const Tick span = EventQueue::kWheelSpan;
+    std::vector<std::pair<Tick, int>> fired;
+    const Tick h = EventQueue::kNearHorizon;
     const std::vector<Tick> whens = {
-        span - 2 * EventQueue::kBucketTicks, // wheel
-        span + 7,                            // heap (beyond horizon)
-        5,                                   // wheel, first bucket
-        span - 1,                            // wheel, last bucket
-        span,                                // heap (exactly horizon)
-        3 * span + 11,                       // deep heap
-        span + 7,                            // duplicate tick, FIFO
+        h - 2,      // run
+        h + 7,      // heap (beyond horizon)
+        5,          // heap (behind the run's tail)
+        h - 1,      // run, new tail
+        h,          // heap (exactly the horizon)
+        3 * h + 11, // deep heap
+        h + 7,      // heap, duplicate tick: FIFO after id 1
     };
-    for (Tick w : whens)
-        q.scheduleAt(w, [&fired, &q] { fired.push_back(q.now()); });
-    EXPECT_GT(q.wheelScheduled(), 0u);
-    EXPECT_GT(q.heapScheduled(), 0u);
+    for (int id = 0; id < static_cast<int>(whens.size()); ++id)
+        q.scheduleAt(whens[static_cast<std::size_t>(id)],
+                     [&fired, &q, id] { fired.emplace_back(q.now(), id); });
+    EXPECT_EQ(q.wheelScheduled(), 2u);
+    EXPECT_EQ(q.heapScheduled(), 5u);
     q.runAll();
-    std::vector<Tick> expect = whens;
+    std::vector<std::pair<Tick, int>> expect;
+    for (int id = 0; id < static_cast<int>(whens.size()); ++id)
+        expect.emplace_back(whens[static_cast<std::size_t>(id)], id);
     std::sort(expect.begin(), expect.end());
     EXPECT_EQ(fired, expect);
 }
 
-TEST(EventQueue, FarFutureEventsReenterWheelWindow)
+TEST(EventQueue, NearRunFollowsNowAfterQuietGap)
 {
-    // After a long quiet gap the wheel window resyncs to now(), so
-    // short-horizon timers scheduled from a far-future event still take
-    // the wheel path.
+    // The horizon is measured from now(), not from where the run
+    // started: after a long quiet gap, a short timer scheduled from a
+    // far-future event still joins the near run.
     EventQueue q;
-    const Tick far = 10 * EventQueue::kWheelSpan + 123;
+    const Tick far = 10 * EventQueue::kNearHorizon + 123;
     bool inner = false;
+    q.scheduleAt(50, [] {}); // leaves a consumed run behind
     q.scheduleAt(far, [&] {
         const auto before = q.wheelScheduled();
         q.scheduleAfter(100, [&] { inner = true; });
         EXPECT_EQ(q.wheelScheduled(), before + 1);
     });
+    EXPECT_EQ(q.heapScheduled(), 1u);
     q.runAll();
     EXPECT_TRUE(inner);
     EXPECT_EQ(q.now(), far + 100);
@@ -353,17 +364,20 @@ TEST(EventQueue, CrashStyleMassCancellationStorm)
 {
     // A server crash cancels *everything at once* — every in-flight
     // completion, timer, and interrupt — then the restart schedules a
-    // fresh population into the same wheel buckets. The queue must
-    // reap the storm's tombstones, keep its bucket bitmap usable
-    // despite stale-set bits, and fire only the survivors, in order.
+    // fresh population into the same time range. The queue must reap
+    // the storm's tombstones from the near run and the heap alike and
+    // fire only the survivors, in order.
     EventQueue q;
+    const Tick step = EventQueue::kNearHorizon / 64;
     std::vector<EventHandle> doomed;
     int fired_old = 0;
     for (int i = 0; i < 4096; ++i)
         doomed.push_back(q.scheduleAfter(
-            1 + (i % 64) * (sim::kUs / 2) +
-                (i % 3 == 0 ? 4 * EventQueue::kWheelSpan : 0),
+            1 + (i % 64) * step +
+                (i % 3 == 0 ? 4 * EventQueue::kNearHorizon : 0),
             [&] { ++fired_old; }));
+    EXPECT_GT(q.wheelScheduled(), 0u);
+    EXPECT_GT(q.heapScheduled(), 0u);
     for (EventHandle &h : doomed)
         h.cancel();
     EXPECT_EQ(q.pendingEvents(), 0u);
@@ -371,7 +385,7 @@ TEST(EventQueue, CrashStyleMassCancellationStorm)
     // Refill the same time range; the storm's slots get recycled.
     std::vector<Tick> fired_new;
     for (int i = 0; i < 512; ++i)
-        q.scheduleAfter(1 + (i % 64) * (sim::kUs / 2),
+        q.scheduleAfter(1 + (i % 64) * step,
                         [&] { fired_new.push_back(q.now()); });
     q.runAll();
 
@@ -394,10 +408,10 @@ TEST(EventQueue, CrashStyleMassCancellationStorm)
 TEST(EventQueue, SeededChurnReplayWithCancelStorms)
 {
     // Deterministic replay under the nastiest schedule: random
-    // schedule/cancel churn punctuated by epoch-style mass-cancel
-    // storms that empty whole wheel buckets (leaving stale bitmap
-    // bits) while the queue is mid-advance. Two runs with the same
-    // seed must fire the identical (time, id) sequence.
+    // schedule/cancel churn across the near horizon, punctuated by
+    // epoch-style mass-cancel storms that leave the run and the heap
+    // full of tombstones while the queue is mid-advance. Two runs with
+    // the same seed must fire the identical (time, id) sequence.
     auto run = [](std::uint64_t seed) {
         Rng rng(seed);
         EventQueue q;
@@ -406,11 +420,8 @@ TEST(EventQueue, SeededChurnReplayWithCancelStorms)
         int id = 0;
         for (int round = 0; round < 40; ++round) {
             for (int i = 0; i < 200; ++i) {
-                const Tick d =
-                    1 + rng.uniformInt(
-                            0, static_cast<int>(
-                                   2 * EventQueue::kWheelSpan / sim::kUs)) *
-                            (sim::kUs / 4);
+                const Tick d = 1 + rng.uniformInt(0, 15) *
+                        (EventQueue::kNearHorizon / 4);
                 const int my = id++;
                 handles.push_back(q.scheduleAfter(d, [&fired, &q, my] {
                     fired.emplace_back(q.now(), my);
@@ -436,7 +447,8 @@ TEST(EventQueue, SeededChurnReplayWithCancelStorms)
 TEST(EventQueue, DeterministicUnderRandomizedChurn)
 {
     // Same seed => identical firing sequence, across a schedule/cancel
-    // mix that exercises wheel, heap, compaction, and slot reuse.
+    // mix that exercises the near run, the heap, compaction, and slot
+    // reuse.
     auto run = [](std::uint64_t seed) {
         Rng rng(seed);
         EventQueue q;
@@ -444,9 +456,8 @@ TEST(EventQueue, DeterministicUnderRandomizedChurn)
         std::vector<EventHandle> handles;
         int id = 0;
         for (int i = 0; i < 2000; ++i) {
-            const Tick d = 1 + rng.uniformInt(
-                0, static_cast<int>(2 * EventQueue::kWheelSpan /
-                                    sim::kUs)) * (sim::kUs / 4);
+            const Tick d = 1 + rng.uniformInt(0, 15) *
+                    (EventQueue::kNearHorizon / 4);
             const int my = id++;
             handles.push_back(q.scheduleAfter(
                 d, [&fired, &q, my] { fired.emplace_back(q.now(), my); }));
@@ -461,6 +472,264 @@ TEST(EventQueue, DeterministicUnderRandomizedChurn)
         return fired;
     };
     EXPECT_EQ(run(17), run(17));
+}
+
+// ------------------------------------------------------ differential test
+
+/** SplitMix64: per-event decisions are a function of the event id, so
+ *  they do not depend on the order a queue fires events in. */
+std::uint64_t
+mix64(std::uint64_t z)
+{
+    z += 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/**
+ * A delay from the simulator's mix, plus the edges a queue could split
+ * its containers at: zero, a few ticks, sub-microsecond, the ~1 µs
+ * scale either side of 2^20 ticks, a few µs, and far (~2 ms, up to
+ * 4 ms).
+ */
+Tick
+mixedDelay(std::uint64_t r)
+{
+    constexpr Tick kNear = Tick(1) << 20;
+    const std::uint64_t v = r >> 4;
+    auto upTo = [v](Tick n) { return static_cast<Tick>(v % n); };
+    switch (r & 15) {
+      case 0:
+      case 1:
+        return 0;
+      case 2:
+      case 3:
+        return 1 + upTo(4);
+      case 4:
+      case 5:
+        return upTo(50 * kNs);
+      case 6:
+      case 7:
+        return upTo(kNear);
+      case 8:
+        return kNear - 2 + upTo(5);
+      case 9:
+      case 10:
+        return upTo(8 * kNear);
+      case 11:
+        return 2 * kMs - 2 * kUs + upTo(4 * kUs);
+      case 12:
+        return upTo(4 * kMs);
+      default:
+        return upTo(1000);
+    }
+}
+
+/** The queue under test, behind the reference queue's interface. */
+class QueueUnderTest
+{
+  public:
+    std::function<void(int)> onFire;
+
+    Tick now() const { return q_.now(); }
+    std::size_t pending() const { return q_.pendingEvents(); }
+    /** Ids are handed out in schedule order: 0, 1, 2, ... */
+    void
+    schedule(Tick when, int id)
+    {
+        handles_.push_back(q_.scheduleAt(when, [this, id] { onFire(id); }));
+    }
+    void cancel(int id) { handles_[static_cast<std::size_t>(id)].cancel(); }
+    void runUntil(Tick t) { q_.runUntil(t); }
+    void step() { q_.step(); }
+    void runAll() { q_.runAll(); }
+    const EventQueue &queue() const { return q_; }
+
+  private:
+    EventQueue q_;
+    std::vector<EventHandle> handles_;
+};
+
+/**
+ * Reference: one binary heap ordered by (when, seq), where seq is the
+ * schedule order (the event id); cancelled events are skipped when
+ * they surface.
+ */
+class ReferenceQueue
+{
+  public:
+    std::function<void(int)> onFire;
+
+    Tick now() const { return now_; }
+    std::size_t pending() const { return live_; }
+    void
+    schedule(Tick when, int id)
+    {
+        heap_.push_back({when, id});
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        pending_.push_back(true);
+        ++live_;
+    }
+    void
+    cancel(int id)
+    {
+        if (pending_[static_cast<std::size_t>(id)]) {
+            pending_[static_cast<std::size_t>(id)] = false;
+            --live_;
+        }
+    }
+    void
+    runUntil(Tick t)
+    {
+        while (reapTop() && heap_.front().first <= t)
+            step();
+        now_ = std::max(now_, t);
+    }
+    void
+    step()
+    {
+        if (!reapTop())
+            return;
+        const auto [when, id] = heap_.front();
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        heap_.pop_back();
+        pending_[static_cast<std::size_t>(id)] = false;
+        --live_;
+        now_ = when;
+        onFire(id);
+    }
+    void
+    runAll()
+    {
+        while (reapTop())
+            step();
+    }
+
+  private:
+    /** Pop cancelled entries. @return true if a live one is on top. */
+    bool
+    reapTop()
+    {
+        while (!heap_.empty() &&
+               !pending_[static_cast<std::size_t>(heap_.front().second)]) {
+            std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+            heap_.pop_back();
+        }
+        return !heap_.empty();
+    }
+
+    Tick now_ = 0;
+    std::size_t live_ = 0;
+    std::vector<std::pair<Tick, int>> heap_;
+    std::vector<bool> pending_;
+};
+
+/** What a seeded mix observes: every firing as (time, id), and
+ *  (now, pending) after every top-level operation. */
+struct MixTrace
+{
+    std::vector<std::pair<Tick, int>> fired;
+    std::vector<std::pair<Tick, std::size_t>> after;
+};
+
+/**
+ * Drive @p q through a seeded mix of schedules, cancels of live, fired
+ * and already-cancelled events, cancel storms, single steps and
+ * runUntil horizons from zero to milliseconds. Each firing event
+ * schedules up to two children (mostly at now() + 0 or a few ticks)
+ * and sometimes cancels an arbitrary earlier event.
+ */
+template <typename Queue>
+MixTrace
+driveMix(Queue &q, std::uint64_t seed)
+{
+    constexpr int kMaxEvents = 200000;
+    MixTrace out;
+    int nextId = 0;
+    auto schedule = [&](Tick delay) { q.schedule(q.now() + delay, nextId++); };
+    auto anyId = [&](std::uint64_t r) {
+        return static_cast<int>(r % static_cast<std::uint64_t>(nextId));
+    };
+    q.onFire = [&](int id) {
+        out.fired.emplace_back(q.now(), id);
+        const std::uint64_t r = mix64(static_cast<std::uint64_t>(id) ^ seed);
+        // 0, 0, 1 or 2 children: subcritical, so the population is
+        // fed by the top-level schedules; the cap is a safety net.
+        const int children =
+            nextId < kMaxEvents ? std::max(0, static_cast<int>(r % 4) - 1)
+                                : 0;
+        for (int c = 0; c < children; ++c) {
+            const std::uint64_t rc = mix64(r + static_cast<std::uint64_t>(c));
+            // Bias in-callback schedules toward now() + 0 or a few ticks.
+            schedule((rc >> 60) < 10 ? static_cast<Tick>(rc % 3)
+                                     : mixedDelay(rc));
+        }
+        if ((r >> 8) % 4 == 0)
+            q.cancel(anyId(mix64(r ^ 0xCA11)));
+    };
+
+    std::uint64_t state = seed;
+    for (int op = 0; op < 4000; ++op) {
+        const std::uint64_t r = mix64(state++);
+        switch ((r >> 56) % 10) {
+          case 0:
+          case 1:
+          case 2:
+            schedule(mixedDelay(r));
+            break;
+          case 3: { // a same-tick batch, one straggler a tick later
+            const int n = 1 + static_cast<int>((r >> 8) % 96);
+            for (int i = 0; i < n; ++i)
+                schedule(mixedDelay(r) + (i == n - 1 ? 1 : 0));
+            break;
+          }
+          case 4:
+            if (nextId > 0)
+                q.cancel(anyId(r));
+            break;
+          case 5: // cancel storm over the most recent ids
+            for (int id = std::max(0, nextId - static_cast<int>(r % 256));
+                 id < nextId; ++id)
+                q.cancel(id);
+            break;
+          case 6:
+            q.step();
+            break;
+          default:
+            q.runUntil(q.now() + mixedDelay(mix64(r)));
+            break;
+        }
+        out.after.emplace_back(q.now(), q.pending());
+    }
+    q.runAll();
+    out.after.emplace_back(q.now(), q.pending());
+    return out;
+}
+
+TEST(EventQueue, MatchesReferenceHeapOnSeededMixes)
+{
+    std::uint64_t runScheduled = 0, heapScheduled = 0, compactions = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        QueueUnderTest real;
+        ReferenceQueue ref;
+        const MixTrace got = driveMix(real, seed);
+        const MixTrace want = driveMix(ref, seed);
+        ASSERT_GT(want.fired.size(), 1000u) << "seed " << seed;
+        ASSERT_EQ(got.fired.size(), want.fired.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < want.fired.size(); ++i)
+            ASSERT_EQ(got.fired[i], want.fired[i])
+                << "seed " << seed << ", firing " << i;
+        EXPECT_EQ(got.after, want.after) << "seed " << seed;
+        EXPECT_EQ(real.queue().executedEvents(), want.fired.size());
+        runScheduled += real.queue().wheelScheduled();
+        heapScheduled += real.queue().heapScheduled();
+        compactions += real.queue().compactions();
+    }
+    // The mixes reach both containers and the compaction path.
+    EXPECT_GT(runScheduled, 0u);
+    EXPECT_GT(heapScheduled, 0u);
+    EXPECT_GT(compactions, 0u);
 }
 
 TEST(Simulation, NowAndAfter)
@@ -483,6 +752,59 @@ TEST(Simulation, DeterministicAcrossRuns)
     };
     EXPECT_EQ(run(7), run(7));
     EXPECT_NE(run(7), run(8));
+}
+
+TEST(WaitList, DrainRunsParkedCallbacksInOrder)
+{
+    WaitList w;
+    std::vector<int> ran;
+    for (int i = 0; i < 3; ++i)
+        w.push([&ran, i] { ran.push_back(i); });
+    w.push(nullptr); // an empty callback is skipped
+    w.drain();
+    EXPECT_EQ(ran, (std::vector<int>{0, 1, 2}));
+    EXPECT_TRUE(w.empty());
+    w.drain(); // nothing left to run
+    EXPECT_EQ(ran.size(), 3u);
+}
+
+TEST(WaitList, ParkedDuringDrainWaitsForNextDrain)
+{
+    // A callback that parks another (a waiter that finds the component
+    // asleep again) must not run in the same drain.
+    WaitList w;
+    std::vector<int> ran;
+    w.push([&] {
+        ran.push_back(1);
+        w.push([&] { ran.push_back(2); });
+    });
+    w.drain();
+    EXPECT_EQ(ran, (std::vector<int>{1}));
+    EXPECT_FALSE(w.empty());
+    w.drain();
+    EXPECT_EQ(ran, (std::vector<int>{1, 2}));
+    EXPECT_TRUE(w.empty());
+}
+
+TEST(WaitList, NestedDrainRunsOnlyNewerCallbacks)
+{
+    // A callback that parks another and drains again runs the newer
+    // one at once; the outer drain then finishes its own batch.
+    WaitList w;
+    std::vector<int> ran;
+    w.push([&] {
+        ran.push_back(1);
+        w.push([&] { ran.push_back(3); });
+        w.drain();
+    });
+    w.push([&] { ran.push_back(2); });
+    w.drain();
+    EXPECT_EQ(ran, (std::vector<int>{1, 3, 2}));
+    EXPECT_TRUE(w.empty());
+    // Both buffers are still usable after the nesting.
+    w.push([&] { ran.push_back(4); });
+    w.drain();
+    EXPECT_EQ(ran, (std::vector<int>{1, 3, 2, 4}));
 }
 
 TEST(Rng, ExponentialMean)

@@ -172,6 +172,50 @@ TEST(Signal, NewerDelayedWriteSupersedesOlder)
     EXPECT_EQ(w.risingEdges(), 0u);
 }
 
+TEST(Signal, SameLevelDelayedWriteSchedulesNothing)
+{
+    // Driving the level the wire already has can never make an edge,
+    // so it must not cost an event.
+    Simulation s;
+    Signal w(s, "w", true);
+    w.writeAfter(10 * kNs, true);
+    EXPECT_EQ(s.events().pendingEvents(), 0u);
+
+    // It still supersedes an opposite write in flight (last write
+    // wins), and that write's event is gone too.
+    w.writeAfter(10 * kNs, false);
+    EXPECT_EQ(s.events().pendingEvents(), 1u);
+    w.writeAfter(5 * kNs, true);
+    EXPECT_EQ(s.events().pendingEvents(), 0u);
+    s.runAll();
+    EXPECT_TRUE(w.read());
+    EXPECT_EQ(w.fallingEdges(), 0u);
+    EXPECT_EQ(s.events().executedEvents(), 0u);
+}
+
+TEST(Signal, RedrivingPendingLevelRetimesTheEdge)
+{
+    // Re-driving the level already in flight is not a no-op: the edge
+    // moves to the newer write's delay, later or earlier.
+    Simulation s;
+    Signal w(s, "w");
+    std::vector<Tick> rises;
+    w.subscribe([&](bool v) {
+        if (v)
+            rises.push_back(s.now());
+    });
+    w.writeAfter(10 * kNs, true);
+    s.runUntil(4 * kNs);
+    w.writeAfter(10 * kNs, true); // later: lands at 14 ns, not 10
+    EXPECT_EQ(s.events().pendingEvents(), 1u);
+    s.runUntil(12 * kNs);
+    EXPECT_FALSE(w.read());
+    w.writeAfter(1 * kNs, true); // earlier: lands at 13 ns, not 14
+    s.runAll();
+    EXPECT_EQ(rises, (std::vector<Tick>{13 * kNs}));
+    EXPECT_EQ(w.risingEdges(), 1u);
+}
+
 TEST(Signal, ZeroDelayWriteAfterIsImmediate)
 {
     Simulation s;
