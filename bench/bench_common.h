@@ -116,19 +116,15 @@ fleetCols(const fleet::FleetReport &r)
 inline constexpr int kBenchJsonSchemaVersion = 4;
 
 /**
- * Turn on tail-latency attribution for a bench fleet run. Attribution
- * implies tracing, which is zero-footprint (the report stays
- * byte-identical), but bench windows are seconds-scale, so give the
- * rings enough headroom that the fleet spine does not wrap and drop
- * the oldest request chains. Memory is committed only as records are
- * written.
+ * Turn on tail-latency attribution for a bench fleet run. It is
+ * zero-footprint (the report stays byte-identical) and needs no
+ * tracing: every answered request is attributed, however long the
+ * bench window.
  */
 inline void
-enableAttribution(fleet::FleetConfig &fc,
-                  std::size_t ring_capacity = std::size_t{1} << 22)
+enableAttribution(fleet::FleetConfig &fc)
 {
     fc.attribution.enabled = true;
-    fc.trace.ringCapacity = ring_capacity;
 }
 
 /**

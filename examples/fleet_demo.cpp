@@ -112,9 +112,10 @@ main()
         fc.health.enabled = observed && health_out && *health_out;
         if (fc.health.enabled)
             fc.health.slo.latencyThresholdUs = fc.sloUs;
-        if (fc.attribution.enabled)
-            // Segment spans are ~10 records per request; give the rings
-            // headroom so the spine doesn't wrap over a full demo run.
+        if (fc.trace.enabled && fc.attribution.enabled)
+            // Traced segment spans are ~10 records per request; give
+            // the rings headroom so the exported trace doesn't wrap
+            // over a full demo run (the blame report never reads it).
             fc.trace.ringCapacity = std::size_t{1} << 22;
         fleet::FleetSim fleet(fc);
         reports[i] = fleet.run();

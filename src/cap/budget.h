@@ -121,6 +121,9 @@ class BudgetAllocator
     /** Servers currently participating in allocation. */
     std::size_t activeServers() const;
 
+    /** Whether server @p i participates in the next allocation. */
+    bool isActive(std::size_t i) const { return active_[i] != 0; }
+
     const std::vector<EpochRecord> &
     log() const
     {

@@ -38,6 +38,12 @@ checked(FleetConfig cfg)
     if (cfg.epoch <= 0)
         // t1 = t + epoch would never advance the run.
         throw std::invalid_argument("FleetConfig: epoch must be > 0");
+    if (cfg.epoch > cfg.warmup + cfg.duration)
+        throw std::invalid_argument(
+            "FleetConfig: epoch must not exceed warmup + duration");
+    if (cfg.trace.enabled && cfg.trace.ringCapacity == 0)
+        throw std::invalid_argument(
+            "FleetConfig: trace.ringCapacity must be > 0 with tracing on");
     return cfg;
 }
 
@@ -125,11 +131,7 @@ FleetSim::FleetSim(FleetConfig cfg)
       pool_(std::min<unsigned>(cfg_.threads,
                                static_cast<unsigned>(cfg_.numServers)))
 {
-    // Attribution rides on the trace layer: the segment spans land in
-    // the same per-entity rings, so enabling it forces tracing on.
     attr_ = cfg_.attribution.enabled;
-    if (attr_)
-        cfg_.trace.enabled = true;
     servers_.reserve(cfg_.numServers);
     // Slots are sized once and never reallocated: the server hooks
     // installed below keep raw pointers into this vector.
@@ -148,27 +150,36 @@ FleetSim::FleetSim(FleetConfig cfg)
             sc.cap.enabled = true; // the allocator needs enforcement
         servers_.push_back(
             std::make_unique<server::ServerSim>(std::move(sc)));
+        if (attr_)
+            // Server i records as trace writer i + 1.
+            servers_[i]->enableAttribution(static_cast<std::uint32_t>(i + 1));
         ShardSlot *slot = &slots_[layout_.shardOf(i)];
         const auto srv = static_cast<std::uint32_t>(i);
         // The hooks fire inside advanceTo(), i.e. on the worker that
         // owns this slot for the phase — claim the writer role.
-        servers_[i]->onCompletion(
-            [slot, srv](std::uint64_t id, sim::Tick done) {
-                sim::RoleGuard own(slot->writer);
-                slot->completions.push_back({done, srv, id});
-            });
+        servers_[i]->onCompletion([slot, srv](std::uint64_t id,
+                                              sim::Tick done,
+                                              const obs::SegmentSums *segs) {
+            sim::RoleGuard own(slot->writer);
+            slot->completions.push_back(
+                {done, srv, slot->stageSums(srv, segs), id});
+        });
         if (cfg_.nic.enabled)
-            servers_[i]->onRxDrop(
-                [slot, srv](std::uint64_t id, sim::Tick at) {
-                    sim::RoleGuard own(slot->writer);
-                    slot->drops.push_back({at, srv, id});
-                });
+            servers_[i]->onRxDrop([slot, srv](std::uint64_t id,
+                                              sim::Tick at,
+                                              const obs::SegmentSums *segs) {
+                sim::RoleGuard own(slot->writer);
+                slot->drops.push_back(
+                    {at, srv, slot->stageSums(srv, segs), id});
+            });
         if (cfg_.faults.enabled)
-            servers_[i]->onAbort(
-                [slot, srv](std::uint64_t id, sim::Tick at) {
-                    sim::RoleGuard own(slot->writer);
-                    slot->aborts.push_back({at, srv, id});
-                });
+            servers_[i]->onAbort([slot, srv](std::uint64_t id,
+                                             sim::Tick at,
+                                             const obs::SegmentSums *segs) {
+                sim::RoleGuard own(slot->writer);
+                slot->aborts.push_back(
+                    {at, srv, slot->stageSums(srv, segs), id});
+            });
     }
     if (cfg_.faults.enabled)
         faultPlan_ = std::make_unique<fault::FaultPlan>(
@@ -183,7 +194,7 @@ FleetSim::FleetSim(FleetConfig cfg)
         for (std::size_t i = 0; i < servers_.size(); ++i) {
             tracer_->setEntityLabel(i + 1,
                                     "server " + std::to_string(i));
-            servers_[i]->enableTracing(tracer_->writer(i + 1), attr_);
+            servers_[i]->enableTracing(tracer_->writer(i + 1));
         }
     }
     if (cfg_.metrics.enabled && cfg_.metrics.interval <= 0) {
@@ -257,6 +268,7 @@ FleetSim::FleetSim(FleetConfig cfg)
             0, std::vector<double>(cfg_.numServers, 0.0));
         for (std::size_t i = 0; i < servers_.size(); ++i)
             servers_[i]->setPowerLimit(initial[i]);
+        grantActive_.assign(cfg_.numServers, 1);
         nextAllocAt_ = cfg_.budgetEpoch;
     }
 
@@ -296,22 +308,30 @@ FleetSim::transit(sim::Tick at, std::size_t srv, sim::Tick &deliver,
 }
 
 void
-FleetSim::traceSendSegments(sim::Tick at, sim::Tick deliver,
-                            sim::Tick rto_wait, std::size_t srv,
-                            std::uint64_t id, bool response)
+FleetSim::segment(std::uint64_t id, obs::ReplicaSums *legs,
+                  obs::Segment s, sim::Tick at, sim::Tick dur)
 {
-    if (!attr_)
+    if (!legs)
         return;
-    const auto sv = static_cast<double>(srv);
+    if (fleetTrace_)
+        fleetTrace_->span(at, dur, obs::segmentTraceName(s),
+                          obs::Track::Segments, id,
+                          static_cast<double>(legs->srv));
+    legs->sums.add(s, at, dur, 0, segSeq_++);
+}
+
+void
+FleetSim::sendSegments(std::uint64_t id, obs::ReplicaSums *legs,
+                       sim::Tick at, sim::Tick deliver, sim::Tick rto_wait,
+                       bool response)
+{
     if (rto_wait > 0)
-        fleetTrace_->span(at, rto_wait, obs::Name::SegRto,
-                          obs::Track::Segments, id, sv);
+        segment(id, legs, obs::Segment::Rto, at, rto_wait);
     const sim::Tick wire = deliver - at - rto_wait;
     if (wire > 0)
-        fleetTrace_->span(at + rto_wait, wire,
-                          response ? obs::Name::SegXmitResp
-                                   : obs::Name::SegXmitReq,
-                          obs::Track::Segments, id, sv);
+        segment(id, legs,
+                response ? obs::Segment::XmitResp : obs::Segment::XmitReq,
+                at + rto_wait, wire);
 }
 
 void
@@ -323,32 +343,35 @@ FleetSim::scheduleInject(std::size_t srv, sim::Tick deliver,
 }
 
 bool
-FleetSim::routeReplica(sim::Tick at, sim::Tick service, std::size_t srv,
-                       std::uint64_t id)
+FleetSim::routeReplica(FlightMap::iterator it, sim::Tick at,
+                       std::size_t srv, obs::ReplicaSums *legs)
 {
     ++replicasDispatched_;
     sim::Tick deliver, rto_wait;
     if (!transit(at, srv, deliver, rto_wait))
         return false;
-    if (attr_) {
-        if (fabric_) {
-            traceSendSegments(at, deliver, rto_wait, srv, id, false);
-        } else if (cfg_.networkLatency > 1) {
-            // Teleport mode: the constant RTT stands in for both
-            // transits. Split it so request + response halves sum to
-            // exactly networkLatency (integer additivity).
-            fleetTrace_->span(at, cfg_.networkLatency / 2,
-                              obs::Name::SegXmitReq,
-                              obs::Track::Segments, id,
-                              static_cast<double>(srv));
-        }
+    if (fabric_) {
+        sendSegments(it->first, legs, at, deliver, rto_wait, false);
+    } else if (cfg_.networkLatency > 1) {
+        // Teleport mode: the constant RTT stands in for both transits.
+        // Split it so request + response halves sum to exactly
+        // networkLatency (integer additivity).
+        segment(it->first, legs, obs::Segment::XmitReq, at,
+                cfg_.networkLatency / 2);
     }
     {
         // Route stage runs single-threaded before the parallel phase.
         ShardSlot &slot = slots_[layout_.shardOf(srv)];
         sim::RoleGuard own(slot.writer);
-        slot.injects.push_back(
-            {deliver, service, static_cast<std::uint32_t>(srv), id});
+        std::uint32_t li = kNoSums;
+        if (legs) {
+            // The request leg rides with the replica to its server.
+            li = static_cast<std::uint32_t>(slot.legs.size());
+            slot.legs.push_back(legs->sums);
+        }
+        slot.injects.push_back({deliver, it->second.service,
+                                static_cast<std::uint32_t>(srv), li,
+                                it->first});
     }
     return true;
 }
@@ -367,8 +390,10 @@ FleetSim::allocateBudgets(sim::Tick now)
         // Deadband damps allocation chatter so the per-server
         // controllers can settle; real cuts (breaker trips, big demand
         // shifts) exceed it by construction.
-        if (std::abs(alloc[i] - cur) > cfg_.budgetDeadbandW)
+        if (std::abs(alloc[i] - cur) > cfg_.budgetDeadbandW) {
             servers_[i]->setPowerLimit(alloc[i]);
+            grantActive_[i] = allocator_->isActive(i) ? 1 : 0;
+        }
     }
 }
 
@@ -495,7 +520,8 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
                 failAttempt(it, ev.at);
             } else {
                 f.attempts = 1;
-                sendAttempt(it, srv, ev.at);
+                obs::ReplicaSums legs{static_cast<std::uint32_t>(srv), {}};
+                sendAttempt(it, srv, ev.at, attr_ ? &legs : nullptr);
             }
             continue;
         }
@@ -514,7 +540,9 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
             }
             dispatcher_->onDispatch(srv);
             dispatcher_->exclude(srv);
-            if (routeReplica(ev.at, ev.service, srv, id))
+            obs::ReplicaSums legs{static_cast<std::uint32_t>(srv), {}};
+            // A replica lost on its way out measured no segment.
+            if (routeReplica(it, ev.at, srv, attr_ ? &legs : nullptr))
                 ++f.remaining;
             else
                 ++f.lost;
@@ -542,14 +570,21 @@ FleetSim::advanceShards(sim::Tick to)
                 ShardSlot &slot = slots_[sh];
                 // This worker owns the shard for the whole phase.
                 sim::RoleGuard own(slot.writer);
+                // The last merge consumed every staged event these
+                // attribution sums belonged to.
+                slot.sums.clear();
                 // Scheduling the staged injections here — instead of
                 // at route time — pulls each server's event queue into
                 // cache exactly once per epoch, right before this same
                 // worker advances it.
-                for (const PendingInject &pi : slot.injects)
+                for (const PendingInject &pi : slot.injects) {
+                    if (pi.legs != kNoSums)
+                        servers_[pi.srv]->expect(pi.id, slot.legs[pi.legs]);
                     scheduleInject(pi.srv, pi.deliverAt, pi.id,
                                    pi.service);
+                }
                 slot.injects.clear();
+                slot.legs.clear();
                 const std::size_t end = layout_.end(sh);
                 for (std::size_t i = layout_.begin(sh); i < end; ++i)
                     servers_[i]->advanceTo(to);
@@ -627,6 +662,12 @@ FleetSim::resolveFlight(FlightMap::iterator it, sim::Tick done,
     Flight &fl = it->second;
     assert(!fl.resolved);
     fl.resolved = true;
+    // End-to-end: winning response at the client. Without a fabric the
+    // constant network RTT stands in.
+    const sim::Tick e2e =
+        done - fl.arrival + (fabric_ ? 0 : cfg_.networkLatency);
+    if (attr_ && !lost)
+        fl.e2e = e2e;
     if (fleetTrace_) {
         // Client-observed request lifecycle (warmup included): span to
         // the winning response, or a loss marker.
@@ -634,11 +675,8 @@ FleetSim::resolveFlight(FlightMap::iterator it, sim::Tick done,
             fleetTrace_->instant(fl.arrival, obs::Name::Lost,
                                  obs::Track::Requests, it->first);
         else
-            fleetTrace_->span(fl.arrival,
-                              done - fl.arrival +
-                                  (fabric_ ? 0 : cfg_.networkLatency),
-                              obs::Name::Request, obs::Track::Requests,
-                              it->first);
+            fleetTrace_->span(fl.arrival, e2e, obs::Name::Request,
+                              obs::Track::Requests, it->first);
     }
     if (fl.measured) {
         if (lost) {
@@ -654,10 +692,7 @@ FleetSim::resolveFlight(FlightMap::iterator it, sim::Tick done,
             if (health_)
                 health_->slo().recordLost();
         } else {
-            // End-to-end: winning response at the client. Without a
-            // fabric the constant network RTT stands in.
-            const sim::Tick extra = fabric_ ? 0 : cfg_.networkLatency;
-            const double us = sim::toMicros(done - fl.arrival + extra);
+            const double us = sim::toMicros(e2e);
             ++completed_;
             latencyUs_.record(us);
             latencyHistUs_.record(us);
@@ -670,37 +705,77 @@ FleetSim::resolveFlight(FlightMap::iterator it, sim::Tick done,
 }
 
 void
-FleetSim::finishFlight(FlightMap::iterator it)
+FleetSim::finishFlight(FlightMap::iterator it,
+                       const obs::ReplicaSums *ended)
 {
     Flight &fl = it->second;
     // The shell persists until every routed replica delivered or
     // aborted and no retry is scheduled: late responses and crash
     // aborts from superseded attempts must find their flight. (Stale
     // timeout entries look the flight up by id and tolerate absence.)
-    if (fl.remaining > 0 || fl.retryPending)
+    if (fl.remaining > 0 || fl.retryPending ||
+        (!fl.resolved && fl.timeoutsArmed > 0)) {
+        if (ended)
+            fl.chains.add(*ended);
         return;
-    if (!fl.resolved) {
-        if (fl.timeoutsArmed > 0)
-            return;
-        resolveFlight(it, fl.lastDone, fl.lost > 0);
     }
+    if (!fl.resolved)
+        resolveFlight(it, fl.lastDone, fl.lost > 0);
+    if (attr_)
+        foldAttribution(it->first, fl, ended);
     ++flightsFinished_;
     inFlight_.erase(it);
 }
 
 void
+FleetSim::foldAttribution(std::uint64_t id, Flight &fl,
+                          const obs::ReplicaSums *ended)
+{
+    if (!fl.resolved)
+        return; // still unanswered at the drain deadline
+    // The common flight had one replica, which just ended: fold it
+    // straight from its sums, without keeping a chain.
+    const obs::ReplicaSums *replicas = fl.chains.data();
+    std::size_t n = fl.chains.size();
+    if (ended && !ended->sums.empty()) {
+        if (n == 0) {
+            replicas = ended;
+            n = 1;
+        } else {
+            fl.chains.add(*ended);
+            replicas = fl.chains.data();
+            n = fl.chains.size();
+        }
+    }
+    if (fl.e2e < 0)
+        attribution_.lost(n);
+    else
+        attribution_.answered(id, fl.arrival, fl.e2e, replicas, n);
+}
+
+obs::ReplicaSums *
+FleetSim::stagedSums(const StagedEvent &ev)
+{
+    if (ev.sums == kNoSums)
+        return nullptr;
+    ShardSlot &slot = slots_[layout_.shardOf(ev.srv)];
+    sim::RoleGuard own(slot.writer);
+    return &slot.sums[ev.sums];
+}
+
+void
 FleetSim::sendAttempt(FlightMap::iterator it, std::size_t srv,
-                      sim::Tick at)
+                      sim::Tick at, obs::ReplicaSums *legs)
 {
     Flight &fl = it->second;
     dispatcher_->onDispatch(srv);
     fl.curSrv = static_cast<std::uint32_t>(srv);
     fl.attemptAt = at;
     ++fl.remaining;
-    if (routeReplica(at, fl.service, srv, it->first))
+    if (routeReplica(it, at, srv, legs))
         armTimeout(it, at);
     else
-        replicaFailed(it, fl.curSrv, at, false, false);
+        replicaFailed(it, fl.curSrv, at, false, false, legs);
 }
 
 void
@@ -749,12 +824,15 @@ FleetSim::failAttempt(FlightMap::iterator it, sim::Tick at)
 
 void
 FleetSim::replicaFailed(FlightMap::iterator it, std::uint32_t srv,
-                        sim::Tick at, bool crash, bool silent)
+                        sim::Tick at, bool crash, bool silent,
+                        const obs::ReplicaSums *ended)
 {
     Flight &fl = it->second;
     --fl.remaining;
     if (fl.failover && !silent && !fl.resolved && !fl.retryPending &&
         srv == fl.curSrv) {
+        if (ended)
+            fl.chains.add(*ended);
         failAttempt(it, at);
         return;
     }
@@ -766,7 +844,7 @@ FleetSim::replicaFailed(FlightMap::iterator it, std::uint32_t srv,
         if (crash)
             fl.crashLoss = true;
     }
-    finishFlight(it);
+    finishFlight(it, ended);
 }
 
 void
@@ -775,7 +853,7 @@ FleetSim::drainAborts()
     mergeStaged(&ShardSlot::aborts, [this](const StagedEvent &ev) {
         const auto it = inFlight_.find(ev.id);
         assert(it != inFlight_.end());
-        replicaFailed(it, ev.srv, ev.at, true, false);
+        replicaFailed(it, ev.srv, ev.at, true, false, stagedSums(ev));
     });
 }
 
@@ -822,18 +900,17 @@ FleetSim::processRecovery(sim::Tick t1)
             return;
         }
         ++failovers_;
-        if (attr_) {
-            // Emit the full gap history valued at the new target: its
-            // replica chain then sums from the original dispatch,
-            // keeping the blame report additive.
-            for (const Flight::Gap &g : fl.gaps)
-                fleetTrace_->span(g.at, g.dur,
-                                  g.backoff ? obs::Name::SegFailover
-                                            : obs::Name::SegTimeoutWait,
-                                  obs::Track::Segments, rt.second,
-                                  static_cast<double>(srv));
-        }
-        sendAttempt(it, srv, at);
+        // Attribute the full gap history to the new target: its
+        // replica chain then sums from the original dispatch, keeping
+        // the blame report additive.
+        obs::ReplicaSums legs{static_cast<std::uint32_t>(srv), {}};
+        obs::ReplicaSums *lp = attr_ ? &legs : nullptr;
+        for (const Flight::Gap &g : fl.gaps)
+            segment(rt.second, lp,
+                    g.backoff ? obs::Segment::Failover
+                              : obs::Segment::TimeoutWait,
+                    g.at, g.dur);
+        sendAttempt(it, srv, at, lp);
     };
     // Fixpoint over this epoch: a fired timeout can schedule a retry
     // due before t1, and a re-dispatched attempt can arm a timeout
@@ -860,6 +937,7 @@ FleetSim::drainCompletions()
         const auto it = inFlight_.find(ev.id);
         assert(it != inFlight_.end());
         Flight &fl = it->second;
+        obs::ReplicaSums *legs = stagedSums(ev);
         sim::Tick done = ev.at;
         if (fabric_) {
             const auto tr = fabric_->toClient(ev.at, ev.srv);
@@ -868,20 +946,18 @@ FleetSim::drainCompletions()
             if (tr.lost) {
                 // Silent: under failover the armed timeout notices the
                 // missing response and drives the failover.
-                replicaFailed(it, ev.srv, ev.at, false, true);
+                replicaFailed(it, ev.srv, ev.at, false, true, legs);
                 return;
             }
-            traceSendSegments(ev.at, tr.deliverAt, tr.rtoWait, ev.srv,
-                              ev.id, true);
+            sendSegments(ev.id, legs, ev.at, tr.deliverAt, tr.rtoWait,
+                         true);
             done = tr.deliverAt;
         } else {
             // The response half of the teleport RTT (see routeReplica).
             const sim::Tick resp =
                 cfg_.networkLatency - cfg_.networkLatency / 2;
-            if (attr_ && resp > 0)
-                fleetTrace_->span(ev.at, resp, obs::Name::SegXmitResp,
-                                  obs::Track::Segments, ev.id,
-                                  static_cast<double>(ev.srv));
+            if (resp > 0)
+                segment(ev.id, legs, obs::Segment::XmitResp, ev.at, resp);
         }
         fl.lastDone = std::max(fl.lastDone, done);
         // First successful response resolves a failover flight
@@ -891,7 +967,7 @@ FleetSim::drainCompletions()
         if (fl.failover && !fl.resolved)
             resolveFlight(it, done, false);
         --fl.remaining;
-        finishFlight(it);
+        finishFlight(it, legs);
     });
 }
 
@@ -903,6 +979,8 @@ FleetSim::drainNicDrops(sim::Tick now_floor)
         const auto it = inFlight_.find(ev.id);
         assert(it != inFlight_.end());
         Flight &fl = it->second;
+        // The dropped replica's sums ride on with its resend.
+        obs::ReplicaSums *legs = stagedSums(ev);
         // This replica's attempt count (missing entry = the first send
         // already happened).
         auto entry = std::find_if(
@@ -925,20 +1003,19 @@ FleetSim::drainNicDrops(sim::Tick now_floor)
             // The drop-to-resend gap is pure retransmit penalty in the
             // request's timeline; the fresh transit then adds its own
             // RTO/wire spans.
-            if (attr_ && at > ev.at)
-                fleetTrace_->span(ev.at, at - ev.at, obs::Name::SegRto,
-                                  obs::Track::Segments, ev.id,
-                                  static_cast<double>(ev.srv));
+            if (at > ev.at)
+                segment(ev.id, legs, obs::Segment::Rto, ev.at, at - ev.at);
             sim::Tick deliver, rto_wait;
             if (transit(at, ev.srv, deliver, rto_wait)) {
-                traceSendSegments(at, deliver, rto_wait, ev.srv, ev.id,
-                                  false);
+                sendSegments(ev.id, legs, at, deliver, rto_wait, false);
+                if (legs)
+                    servers_[ev.srv]->expect(ev.id, legs->sums);
                 scheduleInject(ev.srv, deliver, ev.id, fl.service);
                 return;
             }
         }
         // Out of resends, or the resend was lost in transit.
-        replicaFailed(it, ev.srv, ev.at, false, false);
+        replicaFailed(it, ev.srv, ev.at, false, false, legs);
     });
 }
 
@@ -1013,6 +1090,24 @@ FleetSim::run()
         if (health_ && measuring_)
             healthEpoch(t, t1);
         t = t1;
+    }
+
+    if (attr_ && !inFlight_.empty()) {
+        // Flights the drain deadline left open: the answered ones are
+        // attributed with the replicas they have, including those
+        // still inside a server. Walked by id, since the map's order
+        // is unspecified.
+        for (std::size_t i = 0; i < servers_.size(); ++i)
+            servers_[i]->forEachHeld(
+                [this, i](std::uint64_t id, const obs::SegmentSums &sums) {
+                    if (const auto it = inFlight_.find(id);
+                        it != inFlight_.end())
+                        it->second.chains.add(
+                            {static_cast<std::uint32_t>(i), sums});
+                });
+        for (std::uint64_t id = 0; id < nextId_; ++id)
+            if (const auto it = inFlight_.find(id); it != inFlight_.end())
+                foldAttribution(id, it->second, nullptr);
     }
 
     // Close the open package-state spans so the trace's power tracks
@@ -1180,12 +1275,7 @@ FleetSim::buildAuditSnapshot(sim::Tick now)
         snap.serverLimitW.reserve(servers_.size());
         for (const auto &s : servers_)
             snap.serverLimitW.push_back(s->powerLimitW());
-        if (faultPlan_) {
-            snap.serverActive.reserve(servers_.size());
-            for (const auto &s : servers_)
-                snap.serverActive.push_back(
-                    s->lifecycle() == server::Lifecycle::Up ? 1 : 0);
-        }
+        snap.grantActive = grantActive_;
     }
     return snap;
 }
@@ -1204,10 +1294,9 @@ FleetSim::writeTrace(const std::string &path) const
     const obs::PhaseProfiler *prof = cfg_.profile ? &profiler_ : nullptr;
     if (attr_) {
         // Flow arrows (client -> critical server -> client) ride along
-        // when attribution ran; built post-run from the same rings.
-        const obs::AttributionResult res = obs::buildAttribution(*tracer_);
+        // when attribution ran.
         const std::vector<obs::FlowEvent> flows =
-            obs::buildFlows(res, cfg_.attribution.flowLimit);
+            obs::buildFlows(attribution_, cfg_.attribution.flowLimit);
         return tracer_->writePerfettoJson(path, prof, &flows);
     }
     return tracer_->writePerfettoJson(path, prof);
@@ -1356,7 +1445,7 @@ FleetSim::aggregate()
     }
     if (attr_)
         rep.attribution = obs::LatencyAttribution::build(
-            obs::buildAttribution(*tracer_), cfg_.attribution.sampleLimit);
+            attribution_, cfg_.attribution.sampleLimit);
     if (health_)
         rep.health = health_->report();
     return rep;

@@ -143,11 +143,13 @@ struct FleetConfig
     obs::MetricsConfig metrics;
 
     /**
-     * Per-request latency attribution (obs/attribution.h): segment
-     * instrumentation on every layer a request crosses plus the
-     * post-run blame report (FleetReport::attribution). Implies
-     * tracing. Pure observation, same contract as `trace`: reports
-     * are byte-identical with attribution on or off.
+     * Per-request latency attribution (obs/attribution.h): every layer
+     * a request crosses adds its segments into the request's record as
+     * they happen, and each closed flight folds into the blame report
+     * (FleetReport::attribution). Independent of tracing; with tracing
+     * on, the segments are also traced as spans. Pure observation,
+     * same contract as `trace`: reports are byte-identical with
+     * attribution on or off.
      */
     obs::AttributionConfig attribution;
 
@@ -314,8 +316,8 @@ struct FleetReport
     std::vector<server::ServerResult> perServer;
 
     // Trace-ring health (zero unless tracing ran). Drops > 0 mean the
-    // export — and any attribution built on it — is missing the oldest
-    // records; raise TraceConfig::ringCapacity.
+    // export is missing the oldest records; raise
+    // TraceConfig::ringCapacity. Attribution never reads the rings.
     std::uint64_t traceRecords = 0;
     std::uint64_t traceDrops = 0;
 
@@ -435,8 +437,8 @@ class FleetSim
         /** Servers whose attempt failed; failover never reuses one. */
         std::vector<std::uint32_t> failedSrv;
         /** Timeout/backoff windows accumulated across attempts; the
-         *  whole history is re-emitted to each failover target so the
-         *  final server's chain sums from the original dispatch. */
+         *  whole history is re-attributed to each failover target so
+         *  the final server's chain sums from the original dispatch. */
         struct Gap
         {
             sim::Tick at = 0;
@@ -444,6 +446,11 @@ class FleetSim
             bool backoff = false; ///< failover gap vs. timeout wait
         };
         std::vector<Gap> gaps; ///< attribution runs only
+        /** Attribution runs only: the sums of replicas that ended while
+         *  the flight stayed open, and the client-observed latency once
+         *  answered (-1 otherwise). */
+        obs::RequestChains chains;
+        sim::Tick e2e = -1;
     };
 
     using FlightMap = std::unordered_map<std::uint64_t, Flight>;
@@ -452,19 +459,28 @@ class FleetSim
     void allocateBudgets(sim::Tick now);
     /** Phase 1: route the epoch's arrivals into per-shard buckets. */
     void dispatchEpoch(sim::Tick from, sim::Tick to);
-    /** @return false if the replica was lost in the fabric. */
-    bool routeReplica(sim::Tick at, sim::Tick service, std::size_t srv,
-                      std::uint64_t id);
+    /** Route one replica to @p srv at @p at. @p legs (attribution on)
+     *  holds what the replica carries into the send, e.g. a failover
+     *  target's gap history; the transit adds to it, and the sums ride
+     *  with the replica to its server. @return false if the replica
+     *  was lost in the fabric. */
+    bool routeReplica(FlightMap::iterator it, sim::Tick at,
+                      std::size_t srv, obs::ReplicaSums *legs);
     /** Fabric transit for one replica send; shared by first sends and
      *  NIC-drop resends. @return false if lost, else sets @p deliver
      *  and the RTO share of the transit (@p rto_wait). */
     bool transit(sim::Tick at, std::size_t srv, sim::Tick &deliver,
                  sim::Tick &rto_wait);
-    /** Attribution spans for one fabric transit: the RTO wait and the
-     *  wire time, on the fleet writer (server in `value`). */
-    void traceSendSegments(sim::Tick at, sim::Tick deliver,
-                           sim::Tick rto_wait, std::size_t srv,
-                           std::uint64_t id, bool response);
+    /** Attribute a spine segment of request @p id to the replica whose
+     *  sums are @p legs (null when attribution is off: a no-op), and
+     *  trace it on the fleet writer (server in `value`). */
+    void segment(std::uint64_t id, obs::ReplicaSums *legs, obs::Segment s,
+                 sim::Tick at, sim::Tick dur);
+    /** The segments of one fabric transit: the RTO wait and the wire
+     *  time. */
+    void sendSegments(std::uint64_t id, obs::ReplicaSums *legs,
+                      sim::Tick at, sim::Tick deliver, sim::Tick rto_wait,
+                      bool response);
     /** Schedule one injection directly into @p srv's event queue. */
     void scheduleInject(std::size_t srv, sim::Tick deliver,
                         std::uint64_t id, sim::Tick service);
@@ -492,9 +508,10 @@ class FleetSim
      *  recovered servers whose restart completed. */
     void applyFaults(sim::Tick from, sim::Tick to);
     /** Send a single-replica flight's current attempt to the picked
-     *  server @p srv at @p at; arms its timeout (failover flights). */
+     *  server @p srv at @p at with request-leg sums @p legs; arms its
+     *  timeout (failover flights). */
     void sendAttempt(FlightMap::iterator it, std::size_t srv,
-                     sim::Tick at);
+                     sim::Tick at, obs::ReplicaSums *legs);
     /** Arm the per-attempt client timeout for a just-routed attempt
      *  (failover flights only). */
     void armTimeout(FlightMap::iterator it, sim::Tick at);
@@ -509,15 +526,27 @@ class FleetSim
      * unless the loss is @p silent (a lost response, which the client
      * learns of only from the attempt's timeout). Any other replica
      * counts lost, and the flight finishes once nothing is pending.
+     * @p ended carries the replica's attribution sums (or null).
      */
     void replicaFailed(FlightMap::iterator it, std::uint32_t srv,
-                       sim::Tick at, bool crash, bool silent);
+                       sim::Tick at, bool crash, bool silent,
+                       const obs::ReplicaSums *ended);
     /** One-time client outcome accounting + request trace record. */
     void resolveFlight(FlightMap::iterator it, sim::Tick done,
                        bool lost);
     /** Resolve when nothing can still make progress, then erase the
-     *  shell once every routed replica has drained. */
-    void finishFlight(FlightMap::iterator it);
+     *  shell once every routed replica has drained. @p ended is the
+     *  attribution sums of a replica that just ended (or null): kept
+     *  with the flight while it stays open. */
+    void finishFlight(FlightMap::iterator it,
+                      const obs::ReplicaSums *ended = nullptr);
+    /** Fold a resolved flight's replicas — its kept chains plus
+     *  @p ended — into the attribution result. Runs when the shell is
+     *  erased, so the replica set is final. */
+    void foldAttribution(std::uint64_t id, Flight &fl,
+                         const obs::ReplicaSums *ended);
+    /** The attribution sums staged with @p ev, or null. */
+    obs::ReplicaSums *stagedSums(const StagedEvent &ev);
     /** Parallel per-shard ServerSim::collect into perServerResults_. */
     void collectServers();
     FleetReport aggregate();
@@ -600,8 +629,13 @@ class FleetSim
     stats::Histogram latencyHistUs_{0.1, 1e7, 64};
 
     // --- telemetry (all pure observers of the simulation) ---
-    /** Attribution on: segment spans recorded, blame report built. */
+    /** Attribution on: segments accounted, blame report built. */
     bool attr_ = false;
+    /** Folded attribution records (attribution on). */
+    obs::AttributionResult attribution_;
+    /** Spine segments attributed so far: orders same-tick spine
+     *  segments as the fleet writer's ring sequence would. */
+    std::uint64_t segSeq_ = 0;
     std::unique_ptr<obs::Tracer> tracer_;
     /** Writer 0: fleet-spine events (request spans, budget counters). */
     obs::TraceWriter *fleetTrace_ = nullptr;
@@ -610,6 +644,9 @@ class FleetSim
     std::unique_ptr<obs::HealthMonitor> health_;
     /** Budget-allocator log records already audited. */
     std::size_t auditLogPos_ = 0;
+    /** Per server: whether the budget epoch that issued its enforced
+     *  limit counted it active (budget runs). */
+    std::vector<std::uint8_t> grantActive_;
     obs::PhaseProfiler profiler_;
     /** Per-server RAPL counters latched at the previous sample. */
     std::vector<power::RaplSample> metricsPrev_;

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/attribution.h"
 #include "sim/annotations.h"
 #include "sim/time.h"
 
@@ -74,11 +75,17 @@ struct ShardLayout
     std::size_t shardOf(std::size_t srv) const { return srv / shardSize; }
 };
 
-/** One staged server-side outcome (completion or RX drop). */
+/** No attribution sums staged with an event. */
+inline constexpr std::uint32_t kNoSums = UINT32_MAX;
+
+/** One staged server-side outcome (completion, RX drop or abort). */
 struct StagedEvent
 {
     sim::Tick at;      ///< server-clock time of the outcome
     std::uint32_t srv; ///< producing server index
+    /** Index of the replica's attribution sums in the slot's `sums`,
+     *  or kNoSums (fills the padding: the event stays 24 bytes). */
+    std::uint32_t sums;
     std::uint64_t id;  ///< fleet request id
 };
 
@@ -100,6 +107,9 @@ struct PendingInject
     sim::Tick deliverAt; ///< arrival instant at the server
     sim::Tick service;   ///< dispatcher-chosen demand (<=0 = sample)
     std::uint32_t srv;
+    /** Index of the replica's request-leg sums in the slot's `legs`,
+     *  or kNoSums. */
+    std::uint32_t legs;
     std::uint64_t id;
 };
 
@@ -130,6 +140,25 @@ struct alignas(64) ShardSlot
     std::vector<StagedEvent> drops APC_GUARDED_BY(writer);
     /** Requests destroyed by a crash or refused by a non-Up server. */
     std::vector<StagedEvent> aborts APC_GUARDED_BY(writer);
+    /** Attribution on: request-leg sums of the staged injections
+     *  (PendingInject::legs), consumed with them. */
+    std::vector<obs::SegmentSums> legs APC_GUARDED_BY(writer);
+    /** Attribution on: replica sums of the staged completions, drops
+     *  and aborts (StagedEvent::sums); the next advance clears them
+     *  once the merge has consumed those streams. */
+    std::vector<obs::ReplicaSums> sums APC_GUARDED_BY(writer);
+
+    /** Stage server @p srv's @p segs; @return the index, or kNoSums
+     *  when null. */
+    std::uint32_t
+    stageSums(std::uint32_t srv, const obs::SegmentSums *segs)
+        APC_REQUIRES(writer)
+    {
+        if (!segs)
+            return kNoSums;
+        sums.push_back({srv, *segs});
+        return static_cast<std::uint32_t>(sums.size() - 1);
+    }
 };
 
 } // namespace apc::fleet

@@ -117,25 +117,6 @@ Nic::fireInterrupt()
         static_cast<sim::Tick>(batch.size()) * cfg_.dmaPerPacket;
     link_.transfer(dma, [this, irq_at, batch = std::move(batch)]() mutable {
         dmaEnd();
-        // Attribution boundaries, known only now that the DMA burst is
-        // done: each injected packet waited in the RX ring from its
-        // enqueue to the moderated interrupt (seg_nic_ring), then rode
-        // the IRQ's DMA hold to completion (seg_irq_hold).
-        if (auto *tw = sim_.trace(); tw && sim_.traceSegments()) {
-            const sim::Tick dma_done = sim_.now();
-            for (const RxPacket &p : batch) {
-                if (p.id == UINT64_MAX)
-                    continue; // internal arrival, not fleet-attributed
-                if (irq_at > p.enqueuedAt)
-                    tw->span(p.enqueuedAt, irq_at - p.enqueuedAt,
-                             obs::Name::SegNicRing, obs::Track::Segments,
-                             p.id);
-                if (dma_done > irq_at)
-                    tw->span(irq_at, dma_done - irq_at,
-                             obs::Name::SegIrqHold, obs::Track::Segments,
-                             p.id);
-            }
-        }
         if (deliverFn_)
             deliverFn_(std::move(batch), irq_at);
     });

@@ -1,29 +1,44 @@
 /**
  * @file
- * Per-request tail-latency attribution over the trace layer.
+ * Per-request tail-latency attribution, accumulated as the run goes.
  *
- * The simulator's instrumentation (fleet spine, servers, NICs) emits
- * one segment span per latency-relevant boundary a request crosses:
- * fabric transit, RTO retransmit waits, NIC RX-ring residency, the
+ * The simulator's instrumentation (fleet spine, servers) measures one
+ * segment per latency-relevant boundary a request crosses: fabric
+ * transit, RTO retransmit waits, NIC RX-ring residency, the
  * coalescing/IRQ DMA hold, the package C-state exit, dispatch-queue
  * wait, cap-induced stalls (idle-injection gate overlap and DVFS-clamp
- * dilation), service, and response transit. This module reassembles
- * those spans — post-run, in one pass over each writer's ring — into
- * one causal chain per (request, server) replica with the invariant
- * that the chain's segments **sum exactly** (integer ticks) to the
- * replica's client-observed latency; for fanout requests the slowest
- * replica's chain sums to the request's end-to-end latency.
+ * dilation), service, response transit, and the timeout and backoff
+ * gaps of failover. Each segment's ticks add into a fixed per-replica
+ * record, SegmentSums, the moment the segment is measured, and the
+ * record travels with the replica:
  *
- * Writer convention (FleetSim's layout): writer 0 is the fleet spine —
- * its segment spans carry the target server in `value` — and writer
- * i >= 1 is server i-1. The invariant is checked per request; a
- * mismatch with zero ring drops is a bug (asserted in debug builds),
- * a mismatch with drops is the expected flag for an incomplete chain.
+ *  - the spine adds the request leg (gap history, RTO wait, wire
+ *    time) and hands the sums to the target server with the request;
+ *  - the server adds its own segments while it holds the request and
+ *    hands the sums back with the completion, abort or ring drop;
+ *  - the spine adds the response leg. When the flight closes, its
+ *    replicas fold into one compact RequestRecord — the critical
+ *    replica's chain — appended to the run's AttributionResult; a
+ *    flight keeps replicas that ended before it closed (fanout legs,
+ *    failed attempts) in a RequestChains.
+ *
+ * The invariant: the critical chain's segments **sum exactly**
+ * (integer ticks) to the client-observed latency; for fanout requests
+ * the slowest replica's chain sums to the request's end-to-end
+ * latency. An answered request with no such chain is a bug in the
+ * segment accounting, counted as a violation (asserted in debug
+ * builds). Nothing is read back from the trace rings, so attribution
+ * needs no tracing and is complete at any fleet size. With tracing on
+ * as well, every segment is also written as a span
+ * (Name::SegXmitReq..) for the Perfetto view; the records are exactly
+ * what a walk of those spans in the trace's `(ts, writer, seq)` merge
+ * order would assemble, which the tests check against a reference.
  */
 
 #ifndef APC_OBS_ATTRIBUTION_H
 #define APC_OBS_ATTRIBUTION_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -76,8 +91,9 @@ segmentFromTraceName(Name n)
 /** Attribution setup (FleetConfig::attribution). */
 struct AttributionConfig
 {
-    /** Master switch: enables segment instrumentation and the post-run
-     *  blame report. Implies tracing (FleetSim forces trace.enabled). */
+    /** Master switch: per-request segment accounting on every layer a
+     *  request crosses, and the blame report built from it. Works with
+     *  tracing off; with tracing on, segments are also traced. */
     bool enabled = false;
     /** Per-request samples carried into the exported report (exact
      *  integer ticks; CI validates additivity on them). */
@@ -86,73 +102,160 @@ struct AttributionConfig
     std::size_t flowLimit = 256;
 };
 
-/** One replica's reassembled causal chain. */
-struct ReplicaPath
+/** A segment's place in the trace's merged `(ts, writer, seq)` order:
+ *  writer 0 is the fleet spine, writer i + 1 server i; seq orders one
+ *  writer's segments that start on the same tick. */
+struct OrderKey
 {
-    std::uint32_t srv = 0;
-    sim::Tick seg[kNumSegments] = {};
+    sim::Tick ts = sim::kTickNever;
+    std::uint32_t writer = 0;
+    std::uint64_t seq = 0;
 
-    sim::Tick
-    total() const
+    bool
+    operator<(const OrderKey &o) const
     {
-        sim::Tick t = 0;
-        for (std::size_t i = 0; i < kNumSegments; ++i)
-            t += seg[i];
-        return t;
+        if (ts != o.ts)
+            return ts < o.ts;
+        if (writer != o.writer)
+            return writer < o.writer;
+        return seq < o.seq;
     }
-
-    /** The segment holding the largest share of this chain. */
-    Segment dominant() const;
 };
 
-/** One attributed request (sorted by arrival for determinism). */
-struct RequestPath
+/**
+ * The segment ticks of one replica of a request. They travel with the
+ * replica: the spine's request-leg segments ride with it to its
+ * server, which adds its own and hands the sums back with the
+ * completion, abort or ring drop.
+ */
+struct SegmentSums
+{
+    OrderKey first; ///< earliest segment, in trace merge order
+    sim::Tick seg[kNumSegments] = {};
+
+    void
+    add(Segment s, sim::Tick at, sim::Tick dur, std::uint32_t writer,
+        std::uint64_t seq = 0)
+    {
+        first = std::min(first, OrderKey{at, writer, seq});
+        seg[static_cast<std::size_t>(s)] += dur;
+    }
+
+    void add(const SegmentSums &o);
+
+    /** No segment measured yet. */
+    bool empty() const { return first.ts == sim::kTickNever; }
+
+    sim::Tick total() const;
+};
+
+/** One replica's sums, with the server it went to. Two whole cache
+ *  lines: it crosses from a worker to the spine once per request. */
+struct alignas(64) ReplicaSums
+{
+    std::uint32_t srv = 0;
+    SegmentSums sums;
+};
+static_assert(sizeof(ReplicaSums) == 128, "two cache lines");
+
+/** One attributed request: its critical replica's chain. Two whole
+ *  cache lines, so ranking visits no third one per record. */
+struct alignas(64) RequestRecord
 {
     std::uint64_t id = 0;
     sim::Tick arrival = 0;
-    sim::Tick e2e = 0; ///< measured client-observed latency (ticks)
-    std::vector<ReplicaPath> replicas;
-    std::size_t critical = 0; ///< index of the critical replica
-    bool additive = false;    ///< critical chain sums exactly to e2e
+    sim::Tick e2e = 0;          ///< client-observed latency (ticks)
+    std::uint32_t srv = 0;      ///< server of the critical replica
+    std::uint32_t replicas = 0; ///< replicas that measured any segment
+    sim::Tick seg[kNumSegments] = {}; ///< sums exactly to e2e
 
-    const ReplicaPath &criticalPath() const { return replicas[critical]; }
+    /** The segment holding the largest share of the chain. */
+    Segment dominant() const;
 };
+static_assert(sizeof(RequestRecord) == 128, "two cache lines");
 
-/** The reassembled attribution for one run. */
-struct AttributionResult
+/** The ended replicas of one open request (fleet side): one entry per
+ *  server, since a request never returns to a server it left. */
+class RequestChains
 {
-    /** Complete, additive requests, sorted by (arrival, id). */
-    std::vector<RequestPath> requests;
-    /** Requests excluded because a replica was dropped beyond retry
-     *  (they never answered the client; no end-to-end latency). */
-    std::uint64_t lostExcluded = 0;
-    /** Requests flagged because their chains mismatched while trace
-     *  rings had dropped records (spans lost to wrap). */
-    std::uint64_t incomplete = 0;
-    /** Chain mismatches with zero ring drops: additivity-invariant
-     *  violations. Always 0 in a correct build (debug-asserted). */
-    std::uint64_t violations = 0;
-    /** Trace records lost to ring wrap across all writers. */
-    std::uint64_t ringDropped = 0;
+  public:
+    /** Keep an ended replica's sums; merges with an entry for the same
+     *  server, and ignores sums with no segment. */
+    void add(const ReplicaSums &r);
+
+    const ReplicaSums *data() const { return replicas_.data(); }
+    std::size_t size() const { return replicas_.size(); }
+
+  private:
+    std::vector<ReplicaSums> replicas_;
 };
 
 /**
- * Reassemble per-request causal chains from @p tracer's live records
- * (FleetSim writer convention; see file header). The result is what a
- * walk of the records in `(ts, writer, seq)` order would build: a
- * request's replicas appear in the order their first spans do, and a
- * duplicate Request span resolves to the last. Requests with no
- * end-to-end `Request` span (still in flight at trace end) are
- * ignored. In debug builds, asserts that no chain mismatches its
- * measured latency unless ring drops explain the gap.
+ * The run's attribution: one record per answered request, appended as
+ * flights close, in fixed-size chunks so the store never reallocates
+ * (and never doubles its footprint) as it grows.
  */
-AttributionResult buildAttribution(const Tracer &tracer);
+class AttributionResult
+{
+  public:
+    /**
+     * Fold answered request @p id (client-observed latency @p e2e)
+     * given its @p n replicas: append the critical replica's chain —
+     * the one summing exactly to @p e2e, the earliest in trace merge
+     * order on a tie — or count a violation when none does.
+     */
+    void answered(std::uint64_t id, sim::Tick arrival, sim::Tick e2e,
+                  const ReplicaSums *replicas, std::size_t n);
+
+    /** Fold a request that never answered the client, after @p n
+     *  replicas measured segments. */
+    void
+    lost(std::size_t n)
+    {
+        if (n > 0)
+            ++lostExcluded;
+    }
+
+    void push(const RequestRecord &r);
+
+    std::size_t size() const { return size_; }
+
+    const RequestRecord &
+    operator[](std::size_t i) const
+    {
+        return chunks_[i / kChunk][i % kChunk];
+    }
+
+    /** Indices of the first @p limit records in (arrival, id) order. */
+    std::vector<std::uint32_t> firstByArrival(std::size_t limit) const;
+
+    /** Requests excluded because they never answered the client (a
+     *  replica dropped beyond retry, or a fault destroyed it) after
+     *  some segment was measured. */
+    std::uint64_t lostExcluded = 0;
+    /** Answered requests with no chain summing to their latency:
+     *  segment-accounting bugs. Always 0 in a correct build. */
+    std::uint64_t violations = 0;
+
+  private:
+    /** Records per chunk (512 KiB). */
+    static constexpr std::size_t kChunk = 4096;
+    std::vector<std::vector<RequestRecord>> chunks_;
+    std::size_t size_ = 0;
+};
+
+/** Strict (arrival, id) order over records. */
+inline bool
+arrivedBefore(const RequestRecord &a, const RequestRecord &b)
+{
+    return a.arrival != b.arrival ? a.arrival < b.arrival : a.id < b.id;
+}
 
 /**
- * Perfetto flow arrows for the first @p limit attributed requests:
- * start at the client arrival (fleet, requests track), step at the
- * critical replica's serve start (server, segments track), finish at
- * the client delivery (fleet, requests track).
+ * Perfetto flow arrows for the first @p limit attributed requests in
+ * arrival order: start at the client arrival (fleet, requests track),
+ * step at the critical replica's serve start (server, segments track),
+ * finish at the client delivery (fleet, requests track).
  */
 std::vector<FlowEvent> buildFlows(const AttributionResult &res,
                                   std::size_t limit);

@@ -269,10 +269,11 @@ Auditor::audit(const AuditSnapshot &snap)
             if (!snap.anyEmergencyEver)
                 for (std::size_t i = 0; i < snap.serverLimitW.size();
                      ++i) {
-                    // A dead server is deliberately granted zero; its
-                    // limit owes nothing to the floor.
-                    if (i < snap.serverActive.size() &&
-                        !snap.serverActive[i])
+                    // A grant issued while the server was out of the
+                    // allocation is deliberately zero; it owes nothing
+                    // to the floor until the server's next grant.
+                    if (i < snap.grantActive.size() &&
+                        !snap.grantActive[i])
                         continue;
                     if (snap.serverLimitW[i] +
                             snap.deadbandW + kEpsW <

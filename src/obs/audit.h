@@ -146,9 +146,12 @@ struct AuditSnapshot
     /** Last logged grant's rack budget (bounds the enforced limits). */
     double lastBudgetW = 0.0;
     std::vector<double> serverLimitW;
-    /** Per-server liveness at the snapshot (empty = everyone Up); a
-     *  dead server's enforced limit is exempt from the floor check. */
-    std::vector<std::uint8_t> serverActive;
+    /** Per server: whether the budget epoch that issued its enforced
+     *  limit counted it active (empty = all were). A grant issued to
+     *  an inactive server is zero by design and owes nothing to the
+     *  floor — even after the server restarted and awaits the next
+     *  epoch's grant. */
+    std::vector<std::uint8_t> grantActive;
 };
 
 /** One recorded violation. */

@@ -1,12 +1,48 @@
 #include "obs/critpath.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cassert>
+#include <utility>
 
 #include "obs/fmt.h"
 #include "stats/rank.h"
 
 namespace apc::obs {
+
+namespace {
+
+/** Bits needed to write @p v (0 for 0). */
+unsigned
+bitWidth(std::uint64_t v)
+{
+    unsigned w = 0;
+    for (; v; v >>= 1)
+        ++w;
+    return w;
+}
+
+/** LSD radix sort of @p keys whose set bits all lie below @p bits. */
+void
+radixSort(std::vector<std::uint64_t> &keys, unsigned bits)
+{
+    constexpr unsigned kDigit = 11;
+    constexpr std::size_t kBuckets = std::size_t{1} << kDigit;
+    std::vector<std::uint64_t> tmp(keys.size());
+    std::vector<std::size_t> start(kBuckets);
+    for (unsigned shift = 0; shift < bits; shift += kDigit) {
+        std::fill(start.begin(), start.end(), 0);
+        for (const std::uint64_t k : keys)
+            ++start[(k >> shift) & (kBuckets - 1)];
+        std::size_t sum = 0;
+        for (std::size_t &c : start)
+            sum += std::exchange(c, sum);
+        for (const std::uint64_t k : keys)
+            tmp[start[(k >> shift) & (kBuckets - 1)]++] = k;
+        keys.swap(tmp);
+    }
+}
+
+} // namespace
 
 Segment
 BlameBand::dominant() const
@@ -32,36 +68,73 @@ LatencyAttribution::build(const AttributionResult &res,
 {
     LatencyAttribution out;
     out.enabled = true;
-    out.requests = res.requests.size();
+    out.requests = res.size();
     out.lostExcluded = res.lostExcluded;
-    out.incomplete = res.incomplete;
     out.violations = res.violations;
-    out.ringDropped = res.ringDropped;
 
-    const std::size_t n = res.requests.size();
+    const std::size_t n = res.size();
     if (n == 0)
         return out;
 
-    // Rank requests by end-to-end latency (ties broken by the already
-    // deterministic arrival order) and cut the bands at exact ranks:
-    // ceil(n*p) requests lie at or below the p-quantile.
-    std::vector<std::uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&res](std::uint32_t a, std::uint32_t b) {
-                         return res.requests[a].e2e < res.requests[b].e2e;
-                     });
+    // Rank requests by end-to-end latency, ties broken by arrival
+    // order, and cut the bands at exact ranks: ceil(n*p) requests lie
+    // at or below the p-quantile. (arrival, id) is a strict order, so
+    // the rank order — and with it every band's FP summation order —
+    // does not depend on the order the records were folded in. The
+    // sort runs over packed 64-bit keys, the latency's 32 leading
+    // significant bits above the record index; runs that share those
+    // bits (rare) are then put in exact order from the records.
+    std::uint64_t max_e2e = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const RequestRecord &rec = res[i];
+        max_e2e = std::max(max_e2e, static_cast<std::uint64_t>(rec.e2e));
+        if (rec.replicas > 1)
+            ++out.fanoutRequests;
+        ++out.criticalBySegment[static_cast<std::size_t>(rec.dominant())];
+    }
+    const unsigned shift =
+        bitWidth(max_e2e) > 32 ? bitWidth(max_e2e) - 32 : 0;
+    const unsigned idx_bits = std::max(1u, bitWidth(n - 1));
+    assert(idx_bits <= 32);
+    const std::uint64_t idx_mask = (std::uint64_t{1} << idx_bits) - 1;
+    std::vector<std::uint64_t> order(n);
+    for (std::size_t i = 0; i < n; ++i)
+        order[i] = (static_cast<std::uint64_t>(res[i].e2e) >> shift)
+                << idx_bits |
+            i;
+    radixSort(order, idx_bits + 32);
+    for (auto run = order.begin(); run != order.end();) {
+        const auto end =
+            std::find_if(run, order.end(), [run, idx_bits](auto k) {
+                return (k >> idx_bits) != (*run >> idx_bits);
+            });
+        if (end - run > 1)
+            std::sort(run, end, [&res, idx_mask](auto a, auto b) {
+                const RequestRecord &ra = res[a & idx_mask];
+                const RequestRecord &rb = res[b & idx_mask];
+                return ra.e2e != rb.e2e ? ra.e2e < rb.e2e
+                                        : arrivedBefore(ra, rb);
+            });
+        run = end;
+    }
     const auto edges = stats::percentileBandEdges(n);
 
+    // Rank order visits the records at random: fetch a few ahead.
+    constexpr std::size_t kAhead = 8;
     for (std::size_t b = 0; b < kNumBands; ++b) {
         BlameBand &band = out.bands[b];
         for (std::size_t r = edges[b]; r < edges[b + 1]; ++r) {
-            const RequestPath &rp = res.requests[order[r]];
-            const ReplicaPath &cp = rp.criticalPath();
+            if (r + kAhead < n) {
+                const auto *next = reinterpret_cast<const char *>(
+                    &res[order[r + kAhead] & idx_mask]);
+                __builtin_prefetch(next);
+                __builtin_prefetch(next + sizeof(RequestRecord) - 1);
+            }
+            const RequestRecord &rec = res[order[r] & idx_mask];
             ++band.count;
-            band.e2eMeanUs += sim::toMicros(rp.e2e);
+            band.e2eMeanUs += sim::toMicros(rec.e2e);
             for (std::size_t s = 0; s < kNumSegments; ++s)
-                band.segMeanUs[s] += sim::toMicros(cp.seg[s]);
+                band.segMeanUs[s] += sim::toMicros(rec.seg[s]);
         }
         if (band.count > 0) {
             const double inv = 1.0 / static_cast<double>(band.count);
@@ -71,27 +144,11 @@ LatencyAttribution::build(const AttributionResult &res,
         }
     }
 
-    for (const RequestPath &rp : res.requests) {
-        const ReplicaPath &cp = rp.criticalPath();
-        if (rp.replicas.size() > 1)
-            ++out.fanoutRequests;
-        ++out.criticalBySegment[static_cast<std::size_t>(cp.dominant())];
-    }
-
-    const std::size_t keep = std::min(sample_limit, n);
-    out.samples.reserve(keep);
-    for (std::size_t i = 0; i < keep; ++i) {
-        const RequestPath &rp = res.requests[i];
-        const ReplicaPath &cp = rp.criticalPath();
-        RequestSample s;
-        s.id = rp.id;
-        s.srv = cp.srv;
-        s.replicas = static_cast<std::uint32_t>(rp.replicas.size());
-        s.e2eTicks = rp.e2e;
-        for (std::size_t k = 0; k < kNumSegments; ++k)
-            s.segTicks[k] = cp.seg[k];
-        out.samples.push_back(s);
-    }
+    const std::vector<std::uint32_t> first =
+        res.firstByArrival(sample_limit);
+    out.samples.reserve(first.size());
+    for (const std::uint32_t i : first)
+        out.samples.push_back(res[i]);
     return out;
 }
 
@@ -208,15 +265,15 @@ LatencyAttribution::writeJson(std::FILE *out) const
             static_cast<unsigned long long>(criticalBySegment[s]));
     put("},\n  \"samples\": [\n");
     for (std::size_t i = 0; i < samples.size(); ++i) {
-        const RequestSample &s = samples[i];
+        const RequestRecord &s = samples[i];
         put("    {\"id\": %llu, \"srv\": %u, \"replicas\": %u, "
             "\"e2e_ticks\": %lld, \"seg_ticks\": {",
             static_cast<unsigned long long>(s.id), s.srv, s.replicas,
-            static_cast<long long>(s.e2eTicks));
+            static_cast<long long>(s.e2e));
         for (std::size_t k = 0; k < kNumSegments; ++k)
             put("%s\"%s\": %lld", k ? ", " : "",
                 segmentName(static_cast<Segment>(k)),
-                static_cast<long long>(s.segTicks[k]));
+                static_cast<long long>(s.seg[k]));
         put("}}%s\n", i + 1 < samples.size() ? "," : "");
     }
     put("  ]\n}\n");

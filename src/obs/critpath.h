@@ -2,15 +2,16 @@
  * @file
  * Critical-path extraction and the per-segment blame report.
  *
- * Consumes an `AttributionResult` (obs/attribution.h) and answers the
- * paper-grade question "where does the tail live": requests are binned
- * into end-to-end percentile bands (<=p50, p50-p95, p95-p99, p99-p999,
- * >p999) by exact rank, and each band reports the mean microseconds
- * every segment of the *critical* replica chain contributed — so the
- * per-band segment means still sum to the band's mean end-to-end
- * latency (additivity survives aggregation). For fanout requests the
- * critical path is the slowest leg; the report also counts which
- * segment dominated it.
+ * Consumes the run's `AttributionResult` (obs/attribution.h: one
+ * record per answered request, folded as its flight closed) and
+ * answers the paper-grade question "where does the tail live":
+ * requests are binned into end-to-end percentile bands (<=p50,
+ * p50-p95, p95-p99, p99-p999, >p999) by exact rank, and each band
+ * reports the mean microseconds every segment of the *critical*
+ * replica chain contributed — so the per-band segment means still sum
+ * to the band's mean end-to-end latency (additivity survives
+ * aggregation). For fanout requests the critical path is the slowest
+ * leg; the report also counts which segment dominated it.
  *
  * Exported as CSV (band table) and JSON (band table + exact-tick
  * per-request samples, which CI re-checks for additivity).
@@ -44,19 +45,10 @@ struct BlameBand
     Segment dominant() const;
 };
 
-/** One exact-tick per-request sample (critical chain). */
-struct RequestSample
-{
-    std::uint64_t id = 0;
-    std::uint32_t srv = 0; ///< server serving the critical replica
-    std::uint32_t replicas = 0;
-    sim::Tick e2eTicks = 0;
-    sim::Tick segTicks[kNumSegments] = {};
-};
-
 /**
  * The blame report: `FleetReport::attribution`. Plain aggregation of
- * an AttributionResult; deterministic given the same trace.
+ * an AttributionResult; deterministic given the same records, in any
+ * order they were folded.
  */
 struct LatencyAttribution
 {
@@ -67,8 +59,12 @@ struct LatencyAttribution
     std::uint64_t requests = 0;       ///< attributed (complete) requests
     std::uint64_t fanoutRequests = 0; ///< of those, fanout (>1 replica)
     std::uint64_t lostExcluded = 0;
-    std::uint64_t incomplete = 0;
     std::uint64_t violations = 0;
+    /** Schema-v1 fields from when chains were read back from trace
+     *  rings that could wrap: requests with a damaged chain, and the
+     *  records lost. Online attribution loses nothing, so both stay
+     *  0; they are kept so existing consumers keep parsing. */
+    std::uint64_t incomplete = 0;
     std::uint64_t ringDropped = 0;
 
     BlameBand bands[kNumBands];
@@ -77,7 +73,7 @@ struct LatencyAttribution
     std::uint64_t criticalBySegment[kNumSegments] = {};
 
     /** First N attributed requests in arrival order, exact ticks. */
-    std::vector<RequestSample> samples;
+    std::vector<RequestRecord> samples;
 
     /** Band label ("p50", "p95", "p99", "p999", "p100"). */
     static const char *bandLabel(std::size_t band);

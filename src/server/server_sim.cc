@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 namespace apc::server {
 
@@ -57,9 +58,11 @@ ServerSim::ServerSim(ServerConfig cfg)
             // as live: it never entered the server, so a later crash
             // must not report it destroyed as well.
             assert(!liveIds_.empty() && liveIds_.back() == id);
-            liveIds_.pop_back();
             if (rxDropFn_)
-                rxDropFn_(id, at);
+                rxDropFn_(id, at, attr_ ? &liveSegs_.back() : nullptr);
+            liveIds_.pop_back();
+            if (attr_)
+                liveSegs_.pop_back();
         });
     }
 }
@@ -99,18 +102,46 @@ ServerSim::onArrival()
 }
 
 void
+ServerSim::expect(std::uint64_t id, const obs::SegmentSums &legs)
+{
+    expected_.emplace_back(id, legs);
+}
+
+obs::SegmentSums
+ServerSim::takeExpected(std::uint64_t id)
+{
+    obs::SegmentSums legs;
+    const auto it =
+        std::find_if(expected_.begin(), expected_.end(),
+                     [id](const auto &e) { return e.first == id; });
+    if (it != expected_.end()) {
+        legs = it->second;
+        *it = expected_.back();
+        expected_.pop_back();
+    }
+    return legs;
+}
+
+void
 ServerSim::inject(std::uint64_t id, sim::Tick service)
 {
     if (state_ != Lifecycle::Up) {
         // Admission refused: a Draining/Down/Restarting server
         // destroys the request on arrival — the abort hook tells the
         // owner so it can count the loss and fail the request over.
-        if (id != kNoRequestId && abortFn_)
-            abortFn_(id, sim_.now());
+        if (id != kNoRequestId) {
+            const obs::SegmentSums legs =
+                attr_ ? takeExpected(id) : obs::SegmentSums{};
+            if (abortFn_)
+                abortFn_(id, sim_.now(), attr_ ? &legs : nullptr);
+        }
         return;
     }
-    if (id != kNoRequestId)
+    if (id != kNoRequestId) {
         liveIds_.push_back(id);
+        if (attr_)
+            liveSegs_.push_back(takeExpected(id));
+    }
     const sim::Tick svc =
         service > 0 ? service : service_->sample(sim_.rng());
     if (nic_)
@@ -125,9 +156,26 @@ ServerSim::completeInjected(std::uint64_t id)
     const auto it = std::find(liveIds_.begin(), liveIds_.end(), id);
     if (it == liveIds_.end())
         return; // destroyed by a crash while the response was in flight
-    liveIds_.erase(it);
+    const auto i = it - liveIds_.begin();
     if (completionFn_)
-        completionFn_(id, sim_.now());
+        completionFn_(id, sim_.now(), attr_ ? &liveSegs_[i] : nullptr);
+    liveIds_.erase(it);
+    if (attr_)
+        liveSegs_.erase(liveSegs_.begin() + i);
+}
+
+void
+ServerSim::segment(std::uint64_t id, obs::Segment s, sim::Tick at,
+                   sim::Tick dur)
+{
+    if (trace_)
+        trace_->span(at, dur, obs::segmentTraceName(s),
+                     obs::Track::Segments, id);
+    // A crash ghost (its DMA was in flight when the server went down)
+    // is no longer live: the abort already carried its sums.
+    const auto it = std::find(liveIds_.begin(), liveIds_.end(), id);
+    if (it != liveIds_.end())
+        liveSegs_[it - liveIds_.begin()].add(s, at, dur, writer_);
 }
 
 void
@@ -183,10 +231,17 @@ ServerSim::crashNow()
     // Report the destroyed ids in id order: the fleet's merge re-sorts
     // anyway, but a deterministic emission order keeps any direct
     // consumer reproducible too.
-    std::sort(liveIds_.begin(), liveIds_.end());
+    std::vector<std::size_t> order(liveIds_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [this](std::size_t a, std::size_t b) {
+                  return liveIds_[a] < liveIds_[b];
+              });
     if (abortFn_)
-        for (const std::uint64_t id : liveIds_)
-            abortFn_(id, sim_.now());
+        for (const std::size_t i : order)
+            abortFn_(liveIds_[i], sim_.now(),
+                     attr_ ? &liveSegs_[i] : nullptr);
+    liveSegs_.clear();
     liveIds_.clear();
 }
 
@@ -200,8 +255,21 @@ ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
     // the moderation window buys.
     // `now` here is the DMA completion — the attribution boundary
     // between the IRQ hold and the package wake the fabric wait below
-    // represents.
+    // represents. Each injected packet waited in the RX ring from its
+    // enqueue to the moderated interrupt (nic_ring), then rode the
+    // IRQ's DMA hold to completion (irq_hold).
     const sim::Tick dma_done = sim_.now();
+    if (attr_)
+        for (const net::Nic::RxPacket &p : batch) {
+            if (p.id == kNoRequestId)
+                continue; // internal arrival, not fleet-attributed
+            if (irq_at > p.enqueuedAt)
+                segment(p.id, obs::Segment::NicRing, p.enqueuedAt,
+                        irq_at - p.enqueuedAt);
+            if (dma_done > irq_at)
+                segment(p.id, obs::Segment::IrqHold, irq_at,
+                        dma_done - irq_at);
+        }
     const std::uint32_t inc = inc_;
     soc_->whenFabricReady([this, batch = std::move(batch), irq_at,
                            dma_done, inc] {
@@ -219,12 +287,12 @@ ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
             if (p.enqueuedAt <= crashAt_)
                 continue;
             ++accepted_;
-            if (traceSeg_ && p.id != kNoRequestId && adm > dma_done)
+            if (attr_ && p.id != kNoRequestId && adm > dma_done)
                 // Every coalesced request pays the one shared package
                 // exit in its own timeline — that sharing is exactly
                 // what the moderation window buys.
-                trace_->span(dma_done, adm - dma_done, obs::Name::SegWake,
-                             obs::Track::Segments, p.id);
+                segment(p.id, obs::Segment::Wake, dma_done,
+                        adm - dma_done);
             // Latency counts from RX-ring arrival: the coalescing wait
             // is part of the request's end-to-end cost. Followers of
             // the batch share the leader's wake.
@@ -249,12 +317,11 @@ ServerSim::admit(Request r)
             if (r.inc != inc_)
                 return; // crashed while waking; already reported
             const sim::Tick adm = sim_.now();
-            if (traceSeg_ && r.id != kNoRequestId && adm > r.arrival)
+            if (attr_ && r.id != kNoRequestId && adm > r.arrival)
                 // No NIC model: the whole link transfer + fabric wait
                 // is the wake segment.
-                trace_->span(r.arrival, adm - r.arrival,
-                             obs::Name::SegWake, obs::Track::Segments,
-                             r.id);
+                segment(r.id, obs::Segment::Wake, r.arrival,
+                        adm - r.arrival);
             r.admitAt = adm;
             r.gateBase = gateClosedTotalAt(adm);
             assign(r);
@@ -308,7 +375,7 @@ ServerSim::serveFront(std::size_t idx, bool was_active)
         trace_->span(r.arrival, t0 - r.arrival, obs::Name::Wait,
                      obs::Track::Requests,
                      r.id == kNoRequestId ? 0 : r.id);
-    const bool seg = traceSeg_ && r.id != kNoRequestId;
+    const bool seg = attr_ && r.id != kNoRequestId;
     if (seg) {
         // Split the admission -> serve-start wait into pure queueing
         // and idle-injection gate overlap via the monotone gate
@@ -317,12 +384,10 @@ ServerSim::serveFront(std::size_t idx, bool was_active)
         const sim::Tick gated = gateClosedTotalAt(t0) - r.gateBase;
         const sim::Tick queued = t0 - r.admitAt - gated;
         if (queued > 0)
-            trace_->span(r.admitAt, queued, obs::Name::SegQueue,
-                         obs::Track::Segments, r.id);
+            segment(r.id, obs::Segment::Queue, r.admitAt, queued);
         if (gated > 0)
-            trace_->span(r.admitAt + queued, gated,
-                         obs::Name::SegStallGate, obs::Track::Segments,
-                         r.id);
+            segment(r.id, obs::Segment::StallGate, r.admitAt + queued,
+                    gated);
     }
 
     const sim::Tick base = r.service
@@ -371,12 +436,10 @@ ServerSim::serveFront(std::size_t idx, bool was_active)
         if (seg) {
             const sim::Tick serve = sim_.now() - t0 - dvfs_stall;
             if (serve > 0)
-                trace_->span(t0, serve, obs::Name::SegServe,
-                             obs::Track::Segments, r.id);
+                segment(r.id, obs::Segment::Serve, t0, serve);
             if (dvfs_stall > 0)
-                trace_->span(t0 + serve, dvfs_stall,
-                             obs::Name::SegStallDvfs,
-                             obs::Track::Segments, r.id);
+                segment(r.id, obs::Segment::StallDvfs, t0 + serve,
+                        dvfs_stall);
         }
         if (nic_) {
             // Response TX through the NIC: the request completes (and
@@ -390,10 +453,9 @@ ServerSim::serveFront(std::size_t idx, bool was_active)
                     return;
                 if (rinc != inc_)
                     return; // crashed while the response was in TX
-                if (traceSeg_ && sim_.now() > serve_end)
-                    trace_->span(serve_end, sim_.now() - serve_end,
-                                 obs::Name::SegXmitResp,
-                                 obs::Track::Segments, rid);
+                if (attr_ && sim_.now() > serve_end)
+                    segment(rid, obs::Segment::XmitResp, serve_end,
+                            sim_.now() - serve_end);
                 completeInjected(rid);
             });
         } else {
@@ -630,13 +692,11 @@ ServerSim::capPowerW() const
 }
 
 void
-ServerSim::enableTracing(obs::TraceWriter *w, bool segments)
+ServerSim::enableTracing(obs::TraceWriter *w)
 {
     trace_ = w;
-    traceSeg_ = segments && w != nullptr;
     // Components inside this simulation (the NIC) find the sink here.
     sim_.setTrace(w);
-    sim_.setTraceSegments(traceSeg_);
     // Package power-state spans: piggyback on the same triggers Soc
     // uses to recompute pkgState(). Signal subscription appends, so
     // the SoC's own observers are unaffected.

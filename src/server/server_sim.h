@@ -25,6 +25,7 @@
 #include "sim/inline_function.h"
 #include "cpu/pstate.h"
 #include "net/nic.h"
+#include "obs/attribution.h"
 #include "obs/tracer.h"
 #include "power/rapl.h"
 #include "soc/soc.h"
@@ -239,33 +240,43 @@ class ServerSim
 
     /**
      * Called when an injected request completes, with the request id
-     * passed to inject() and the completion time on this server's
-     * clock. Runs inside this server's event loop: when a fleet
-     * advances servers on worker threads, the hook must only touch
-     * state owned by this server (e.g. its shard's staging slot).
-     * Inline small-buffer callable: the hook fires once per completed
-     * request across the whole fleet, so it must not cost a heap
-     * allocation to install or an std::function dispatch to call.
+     * passed to inject(), the completion time on this server's clock,
+     * and — with attribution on (enableAttribution()), else null — the
+     * latency segments this server measured for the request, valid for
+     * the duration of the call. Runs inside this server's event loop:
+     * when a fleet advances servers on worker threads, the hook must
+     * only touch state owned by this server (e.g. its shard's staging
+     * slot). Inline small-buffer callable: the hook fires once per
+     * completed request across the whole fleet, so it must not cost a
+     * heap allocation to install or an std::function dispatch to call.
      */
     using CompletionFn =
-        sim::InplaceFunction<void(std::uint64_t id, sim::Tick done), 32>;
+        sim::InplaceFunction<void(std::uint64_t id, sim::Tick done,
+                                  const obs::SegmentSums *segs),
+                             32>;
 
     /**
      * Called when the NIC RX ring tail-drops an injected request (NIC
-     * mode only); same threading rules as CompletionFn. The fleet uses
-     * it to drive client retransmission.
+     * mode only); same threading rules and @p segs as CompletionFn.
+     * The fleet uses it to drive client retransmission.
      */
     using RxDropFn =
-        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at), 32>;
+        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at,
+                                  const obs::SegmentSums *segs),
+                             32>;
 
     /**
      * Called when a fault destroys an injected request: a crash tears
      * down everything in flight, and a non-Up server refuses admission
-     * on arrival. Same threading rules as CompletionFn — the fleet uses
-     * it to count the loss and fail the request over.
+     * on arrival. Same threading rules and @p segs as CompletionFn
+     * (what the request measured up to the fault; for a refusal, the
+     * request leg it arrived with) — the fleet uses it to count the
+     * loss and fail the request over.
      */
     using AbortFn =
-        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at), 32>;
+        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at,
+                                  const obs::SegmentSums *segs),
+                             32>;
 
     explicit ServerSim(ServerConfig cfg);
     ~ServerSim();
@@ -376,14 +387,47 @@ class ServerSim
      * Route this server's telemetry into @p w (call before start()).
      * Installs the writer as the simulation-wide trace sink (NIC
      * events), subscribes package-state tracking, and turns on the
-     * request/cap instrumentation. With @p segments, additionally
-     * emits the per-request latency-attribution segment spans (wake,
-     * queue, gate/DVFS stalls, serve, TX; see obs/attribution.h).
-     * Tracing only appends POD records — it never schedules events or
-     * draws randomness, so a traced run's results are identical to an
-     * untraced one.
+     * request/cap instrumentation. Tracing only appends POD records —
+     * it never schedules events or draws randomness, so a traced run's
+     * results are identical to an untraced one.
      */
-    void enableTracing(obs::TraceWriter *w, bool segments = false);
+    void enableTracing(obs::TraceWriter *w);
+
+    /**
+     * Measure the latency-attribution segments (NIC ring and IRQ hold,
+     * wake, queue, gate/DVFS stalls, serve, TX; see obs/attribution.h)
+     * of every injected request and hand them back through the
+     * completion, abort and RX-drop hooks. @p writer is the trace
+     * writer this server records as (obs::OrderKey). With tracing on,
+     * each segment is also written as a span. Pure observation, like
+     * tracing.
+     */
+    void
+    enableAttribution(std::uint32_t writer)
+    {
+        attr_ = true;
+        writer_ = writer;
+    }
+
+    /**
+     * Attribution on: the segments request @p id measured before it
+     * reached this server (its request leg). They seed the request's
+     * sums when inject() takes it, or ride back with a refusal. Call
+     * from the thread that owns this server, before the inject.
+     */
+    void expect(std::uint64_t id, const obs::SegmentSums &legs);
+
+    /** Visit the sums of every request this server holds or expects
+     *  (end of run: replicas still inside a server). */
+    template <typename Fn>
+    void
+    forEachHeld(Fn &&fn) const
+    {
+        for (const auto &[id, legs] : expected_)
+            fn(id, legs);
+        for (std::size_t i = 0; i < liveSegs_.size(); ++i)
+            fn(liveIds_[i], liveSegs_[i]);
+    }
 
     /** Close the open package-state span (end of run). */
     void traceFlush();
@@ -420,7 +464,7 @@ class ServerSim
         bool coalesced; ///< arrived within the NIC coalesce window
         std::uint64_t id = kNoRequestId; ///< set for injected requests
         // Attribution boundaries (set at admission; only read when
-        // segment tracing is on).
+        // attribution is on).
         sim::Tick admitAt = 0;  ///< fabric open; enters the core queue
         sim::Tick gateBase = 0; ///< gate-closed integral at admission
         /** Server incarnation the request was admitted under; a crash
@@ -447,6 +491,13 @@ class ServerSim
     /** Fire the completion hook for @p id unless a crash destroyed it
      *  while the response was still inside the server. */
     void completeInjected(std::uint64_t id);
+    /** The expect()ed request leg of @p id, removed (empty if none). */
+    obs::SegmentSums takeExpected(std::uint64_t id);
+    /** Attribute [@p at, @p at + @p dur) to segment @p s of injected
+     *  request @p id (attribution on, @p dur > 0): add it to the
+     *  request's sums while the server holds it, and trace it. */
+    void segment(std::uint64_t id, obs::Segment s, sim::Tick at,
+                 sim::Tick dur);
     /** NIC interrupt batch: shared wake, then per-packet admission. */
     void deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
                          sim::Tick irq_at);
@@ -510,6 +561,13 @@ class ServerSim
     /** Injected ids currently alive inside the server (ring, queue,
      *  core, TX) — the set a crash must report as destroyed. */
     std::vector<std::uint64_t> liveIds_;
+    /** Attribution on: each live id's segment sums, index-parallel to
+     *  liveIds_ (empty otherwise). */
+    std::vector<obs::SegmentSums> liveSegs_;
+    /** Attribution on: request legs of ids not yet injected. */
+    std::vector<std::pair<std::uint64_t, obs::SegmentSums>> expected_;
+    bool attr_ = false;
+    std::uint32_t writer_ = 0; ///< trace writer index (attribution)
     AbortFn abortFn_;
     stats::Summary nicWakeUs_;
     double nicEnergy0_ = 0.0; ///< Network-plane energy at measurement start
@@ -536,7 +594,6 @@ class ServerSim
     sim::Tick clampLossSince_ = 0;
     // Telemetry (null/idle unless enableTracing() was called).
     obs::TraceWriter *trace_ = nullptr;
-    bool traceSeg_ = false; ///< emit attribution segment spans
     std::size_t tracePkg_ = 0;      ///< pkg state the open span is in
     sim::Tick tracePkgSince_ = 0;   ///< open pkg-state span start
 };

@@ -74,17 +74,10 @@ class Simulation
     obs::TraceWriter *trace() const { return trace_; }
     void setTrace(obs::TraceWriter *w) { trace_ = w; }
 
-    /** Per-request segment instrumentation (latency attribution): off
-     *  by default so plain traces stay lean. Like the trace sink it is
-     *  pure observation — recording never perturbs behavior. */
-    bool traceSegments() const { return traceSegments_; }
-    void setTraceSegments(bool on) { traceSegments_ = on; }
-
   private:
     EventQueue events_;
     Rng rng_;
     obs::TraceWriter *trace_ = nullptr;
-    bool traceSegments_ = false;
 };
 
 } // namespace apc::sim

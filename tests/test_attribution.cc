@@ -1,440 +1,438 @@
 /**
  * @file
- * Tail-latency attribution tests: causal chain reassembly from synthetic
- * traces, the exact-additivity invariant on a fabric+NIC+cap fleet grid
- * (every critical path sums to its request's measured end-to-end latency
- * in integer ticks), the zero-footprint contract (reports byte-identical
- * with attribution on or off, across thread counts and shard layouts),
- * blame-report export shape, drop flagging, Perfetto flow events, and
- * a differential check of buildAttribution against a reference that
- * walks the merged record stream.
+ * Tail-latency attribution tests: the online chain accumulator on
+ * hand-built requests (critical-replica choice, trace-order tie breaks,
+ * lost requests, the chunked record store), a differential check of
+ * the accumulator against the merged-order trace reference
+ * (attribution_reference.h) on seeded synthetic traces and on real
+ * fleet runs, the exact-additivity invariant on a fabric+NIC+cap fleet
+ * grid (every critical path sums to its request's measured end-to-end
+ * latency in integer ticks), the zero-footprint contract (reports
+ * byte-identical with attribution on or off, across thread counts and
+ * shard layouts), blame-report export shape, independence from trace
+ * ring size, and Perfetto flow events.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <random>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "attribution_reference.h"
 #include "fleet/fleet_sim.h"
 #include "obs/attribution.h"
 #include "obs/critpath.h"
+#include "stats/rank.h"
 
 namespace apc {
 namespace {
 
 using sim::kMs;
 using sim::kUs;
+using testref::blameJson;
+using testref::recordsByArrival;
+using testref::referenceAttribution;
 
 sim::Tick
-segOf(const obs::ReplicaPath &rp, obs::Segment s)
+segOf(const obs::RequestRecord &r, obs::Segment s)
 {
-    return rp.seg[static_cast<std::size_t>(s)];
+    return r.seg[static_cast<std::size_t>(s)];
 }
 
-// -------------------------------------------------- synthetic assembly
-
-TEST(Attribution, ReassemblesSyntheticFanoutChain)
+/** A server's sums for back-to-back segments from @p first, recorded
+ *  as trace writer srv + 1. */
+void
+serverSegs(obs::ReplicaSums &r,
+           std::initializer_list<std::pair<obs::Segment, sim::Tick>> segs,
+           sim::Tick first)
 {
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    obs::Tracer tr(tc, 3); // writer 0 = fleet, 1 = server 0, 2 = server 1
-
-    // Request 7: fanout to servers 0 and 1; server 1 is the slow leg.
-    tr.writer(0)->span(100 * kUs, 50 * kUs, obs::Name::Request,
-                       obs::Track::Requests, 7);
-    // Replica on server 0 (fast): 10 xmit + 5 wake + 20 serve + 10 resp.
-    tr.writer(0)->span(100 * kUs, 10 * kUs, obs::Name::SegXmitReq,
-                       obs::Track::Segments, 7, 0.0);
-    tr.writer(1)->span(110 * kUs, 5 * kUs, obs::Name::SegWake,
-                       obs::Track::Segments, 7);
-    tr.writer(1)->span(115 * kUs, 20 * kUs, obs::Name::SegServe,
-                       obs::Track::Segments, 7);
-    tr.writer(0)->span(135 * kUs, 10 * kUs, obs::Name::SegXmitResp,
-                       obs::Track::Segments, 7, 0.0);
-    // Replica on server 1 (critical): sums to the full 50 us.
-    tr.writer(0)->span(100 * kUs, 10 * kUs, obs::Name::SegXmitReq,
-                       obs::Track::Segments, 7, 1.0);
-    tr.writer(2)->span(110 * kUs, 8 * kUs, obs::Name::SegQueue,
-                       obs::Track::Segments, 7);
-    tr.writer(2)->span(118 * kUs, 4 * kUs, obs::Name::SegStallGate,
-                       obs::Track::Segments, 7);
-    tr.writer(2)->span(122 * kUs, 18 * kUs, obs::Name::SegServe,
-                       obs::Track::Segments, 7);
-    tr.writer(2)->span(140 * kUs, 2 * kUs, obs::Name::SegStallDvfs,
-                       obs::Track::Segments, 7);
-    tr.writer(0)->span(142 * kUs, 8 * kUs, obs::Name::SegXmitResp,
-                       obs::Track::Segments, 7, 1.0);
-
-    const obs::AttributionResult res = obs::buildAttribution(tr);
-    EXPECT_EQ(res.violations, 0u);
-    EXPECT_EQ(res.incomplete, 0u);
-    EXPECT_EQ(res.ringDropped, 0u);
-    ASSERT_EQ(res.requests.size(), 1u);
-
-    const obs::RequestPath &rp = res.requests[0];
-    EXPECT_EQ(rp.id, 7u);
-    EXPECT_EQ(rp.arrival, 100 * kUs);
-    EXPECT_EQ(rp.e2e, 50 * kUs);
-    EXPECT_TRUE(rp.additive);
-    ASSERT_EQ(rp.replicas.size(), 2u);
-
-    const obs::ReplicaPath &cp = rp.criticalPath();
-    EXPECT_EQ(cp.srv, 1u); // the slow leg won
-    EXPECT_EQ(cp.total(), 50 * kUs);
-    EXPECT_EQ(segOf(cp, obs::Segment::XmitReq), 10 * kUs);
-    EXPECT_EQ(segOf(cp, obs::Segment::Queue), 8 * kUs);
-    EXPECT_EQ(segOf(cp, obs::Segment::StallGate), 4 * kUs);
-    EXPECT_EQ(segOf(cp, obs::Segment::Serve), 18 * kUs);
-    EXPECT_EQ(segOf(cp, obs::Segment::StallDvfs), 2 * kUs);
-    EXPECT_EQ(segOf(cp, obs::Segment::XmitResp), 8 * kUs);
-    EXPECT_EQ(cp.dominant(), obs::Segment::Serve);
-
-    // The fast leg assembled independently and sums to its own latency.
-    const obs::ReplicaPath &fast = rp.replicas[1 - rp.critical];
-    EXPECT_EQ(fast.srv, 0u);
-    EXPECT_EQ(fast.total(), 45 * kUs);
+    sim::Tick at = first;
+    for (const auto &[s, d] : segs) {
+        r.sums.add(s, at, d, r.srv + 1);
+        at += d;
+    }
 }
 
-TEST(Attribution, LostRequestsAreExcluded)
-{
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    obs::Tracer tr(tc, 2);
-    tr.writer(0)->instant(10 * kUs, obs::Name::Lost, obs::Track::Requests,
-                          3);
-    tr.writer(0)->span(10 * kUs, 5 * kUs, obs::Name::SegXmitReq,
-                       obs::Track::Segments, 3, 0.0);
-
-    const obs::AttributionResult res = obs::buildAttribution(tr);
-    EXPECT_EQ(res.requests.size(), 0u);
-    EXPECT_EQ(res.lostExcluded, 1u);
-    EXPECT_EQ(res.violations, 0u);
-}
-
-TEST(Attribution, PlainTracesWithoutSegmentsProduceNothing)
-{
-    // A trace recorded without attribution has Request spans but no
-    // segment spans: nothing to attribute, nothing to flag.
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    obs::Tracer tr(tc, 2);
-    tr.writer(0)->span(0, 100 * kUs, obs::Name::Request,
-                       obs::Track::Requests, 1);
-    tr.writer(0)->span(0, 200 * kUs, obs::Name::Request,
-                       obs::Track::Requests, 2);
-
-    const obs::AttributionResult res = obs::buildAttribution(tr);
-    EXPECT_EQ(res.requests.size(), 0u);
-    EXPECT_EQ(res.violations, 0u);
-    EXPECT_EQ(res.incomplete, 0u);
-}
-
-TEST(Attribution, RingDropsFlagMismatchedChainsAsIncomplete)
-{
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    tc.ringCapacity = 2; // forces wrap on the fleet writer
-    obs::Tracer tr(tc, 2);
-    // Three records through a 2-slot ring: the oldest (the request's
-    // xmit span) is evicted, so the surviving chain cannot sum to e2e.
-    tr.writer(0)->span(0, 30 * kUs, obs::Name::SegXmitReq,
-                       obs::Track::Segments, 9, 0.0);
-    tr.writer(1)->span(30 * kUs, 70 * kUs, obs::Name::SegServe,
-                       obs::Track::Segments, 9);
-    tr.writer(0)->span(0, 100 * kUs, obs::Name::Request,
-                       obs::Track::Requests, 9);
-    tr.writer(0)->span(0, 1 * kUs, obs::Name::SegRto,
-                       obs::Track::Segments, 9, 0.0);
-
-    const obs::AttributionResult res = obs::buildAttribution(tr);
-    EXPECT_GT(res.ringDropped, 0u);
-    EXPECT_EQ(res.requests.size(), 0u);
-    EXPECT_EQ(res.incomplete, 1u);
-    EXPECT_EQ(res.violations, 0u); // drops explain the gap, not a bug
-}
-
-// ------------------------------------------------ differential check
-
-/**
- * Reference reassembly: walks Tracer::merged() in (ts, writer, seq)
- * order and keys requests in a hash map — the straightforward
- * formulation buildAttribution must agree with, result for result.
- */
-obs::AttributionResult
-referenceAttribution(const obs::Tracer &tracer)
+/** The critical server of a request answered after @p e2e. */
+std::uint32_t
+criticalSrv(const std::vector<obs::ReplicaSums> &reps, sim::Tick e2e)
 {
     obs::AttributionResult res;
-    res.ringDropped = tracer.totalDropped();
+    res.answered(1, 0, e2e, reps.data(), reps.size());
+    EXPECT_EQ(res.size(), 1u);
+    return res.size() ? res[0].srv : UINT32_MAX;
+}
 
-    struct Pending
-    {
-        sim::Tick arrival = 0;
-        sim::Tick e2e = 0;
-        bool finished = false;
-        std::vector<obs::ReplicaPath> replicas;
+// ---------------------------------------------------- online chains
+
+TEST(AttributionChains, FanoutFoldsTheExactSlowLeg)
+{
+    // Request 7: fanout to servers 0 and 1; server 1 is the slow leg.
+    std::vector<obs::ReplicaSums> reps = {{0, {}}, {1, {}}};
+    std::uint64_t seq = 0;
+    // Replica on server 0 (fast): 10 xmit + 5 wake + 20 serve + 10 resp.
+    reps[0].sums.add(obs::Segment::XmitReq, 100 * kUs, 10 * kUs, 0, seq++);
+    // Replica on server 1 (critical): sums to the full 50 us.
+    reps[1].sums.add(obs::Segment::XmitReq, 100 * kUs, 10 * kUs, 0, seq++);
+    serverSegs(reps[0],
+               {{obs::Segment::Wake, 5 * kUs}, {obs::Segment::Serve, 20 * kUs}},
+               110 * kUs);
+    serverSegs(reps[1],
+               {{obs::Segment::Queue, 8 * kUs},
+                {obs::Segment::StallGate, 4 * kUs},
+                {obs::Segment::Serve, 18 * kUs},
+                {obs::Segment::StallDvfs, 2 * kUs}},
+               110 * kUs);
+    reps[0].sums.add(obs::Segment::XmitResp, 135 * kUs, 10 * kUs, 0, seq++);
+    reps[1].sums.add(obs::Segment::XmitResp, 142 * kUs, 8 * kUs, 0, seq++);
+
+    obs::AttributionResult res;
+    res.answered(7, 100 * kUs, 50 * kUs, reps.data(), reps.size());
+    EXPECT_EQ(res.violations, 0u);
+    ASSERT_EQ(res.size(), 1u);
+
+    const obs::RequestRecord &r = res[0];
+    EXPECT_EQ(r.id, 7u);
+    EXPECT_EQ(r.arrival, 100 * kUs);
+    EXPECT_EQ(r.e2e, 50 * kUs);
+    EXPECT_EQ(r.srv, 1u); // the slow leg won
+    EXPECT_EQ(r.replicas, 2u);
+    EXPECT_EQ(segOf(r, obs::Segment::XmitReq), 10 * kUs);
+    EXPECT_EQ(segOf(r, obs::Segment::Queue), 8 * kUs);
+    EXPECT_EQ(segOf(r, obs::Segment::StallGate), 4 * kUs);
+    EXPECT_EQ(segOf(r, obs::Segment::Serve), 18 * kUs);
+    EXPECT_EQ(segOf(r, obs::Segment::StallDvfs), 2 * kUs);
+    EXPECT_EQ(segOf(r, obs::Segment::XmitResp), 8 * kUs);
+    EXPECT_EQ(r.dominant(), obs::Segment::Serve);
+
+    // The fast leg's chain sums to its own 45 us, not to the latency.
+    EXPECT_EQ(reps[0].sums.total(), 45 * kUs);
+    EXPECT_EQ(reps[0].sums.first.ts, 100 * kUs);
+    EXPECT_EQ(reps[0].sums.first.writer, 0u);
+}
+
+TEST(AttributionChains, TiesBreakInMergedTraceOrder)
+{
+    const auto sole = [](std::uint32_t srv, sim::Tick at,
+                         std::uint32_t writer, std::uint64_t seq) {
+        obs::ReplicaSums r{srv, {}};
+        r.sums.add(obs::Segment::Serve, at, 30, writer, seq);
+        return r;
     };
-    std::unordered_map<std::uint64_t, Pending> byId;
-    std::unordered_set<std::uint64_t> lost;
-    std::uint64_t segmentSpans = 0;
+    // Both exact: the earlier first segment wins, whatever the order
+    // the replicas are listed in.
+    EXPECT_EQ(criticalSrv({sole(4, 20, 0, 0), sole(2, 10, 0, 1)}, 30), 2u);
+    // Same first tick: spine segments precede server segments.
+    EXPECT_EQ(criticalSrv({sole(1, 10, 2, 0), sole(3, 10, 0, 5)}, 30), 3u);
+    // Same first tick on two servers: the lower writer wins.
+    EXPECT_EQ(criticalSrv({sole(6, 10, 7, 0), sole(5, 10, 6, 0)}, 30), 5u);
+    // Same first tick on the spine: emission order wins.
+    EXPECT_EQ(criticalSrv({sole(0, 10, 0, 7), sole(1, 10, 0, 8)}, 30), 0u);
+    // A non-exact replica never wins, however early.
+    obs::ReplicaSums early = sole(9, 0, 0, 0);
+    early.sums.add(obs::Segment::Wake, 0, 1, 0, 1);
+    EXPECT_EQ(criticalSrv({early, sole(1, 10, 0, 8)}, 30), 1u);
+}
 
-    for (const obs::Tracer::MergedRecord &m : tracer.merged()) {
-        const obs::TraceRecord &r = *m.rec;
-        const auto kind = static_cast<obs::TraceKind>(r.kind);
-        const auto name = static_cast<obs::Name>(r.name);
-        if (kind == obs::TraceKind::Span && name == obs::Name::Request &&
-            m.writer == 0) {
-            Pending &p = byId[r.id];
-            p.arrival = r.ts;
-            p.e2e = r.dur;
-            p.finished = true;
-            continue;
-        }
-        if (kind == obs::TraceKind::Instant && name == obs::Name::Lost &&
-            m.writer == 0) {
-            lost.insert(r.id);
-            continue;
-        }
-        if (kind != obs::TraceKind::Span)
-            continue;
-        const obs::Segment seg = obs::segmentFromTraceName(name);
-        if (seg == obs::Segment::kCount)
-            continue;
-        ++segmentSpans;
-        const auto srv = m.writer == 0
-            ? static_cast<std::uint32_t>(r.value)
-            : m.writer - 1;
-        auto &replicas = byId[r.id].replicas;
-        auto it = std::find_if(
-            replicas.begin(), replicas.end(),
-            [srv](const obs::ReplicaPath &rp) { return rp.srv == srv; });
-        if (it == replicas.end()) {
-            replicas.push_back({});
-            it = replicas.end() - 1;
-            it->srv = srv;
-        }
-        it->seg[static_cast<std::size_t>(seg)] += r.dur;
-    }
-    if (segmentSpans == 0)
-        return res;
+TEST(AttributionChains, ChainsMergePerServerAndSkipEmptySums)
+{
+    obs::RequestChains ch;
+    ch.add({3, {}}); // a server that measured nothing adds no replica
+    EXPECT_EQ(ch.size(), 0u);
+    obs::ReplicaSums a{3, {}};
+    a.sums.add(obs::Segment::XmitReq, 20, 5, 0, 1);
+    obs::ReplicaSums b{3, {}};
+    b.sums.add(obs::Segment::Serve, 25, 7, 4);
+    b.sums.add(obs::Segment::Rto, 10, 2, 0, 9);
+    ch.add(a);
+    ch.add(b); // same server: one replica, sums and earliest key merged
+    ch.add({5, a.sums});
+    ASSERT_EQ(ch.size(), 2u);
+    const obs::ReplicaSums &m = ch.data()[0];
+    EXPECT_EQ(m.srv, 3u);
+    EXPECT_EQ(m.sums.total(), 14);
+    EXPECT_EQ(m.sums.first.ts, 10);
+    EXPECT_EQ(m.sums.first.seq, 9u);
+    EXPECT_EQ(ch.data()[1].srv, 5u);
+}
 
-    for (auto &[id, p] : byId) {
-        if (lost.count(id)) {
-            ++res.lostExcluded;
-            continue;
-        }
-        if (!p.finished)
-            continue;
-        obs::RequestPath rp;
-        rp.id = id;
-        rp.arrival = p.arrival;
-        rp.e2e = p.e2e;
-        rp.replicas = std::move(p.replicas);
-        sim::Tick worst = -1;
-        bool exact = false;
-        for (std::size_t i = 0; i < rp.replicas.size(); ++i) {
-            const sim::Tick t = rp.replicas[i].total();
-            if (!exact && t == rp.e2e) {
-                exact = true;
-                rp.critical = i;
-            } else if (!exact && t > worst) {
-                rp.critical = i;
-            }
-            worst = std::max(worst, t);
-        }
-        rp.additive = exact;
-        if (rp.additive)
-            res.requests.push_back(std::move(rp));
-        else if (res.ringDropped > 0)
-            ++res.incomplete;
-        else
-            ++res.violations;
+TEST(AttributionChains, LostRequestsCountOnlyWithSegments)
+{
+    obs::AttributionResult res;
+    res.lost(0); // never measured a segment
+    EXPECT_EQ(res.lostExcluded, 0u);
+    res.lost(2);
+    EXPECT_EQ(res.lostExcluded, 1u);
+    EXPECT_EQ(res.size(), 0u);
+    EXPECT_EQ(res.violations, 0u);
+}
+
+TEST(AttributionChains, ChunkedStoreKeepsRecordsInPlace)
+{
+    // Several chunks' worth of records, folded out of arrival order
+    // with arrival ties: the store keeps every record where it was
+    // put, and firstByArrival orders them by (arrival, id).
+    obs::AttributionResult res;
+    constexpr std::size_t kN = 10000;
+    const obs::RequestRecord *first = nullptr;
+    for (std::size_t i = 0; i < kN; ++i) {
+        obs::RequestRecord r;
+        r.id = (i * 7919) % kN;
+        r.arrival = static_cast<sim::Tick>(r.id / 3);
+        r.e2e = static_cast<sim::Tick>(i);
+        res.push(r);
+        if (i == 0)
+            first = &res[0];
     }
-    std::sort(res.requests.begin(), res.requests.end(),
-              [](const obs::RequestPath &a, const obs::RequestPath &b) {
-                  return a.arrival != b.arrival ? a.arrival < b.arrival
-                                                : a.id < b.id;
+    ASSERT_EQ(res.size(), kN);
+    EXPECT_EQ(&res[0], first); // no reallocation moved it
+    for (std::size_t i = 0; i < kN; ++i)
+        ASSERT_EQ(res[i].e2e, static_cast<sim::Tick>(i));
+    const std::vector<std::uint32_t> order = res.firstByArrival(kN);
+    ASSERT_EQ(order.size(), kN);
+    for (std::size_t k = 0; k < kN; ++k)
+        ASSERT_EQ(res[order[k]].id, k);
+    EXPECT_EQ(res.firstByArrival(5).size(), 5u);
+    EXPECT_EQ(res[res.firstByArrival(5)[4]].id, 4u);
+}
+
+TEST(AttributionChains, BandsFollowExactRankOrder)
+{
+    // Latencies above 2^32 ticks that differ only in low bits, exact
+    // ties, and records folded out of arrival order: the blame bands
+    // must sum each band's records in exact (e2e, arrival, id) order.
+    std::mt19937_64 rng(11);
+    obs::AttributionResult res;
+    std::vector<obs::RequestRecord> recs;
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+        obs::RequestRecord r;
+        r.id = (i * 4099) % 5000;
+        r.arrival = static_cast<sim::Tick>(rng() % 1000);
+        r.seg[static_cast<std::size_t>(obs::Segment::Serve)] =
+            (sim::Tick{1} << 36) + static_cast<sim::Tick>(rng() % 64);
+        r.seg[static_cast<std::size_t>(obs::Segment::Queue)] =
+            static_cast<sim::Tick>(rng() % 3) * 1000003;
+        r.e2e = r.seg[static_cast<std::size_t>(obs::Segment::Serve)] +
+            r.seg[static_cast<std::size_t>(obs::Segment::Queue)];
+        r.replicas = 1;
+        res.push(r);
+        recs.push_back(r);
+    }
+    std::sort(recs.begin(), recs.end(),
+              [](const obs::RequestRecord &a, const obs::RequestRecord &b) {
+                  return a.e2e != b.e2e ? a.e2e < b.e2e
+                                        : obs::arrivedBefore(a, b);
               });
-    return res;
-}
-
-void
-expectSameResult(const obs::AttributionResult &got,
-                 const obs::AttributionResult &want)
-{
-    EXPECT_EQ(got.lostExcluded, want.lostExcluded);
-    EXPECT_EQ(got.incomplete, want.incomplete);
-    EXPECT_EQ(got.violations, want.violations);
-    EXPECT_EQ(got.ringDropped, want.ringDropped);
-    ASSERT_EQ(got.requests.size(), want.requests.size());
-    for (std::size_t i = 0; i < got.requests.size(); ++i) {
-        const obs::RequestPath &g = got.requests[i];
-        const obs::RequestPath &w = want.requests[i];
-        ASSERT_EQ(g.id, w.id) << "request " << i;
-        EXPECT_EQ(g.arrival, w.arrival) << "id " << g.id;
-        EXPECT_EQ(g.e2e, w.e2e) << "id " << g.id;
-        EXPECT_EQ(g.critical, w.critical) << "id " << g.id;
-        EXPECT_EQ(g.additive, w.additive) << "id " << g.id;
-        ASSERT_EQ(g.replicas.size(), w.replicas.size()) << "id " << g.id;
-        for (std::size_t k = 0; k < g.replicas.size(); ++k) {
-            EXPECT_EQ(g.replicas[k].srv, w.replicas[k].srv)
-                << "id " << g.id << " replica " << k;
-            for (std::size_t s = 0; s < obs::kNumSegments; ++s)
-                EXPECT_EQ(g.replicas[k].seg[s], w.replicas[k].seg[s])
-                    << "id " << g.id << " replica " << k << " segment "
-                    << obs::segmentName(static_cast<obs::Segment>(s));
+    const auto edges = stats::percentileBandEdges(recs.size());
+    const obs::LatencyAttribution la = obs::LatencyAttribution::build(res, 0);
+    for (std::size_t b = 0; b < obs::LatencyAttribution::kNumBands; ++b) {
+        double e2e = 0.0, serve = 0.0, queue = 0.0;
+        for (std::size_t r = edges[b]; r < edges[b + 1]; ++r) {
+            e2e += sim::toMicros(recs[r].e2e);
+            serve += sim::toMicros(segOf(recs[r], obs::Segment::Serve));
+            queue += sim::toMicros(segOf(recs[r], obs::Segment::Queue));
         }
+        const obs::BlameBand &band = la.bands[b];
+        ASSERT_EQ(band.count, edges[b + 1] - edges[b]);
+        const double inv = 1.0 / static_cast<double>(band.count);
+        EXPECT_EQ(band.e2eMeanUs, e2e * inv) << "band " << b;
+        EXPECT_EQ(band.segMeanUs[static_cast<std::size_t>(
+                      obs::Segment::Serve)],
+                  serve * inv);
+        EXPECT_EQ(band.segMeanUs[static_cast<std::size_t>(
+                      obs::Segment::Queue)],
+                  queue * inv);
     }
 }
 
-std::string
-blameJson(const obs::AttributionResult &res)
-{
-    const obs::LatencyAttribution rep =
-        obs::LatencyAttribution::build(res, 64);
-    char *buf = nullptr;
-    std::size_t len = 0;
-    std::FILE *f = open_memstream(&buf, &len);
-    EXPECT_TRUE(rep.writeJson(f));
-    std::fclose(f);
-    std::string out(buf, len);
-    free(buf);
-    return out;
-}
+// ------------------------------------------- synthetic differential
 
 /**
- * Seeded synthetic multi-writer trace (writer 0 = fleet, writer i =
- * server i-1). Arrivals sit on a coarse grid and are recorded out of
- * time order, so spans of different writers tie on `ts` and each
- * ring's recording order differs from merge order. The mix covers:
- * plain and fanout requests, failover pairs whose first spans tie
- * across server writers (both replicas exact, so merge order alone
- * picks the critical one), duplicate Request spans, Lost instants
- * with and without spans, ids still in flight, id gaps (@p id_stride
- * spreads them further), and records attribution must ignore.
+ * Records a synthetic request both as FleetSim lays it out in a trace
+ * (writer 0 = fleet, server segments on writer srv + 1) and into the
+ * online accumulator, as the fleet would: every replica's sums (spine
+ * segments keyed by the spine's emission count, server segments by
+ * the server's writer) kept per server until the request closes.
  */
-void
-synthTrace(obs::Tracer &tr, std::uint64_t seed, std::size_t requests,
-           std::uint64_t id_stride)
+class Synth
+{
+  public:
+    Synth(obs::Tracer &tr, obs::AttributionResult &res)
+        : tr_(tr), res_(res)
+    {
+    }
+
+    void
+    begin(std::uint64_t id)
+    {
+        id_ = id;
+        sums_.clear();
+    }
+
+    void
+    spine(std::uint32_t srv, obs::Segment s, sim::Tick at, sim::Tick dur)
+    {
+        tr_.writer(0)->span(at, dur, obs::segmentTraceName(s),
+                            obs::Track::Segments, id_,
+                            static_cast<double>(srv));
+        sums_[srv].add(s, at, dur, 0, seq_++);
+    }
+
+    void
+    server(std::uint32_t srv, obs::Segment s, sim::Tick at, sim::Tick dur)
+    {
+        tr_.writer(srv + 1)->span(at, dur, obs::segmentTraceName(s),
+                                  obs::Track::Segments, id_);
+        sums_[srv].add(s, at, dur, srv + 1);
+    }
+
+    void
+    answer(sim::Tick arrival, sim::Tick e2e)
+    {
+        const obs::RequestChains ch = chains();
+        tr_.writer(0)->span(arrival, e2e, obs::Name::Request,
+                            obs::Track::Requests, id_);
+        res_.answered(id_, arrival, e2e, ch.data(), ch.size());
+    }
+
+    void
+    lose(sim::Tick at)
+    {
+        tr_.writer(0)->instant(at, obs::Name::Lost, obs::Track::Requests,
+                               id_);
+        res_.lost(chains().size());
+    }
+
+  private:
+    /** The replicas, listed from the highest server down: the fold
+     *  must not depend on the listing order. */
+    obs::RequestChains
+    chains() const
+    {
+        obs::RequestChains ch;
+        for (auto it = sums_.rbegin(); it != sums_.rend(); ++it)
+            ch.add({it->first, it->second});
+        return ch;
+    }
+
+    obs::Tracer &tr_;
+    obs::AttributionResult &res_;
+    std::uint64_t id_ = 0;
+    std::uint64_t seq_ = 0;
+    std::map<std::uint32_t, obs::SegmentSums> sums_;
+};
+
+/**
+ * Seeded synthetic requests on a coarse arrival grid, recorded out of
+ * time order, so segments of different writers tie on their start
+ * tick. The mix covers plain and fanout requests (fanout legs can tie
+ * exactly), failover pairs whose first segments tie across server
+ * writers (both chains exact, so trace order alone picks the
+ * critical), gap segments attributed after later ones, lost requests
+ * with and without segments, requests still in flight, id gaps, and
+ * records attribution must ignore. @return requests with two exact
+ * chains.
+ */
+std::size_t
+synthRun(obs::Tracer &tr, obs::AttributionResult &res, std::uint64_t seed,
+         std::size_t requests)
 {
     std::mt19937_64 rng(seed);
+    Synth syn(tr, res);
     const auto servers = static_cast<std::uint32_t>(tr.numWriters() - 1);
     const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
     const auto dur = [&](sim::Tick unit) {
-        return static_cast<sim::Tick>(1 + pick(20)) * unit;
-    };
-    const auto fleetSeg = [&tr](sim::Tick ts, sim::Tick d, obs::Name n,
-                                std::uint64_t id, std::uint32_t srv) {
-        tr.writer(0)->span(ts, d, n, obs::Track::Segments, id,
-                           static_cast<double>(srv));
-    };
-    const auto srvSeg = [&tr](std::uint32_t srv, sim::Tick ts,
-                              sim::Tick d, obs::Name n, std::uint64_t id) {
-        tr.writer(srv + 1)->span(ts, d, n, obs::Track::Segments, id);
+        return static_cast<sim::Tick>(1 + pick(4)) * unit;
     };
     // One replica's chain from @p ts; @return its total. A chain that
-    // opens on the server writer lets two replicas tie on first-span ts.
+    // opens on the server writer lets two replicas tie on first tick.
     const auto chain = [&](std::uint32_t srv, sim::Tick ts,
-                           std::uint64_t id, bool server_first) {
+                           bool server_first) {
         sim::Tick t = ts;
         if (!server_first) {
             const sim::Tick d = dur(kUs);
-            fleetSeg(t, d, obs::Name::SegXmitReq, id, srv);
+            syn.spine(srv, obs::Segment::XmitReq, t, d);
             t += d;
         }
-        for (const obs::Name n : {obs::Name::SegWake, obs::Name::SegQueue,
-                                  obs::Name::SegServe}) {
-            if (n != obs::Name::SegServe && pick(2) == 0)
+        for (const obs::Segment s : {obs::Segment::Wake, obs::Segment::Queue,
+                                     obs::Segment::Serve}) {
+            if (s != obs::Segment::Serve && pick(2) == 0)
                 continue;
             const sim::Tick d = dur(kUs / 4);
-            srvSeg(srv, t, d, n, id);
+            syn.server(srv, s, t, d);
             t += d;
         }
         const sim::Tick d = dur(kUs);
-        fleetSeg(t, d, obs::Name::SegXmitResp, id, srv);
+        syn.spine(srv, obs::Segment::XmitResp, t, d);
         return t + d - ts;
     };
-    const auto request = [&tr](sim::Tick ts, sim::Tick e2e,
-                               std::uint64_t id) {
-        tr.writer(0)->span(ts, e2e, obs::Name::Request,
-                           obs::Track::Requests, id);
-    };
 
+    std::size_t ties = 0;
     std::uint64_t id = 1000 + pick(1000);
     for (std::size_t n = 0; n < requests; ++n) {
-        id += id_stride * (pick(4) == 0 ? 1 + pick(5) : 1); // id gaps
+        id += pick(4) == 0 ? 1 + pick(5) : 1; // id gaps
+        syn.begin(id);
         const sim::Tick arrival =
             static_cast<sim::Tick>(pick(requests / 2 + 1)) * 5 * kUs;
         const std::uint32_t a = static_cast<std::uint32_t>(pick(servers));
         const std::uint32_t b = (a + 1 + static_cast<std::uint32_t>(
                                           pick(servers - 1))) % servers;
-        switch (pick(10)) {
-        case 0: // still in flight: spans, no Request span
-            (void)chain(a, arrival, id, false);
+        switch (pick(8)) {
+        case 0: // still in flight: segments, never answered
+            (void)chain(a, arrival, false);
             break;
-        case 1: // lost after some spans
-            (void)chain(a, arrival, id, pick(2) == 0);
-            tr.writer(0)->instant(arrival + 50 * kUs, obs::Name::Lost,
-                                  obs::Track::Requests, id);
+        case 1: // lost after some segments
+            (void)chain(a, arrival, pick(2) == 0);
+            syn.lose(arrival + 50 * kUs);
             break;
-        case 2: // lost with no spans at all (and a stray Request span)
-            tr.writer(0)->instant(arrival, obs::Name::Lost,
-                                  obs::Track::Requests, id);
-            if (pick(2) == 0)
-                request(arrival, 40 * kUs, id);
+        case 2: // lost before any segment
+            syn.lose(arrival);
             break;
         case 3: { // failover: both attempts open on server writers at
-                  // the same ts, so the writer index orders them
-            const sim::Tick ta = chain(a, arrival, id, true);
+                  // the same tick, so the writer index orders them
+            const sim::Tick ta = chain(a, arrival, true);
             const sim::Tick wait = dur(kUs);
             const sim::Tick gap = dur(kUs / 2);
-            fleetSeg(arrival + 1, wait, obs::Name::SegTimeoutWait, id, b);
-            fleetSeg(arrival + 1 + wait, gap, obs::Name::SegFailover, id,
-                     b);
             const sim::Tick resp = dur(kUs / 2);
             const sim::Tick serve = ta - wait - gap - resp;
+            sim::Tick tb;
             if (serve > 0 && pick(2) == 0) {
-                // Replica b sums to the stale attempt's total too: both
-                // chains are exact and merge order picks the critical.
-                srvSeg(b, arrival, serve, obs::Name::SegServe, id);
-                fleetSeg(arrival + serve, resp, obs::Name::SegXmitResp, id,
-                         b);
-                request(arrival, ta, id);
+                // Replica b sums to the stale attempt's total too.
+                syn.server(b, obs::Segment::Serve, arrival, serve);
+                syn.spine(b, obs::Segment::XmitResp, arrival + serve,
+                          resp);
+                tb = serve + resp;
+                ++ties;
             } else {
-                request(arrival, chain(b, arrival, id, true) + wait + gap,
-                        id);
+                tb = chain(b, arrival, true);
             }
-            break;
-        }
-        case 4: { // duplicate Request span: the later one in merge order
-                  // wins, even when it was recorded first
-            const sim::Tick t = chain(a, arrival, id, false);
-            if (pick(2) == 0) {
-                request(arrival + 1, t, id);
-                request(arrival, t + 3 * kUs, id);
-            } else {
-                request(arrival, t + 3 * kUs, id);
-                request(arrival, t, id);
-            }
+            // The gap history is attributed to b at re-dispatch, after
+            // segments that start later.
+            syn.spine(b, obs::Segment::TimeoutWait, arrival + 1, wait);
+            syn.spine(b, obs::Segment::Failover, arrival + 1 + wait, gap);
+            syn.answer(arrival, tb + wait + gap);
             break;
         }
         default: { // plain or fanout; the slowest replica is critical
-            const std::size_t fan = pick(4) == 0 ? 2 + pick(2) : 1;
-            sim::Tick e2e = 0;
+            const std::size_t fan = pick(3) == 0 ? 2 + pick(2) : 1;
+            std::vector<sim::Tick> totals;
             for (std::size_t k = 0; k < fan && k < servers; ++k)
-                e2e = std::max(
-                    e2e, chain((a + static_cast<std::uint32_t>(k)) %
-                                   servers,
-                               arrival, id, pick(3) == 0));
-            request(arrival, e2e, id);
+                totals.push_back(
+                    chain((a + static_cast<std::uint32_t>(k)) % servers,
+                          arrival, pick(3) == 0));
+            const sim::Tick e2e =
+                *std::max_element(totals.begin(), totals.end());
+            if (std::count(totals.begin(), totals.end(), e2e) > 1)
+                ++ties;
+            syn.answer(arrival, e2e);
             break;
         }
         }
-        // Records attribution ignores: package states, counters, a
+        // Records attribution must ignore: package states, counters, a
         // server-side Request span and Lost instant, a segment-named
         // instant.
         tr.writer(a + 1)->span(arrival, 3 * kUs, obs::Name::PkgPc1a,
@@ -450,74 +448,42 @@ synthTrace(obs::Tracer &tr, std::uint64_t seed, std::size_t requests,
                                   obs::Track::Segments, id);
         }
     }
+    return ties;
 }
 
-struct DiffCase
+TEST(AttributionDiff, OnlineMatchesMergedOrderReference)
 {
-    std::uint64_t seed;
-    std::uint32_t servers;
-    std::size_t requests;
-    std::size_t ringCapacity;
-    std::uint64_t idStride;
-};
-
-TEST(AttributionDiff, MatchesMergedOrderReference)
-{
-    const std::vector<DiffCase> cases = {
-        {1, 2, 400, 1u << 16, 1},  // two servers: dense ties
-        {2, 5, 1500, 1u << 16, 1}, // wider fleet
-        {3, 4, 800, 1u << 16, 7},  // id gaps beyond the fleet's counter
-        {4, 3, 600, 1u << 16, std::uint64_t{1} << 40}, // sparse ids
-        {5, 4, 1200, 600, 1},      // wrapped rings
-        {6, 2, 2000, 97, 3},       // heavily wrapped, gapped
+    struct Case
+    {
+        std::uint64_t seed;
+        std::uint32_t servers;
+        std::size_t requests;
     };
-    std::uint64_t incomplete = 0;
-    std::ptrdiff_t critical_by_order = 0;
-    for (const DiffCase &c : cases) {
+    std::size_t ties = 0;
+    for (const Case &c : std::vector<Case>{{1, 2, 400},    // dense ties
+                                           {2, 5, 1500},   // wider
+                                           {3, 3, 6000}}) { // many chunks
         SCOPED_TRACE("seed " + std::to_string(c.seed));
         obs::TraceConfig tc;
         tc.enabled = true;
-        tc.ringCapacity = c.ringCapacity;
+        tc.ringCapacity = 1u << 18;
         obs::Tracer tr(tc, c.servers + 1);
-        synthTrace(tr, c.seed, c.requests, c.idStride);
+        obs::AttributionResult got;
+        ties += synthRun(tr, got, c.seed, c.requests);
 
         const obs::AttributionResult want = referenceAttribution(tr);
-        const obs::AttributionResult got = obs::buildAttribution(tr);
-        expectSameResult(got, want);
-        EXPECT_EQ(blameJson(got), blameJson(want));
-
-        // The mix reached every path it is meant to.
-        EXPECT_GT(want.requests.size(), 0u);
+        EXPECT_EQ(got.lostExcluded, want.lostExcluded);
+        EXPECT_EQ(got.violations, 0u);
+        EXPECT_EQ(want.violations, 0u);
+        testref::expectSameRecords(recordsByArrival(got),
+                                   recordsByArrival(want));
+        EXPECT_EQ(blameJson(obs::LatencyAttribution::build(got, 64)),
+                  blameJson(obs::LatencyAttribution::build(want, 64)));
+        // The mix reached the paths it is meant to.
+        EXPECT_GT(want.size(), 0u);
         EXPECT_GT(want.lostExcluded, 0u);
-        const bool wrapped = tr.totalDropped() > 0;
-        EXPECT_EQ(wrapped, c.ringCapacity < c.requests);
-        if (!wrapped) {
-            EXPECT_EQ(want.violations, 0u);
-        }
-        incomplete += want.incomplete;
-        critical_by_order += std::count_if(
-            want.requests.begin(), want.requests.end(),
-            [](const obs::RequestPath &rp) { return rp.critical > 0; });
     }
-    EXPECT_GT(incomplete, 0u);
-    EXPECT_GT(critical_by_order, 0);
-}
-
-TEST(AttributionDiff, EmptyAndSegmentFreeTracesMatch)
-{
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    obs::Tracer empty(tc, 3);
-    expectSameResult(obs::buildAttribution(empty),
-                     referenceAttribution(empty));
-
-    obs::Tracer plain(tc, 3);
-    plain.writer(0)->span(0, 10 * kUs, obs::Name::Request,
-                          obs::Track::Requests, 5);
-    plain.writer(0)->instant(0, obs::Name::Lost, obs::Track::Requests, 6);
-    const obs::AttributionResult res = obs::buildAttribution(plain);
-    expectSameResult(res, referenceAttribution(plain));
-    EXPECT_EQ(res.lostExcluded, 0u);
+    EXPECT_GT(ties, 0u);
 }
 
 // ---------------------------------------------- fleet-level invariants
@@ -551,37 +517,36 @@ gridFleet(std::size_t servers, unsigned threads, std::size_t shard_size,
     fc.budget.oversubscription = 1.5;
     fc.cap.actuator = cap::CapActuator::Hybrid;
     fc.attribution.enabled = attribution;
-    fc.trace.ringCapacity = 1u << 18; // fleet spine carries all transits
     return fc;
 }
 
 TEST(AttributionFleet, ThousandServerGridIsExactlyAdditive)
 {
-    auto fc = gridFleet(1000, 8, 0, true);
-    // The fleet spine records every request's transits: at this scale
-    // that is several records per request, so give writer 0 room — the
-    // additivity check below requires zero ring drops.
-    fc.trace.ringCapacity = 1u << 20;
-    fleet::FleetSim fleet(fc);
+    fleet::FleetSim fleet(gridFleet(1000, 8, 0, true));
     const fleet::FleetReport rep = fleet.run();
     ASSERT_GT(rep.dispatched, 1000u);
 
-    // No ring wrap: every chain must be present and exact.
-    EXPECT_EQ(rep.traceDrops, 0u);
+    // No tracing: attribution stands on its own and loses nothing.
+    EXPECT_EQ(fleet.tracer(), nullptr);
+    EXPECT_EQ(rep.traceRecords, 0u);
     ASSERT_TRUE(rep.attribution.enabled);
     EXPECT_EQ(rep.attribution.violations, 0u);
     EXPECT_EQ(rep.attribution.incomplete, 0u);
+    EXPECT_EQ(rep.attribution.ringDropped, 0u);
     EXPECT_GT(rep.attribution.requests, 1000u);
     EXPECT_GT(rep.attribution.fanoutRequests, 0u);
+    // Every answered request is attributed (nothing is lost here).
+    EXPECT_EQ(rep.attribution.lostExcluded, 0u);
+    EXPECT_EQ(rep.inFlightAtEnd, 0u);
 
     // Exact integer additivity on every carried sample: the critical
     // path's segments sum to the measured end-to-end latency.
     ASSERT_GT(rep.attribution.samples.size(), 100u);
-    for (const obs::RequestSample &s : rep.attribution.samples) {
+    for (const obs::RequestRecord &s : rep.attribution.samples) {
         sim::Tick sum = 0;
         for (std::size_t k = 0; k < obs::kNumSegments; ++k)
-            sum += s.segTicks[k];
-        ASSERT_EQ(sum, s.e2eTicks) << "request " << s.id;
+            sum += s.seg[k];
+        ASSERT_EQ(sum, s.e2e) << "request " << s.id;
     }
 
     // Bands partition the attributed population, and each band's
@@ -610,6 +575,27 @@ TEST(AttributionFleet, ThousandServerGridIsExactlyAdditive)
     EXPECT_GT(rep.attribution.tailMeanUs(obs::Segment::Serve), 0.0);
 }
 
+class AttributionMatchesTrace : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(AttributionMatchesTrace, ThousandServerGrid)
+{
+    auto fc = gridFleet(1000, GetParam(), 0, true);
+    fc.trace.enabled = true;
+    fc.trace.ringCapacity = 1u << 20; // the reference needs every span
+    fc.attribution.sampleLimit = SIZE_MAX;
+    fleet::FleetSim fleet(fc);
+    const fleet::FleetReport rep = fleet.run();
+    ASSERT_NE(fleet.tracer(), nullptr);
+    ASSERT_EQ(rep.traceDrops, 0u);
+    ASSERT_GT(rep.attribution.requests, 1000u);
+    testref::expectMatchesReference(rep.attribution, *fleet.tracer());
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, AttributionMatchesTrace,
+                         ::testing::Values(1u, 2u, 8u));
+
 TEST(AttributionFleet, ZeroFootprintAcrossThreadsAndShardLayouts)
 {
     // Reports must be byte-identical with attribution on or off, at any
@@ -633,13 +619,7 @@ TEST(AttributionFleet, ZeroFootprintAcrossThreadsAndShardLayouts)
             << "threads=" << p.threads << " shardSize=" << p.shardSize;
         EXPECT_EQ(rep.attribution.violations, 0u);
 
-        char *buf = nullptr;
-        std::size_t len = 0;
-        std::FILE *f = open_memstream(&buf, &len);
-        ASSERT_TRUE(rep.attribution.writeJson(f));
-        std::fclose(f);
-        std::string blame(buf, len);
-        free(buf);
+        const std::string blame = blameJson(rep.attribution);
         if (ref_blame.empty())
             ref_blame = blame;
         else
@@ -668,11 +648,7 @@ TEST(AttributionFleet, BlameReportExportShape)
                   std::string::npos)
             << band;
 
-    f = open_memstream(&buf, &len);
-    ASSERT_TRUE(rep.attribution.writeJson(f));
-    std::fclose(f);
-    std::string json(buf, len);
-    free(buf);
+    const std::string json = blameJson(rep.attribution);
     EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"segments\": [\"xmit_req\", \"rto\""),
               std::string::npos);
@@ -682,12 +658,17 @@ TEST(AttributionFleet, BlameReportExportShape)
     EXPECT_NE(json.find("\"samples\": ["), std::string::npos);
     EXPECT_NE(json.find("\"seg_ticks\""), std::string::npos);
     EXPECT_NE(json.find("\"violations\": 0"), std::string::npos);
+    EXPECT_NE(json.find("\"incomplete\": 0"), std::string::npos);
+    EXPECT_NE(json.find("\"trace_drops\": 0"), std::string::npos);
     EXPECT_FALSE(rep.attribution.writeJson("/nonexistent/dir/blame.json"));
 }
 
 TEST(AttributionFleet, TraceExportCarriesFlowEvents)
 {
-    fleet::FleetSim fleet(gridFleet(32, 2, 0, true));
+    auto fc = gridFleet(32, 2, 0, true);
+    fc.trace.enabled = true;
+    fc.trace.ringCapacity = 1u << 18;
+    fleet::FleetSim fleet(fc);
     (void)fleet.run();
     const std::string path = "/tmp/apc_test_attr_trace.json";
     ASSERT_TRUE(fleet.writeTrace(path));
@@ -711,18 +692,25 @@ TEST(AttributionFleet, TraceExportCarriesFlowEvents)
     EXPECT_NE(out.find("\"name\":\"req_flow\""), std::string::npos);
 }
 
-TEST(AttributionFleet, TinyRingsAreFlaggedNotAsserted)
+TEST(AttributionFleet, TinyTraceRingsLeaveAttributionWhole)
 {
+    // Rings far too small for the run wrap and drop the oldest spans;
+    // the blame report, which never reads them, is byte-identical to
+    // the untraced run's.
+    const fleet::FleetReport untraced =
+        fleet::FleetSim(gridFleet(32, 2, 0, true)).run();
     auto fc = gridFleet(32, 2, 0, true);
-    fc.trace.ringCapacity = 512; // far too small: rings must wrap
+    fc.trace.enabled = true;
+    fc.trace.ringCapacity = 512;
     fleet::FleetSim fleet(fc);
     const fleet::FleetReport rep = fleet.run();
     EXPECT_GT(rep.traceDrops, 0u);
     EXPECT_GT(rep.traceRecords, rep.traceDrops);
-    // Broken chains are flagged incomplete — never reported as additive
-    // garbage, and never counted as invariant violations.
+    EXPECT_GT(rep.attribution.requests, 0u);
+    EXPECT_EQ(rep.attribution.incomplete, 0u);
     EXPECT_EQ(rep.attribution.violations, 0u);
-    EXPECT_EQ(rep.attribution.ringDropped, rep.traceDrops);
+    EXPECT_EQ(blameJson(rep.attribution), blameJson(untraced.attribution));
+    EXPECT_EQ(rep.csvRow(), untraced.csvRow());
 }
 
 } // namespace

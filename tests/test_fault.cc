@@ -214,9 +214,10 @@ TEST(ServerLifecycle, CrashDestroysInFlightWorkLoudly)
     server::ServerSim srv = drivenServer();
     std::vector<std::uint64_t> aborted;
     std::uint64_t completions = 0;
-    srv.onCompletion([&](std::uint64_t, sim::Tick) { ++completions; });
-    srv.onAbort(
-        [&](std::uint64_t id, sim::Tick) { aborted.push_back(id); });
+    srv.onCompletion([&](std::uint64_t, sim::Tick,
+                         const obs::SegmentSums *) { ++completions; });
+    srv.onAbort([&](std::uint64_t id, sim::Tick,
+                    const obs::SegmentSums *) { aborted.push_back(id); });
     srv.start();
 
     srv.advanceTo(1 * kMs);
@@ -265,9 +266,10 @@ TEST(ServerLifecycle, DrainStopsAdmissionButFinishesWork)
     server::ServerSim srv = drivenServer();
     std::vector<std::uint64_t> aborted;
     std::uint64_t completions = 0;
-    srv.onCompletion([&](std::uint64_t, sim::Tick) { ++completions; });
-    srv.onAbort(
-        [&](std::uint64_t id, sim::Tick) { aborted.push_back(id); });
+    srv.onCompletion([&](std::uint64_t, sim::Tick,
+                         const obs::SegmentSums *) { ++completions; });
+    srv.onAbort([&](std::uint64_t id, sim::Tick,
+                    const obs::SegmentSums *) { aborted.push_back(id); });
     srv.start();
 
     srv.advanceTo(1 * kMs);
@@ -301,10 +303,10 @@ TEST(ServerLifecycle, CrashReportsOnlyRequestsTheRingAccepted)
     sc.nic.rxUsecs = 1 * kMs; // no interrupt before the crash
     server::ServerSim srv(std::move(sc));
     std::vector<std::uint64_t> dropped, aborted;
-    srv.onRxDrop(
-        [&](std::uint64_t id, sim::Tick) { dropped.push_back(id); });
-    srv.onAbort(
-        [&](std::uint64_t id, sim::Tick) { aborted.push_back(id); });
+    srv.onRxDrop([&](std::uint64_t id, sim::Tick,
+                     const obs::SegmentSums *) { dropped.push_back(id); });
+    srv.onAbort([&](std::uint64_t id, sim::Tick,
+                    const obs::SegmentSums *) { aborted.push_back(id); });
     srv.start();
 
     srv.advanceTo(1 * kMs);

@@ -7,6 +7,7 @@
 
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "fleet/dispatch.h"
 #include "fleet/fleet_sim.h"
@@ -279,6 +280,41 @@ TEST(Fleet, EmptyFleetRejectedAtConstruction)
     auto fc = smallFleet(DispatchKind::LeastOutstanding, 0.2);
     fc.numServers = 0;
     EXPECT_THROW({ FleetSim fleet(fc); }, std::invalid_argument);
+}
+
+/** The invalid_argument message constructing @p fc throws, or "". */
+std::string
+rejection(const FleetConfig &fc)
+{
+    try {
+        FleetSim fleet(fc);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Fleet, EpochLongerThanTheRunRejectedAtConstruction)
+{
+    auto fc = smallFleet(DispatchKind::LeastOutstanding, 0.2);
+    fc.epoch = fc.warmup + fc.duration + 1;
+    EXPECT_NE(rejection(fc).find("epoch must not exceed warmup + duration"),
+              std::string::npos);
+    fc.epoch = fc.warmup + fc.duration; // one epoch spans the run
+    EXPECT_EQ(rejection(fc), "");
+}
+
+TEST(Fleet, TracingWithoutRingRoomRejectedAtConstruction)
+{
+    // TraceWriter would clamp a zero-record ring to one record; the
+    // fleet refuses the config instead.
+    auto fc = smallFleet(DispatchKind::LeastOutstanding, 0.2);
+    fc.trace.enabled = true;
+    fc.trace.ringCapacity = 0;
+    EXPECT_NE(rejection(fc).find("trace.ringCapacity must be > 0"),
+              std::string::npos);
+    fc.trace.enabled = false; // the capacity is unused
+    EXPECT_EQ(rejection(fc), "");
 }
 
 TEST(Fleet, IdenticalSeedsIdenticalReports)

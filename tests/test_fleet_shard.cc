@@ -61,10 +61,12 @@ TEST(StagedEventOrder, MatchesGlobalSortOrder)
 {
     // The merge comparator must impose the (time, server, id) total
     // order the pre-shard engine's global sort used.
-    EXPECT_TRUE(stagedBefore({1, 5, 9}, {2, 0, 0}));
-    EXPECT_TRUE(stagedBefore({1, 4, 9}, {1, 5, 0}));
-    EXPECT_TRUE(stagedBefore({1, 5, 3}, {1, 5, 9}));
-    EXPECT_FALSE(stagedBefore({1, 5, 9}, {1, 5, 9}));
+    EXPECT_TRUE(stagedBefore({1, 5, kNoSums, 9}, {2, 0, kNoSums, 0}));
+    EXPECT_TRUE(stagedBefore({1, 4, kNoSums, 9}, {1, 5, kNoSums, 0}));
+    EXPECT_TRUE(stagedBefore({1, 5, kNoSums, 3}, {1, 5, kNoSums, 9}));
+    EXPECT_FALSE(stagedBefore({1, 5, kNoSums, 9}, {1, 5, kNoSums, 9}));
+    // The staged sums index is payload, not part of the order.
+    EXPECT_FALSE(stagedBefore({1, 5, 0, 9}, {1, 5, 7, 9}));
 }
 
 // ------------------------------------------------------------ reduceFixed

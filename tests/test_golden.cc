@@ -7,7 +7,9 @@
  * by a full NIC ring, destroyed by a crash, never routed because every
  * server is down) and pin the report row and the trace digest. Any
  * change to the simulator or to an observer that moves one byte of
- * these outputs fails here.
+ * these outputs fails here. On the same scenarios, at 1, 2 and 8
+ * threads, the online attribution must equal the reference chains
+ * reassembled from the run's complete trace.
  *
  * Re-pinning is allowed only for a change that means to move an
  * output, and it needs a line in CHANGES.md that names the output and
@@ -19,7 +21,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <tuple>
 
+#include "attribution_reference.h"
 #include "fleet/fleet_sim.h"
 
 namespace apc {
@@ -61,7 +65,6 @@ goldenFleet(unsigned threads)
     fc.faults.crash.mttr = 2 * kMs;
     fc.recovery.enabled = true;
     fc.attribution.enabled = true;
-    fc.trace.ringCapacity = 1u << 18;
     fc.health.enabled = true;
     fc.health.slo.latencyThresholdUs = 220.0;
     fc.health.slo.fast = {2 * kMs, 400 * kUs, 14.4, "page"};
@@ -172,6 +175,7 @@ outcomeFleet(std::size_t servers, double util, std::uint64_t seed)
     fc.duration = 10 * kMs;
     fc.seed = seed;
     fc.attribution.enabled = true;
+    fc.trace.enabled = true;
     fc.trace.ringCapacity = 1u << 20;
     fc.health.enabled = true;
     fc.health.audit.failFast = true;
@@ -337,6 +341,65 @@ INSTANTIATE_TEST_SUITE_P(
     Scenarios, ReplicaOutcomeGolden, ::testing::ValuesIn(kOutcomeScenarios),
     [](const ::testing::TestParamInfo<OutcomeScenario> &p) {
         return std::string(p.param.name);
+    });
+
+/** lossyChurnRecovery cut off one epoch after the window: flights
+ *  that a late answer resolved while their failover attempt is still
+ *  inside a server stay open at the end. */
+fleet::FleetConfig
+drainCut()
+{
+    fleet::FleetConfig fc = lossyChurnRecovery();
+    fc.drainLimit = fc.epoch;
+    return fc;
+}
+
+/** Every golden scenario, for the attribution differential. */
+struct AttributedScenario
+{
+    const char *name;
+    fleet::FleetConfig (*make)();
+};
+
+const AttributedScenario kAttributedScenarios[] = {
+    {"Observer", [] { return goldenFleet(1); }},
+    {"TeleportFanout", teleportFanout},
+    {"LossyChurn", lossyChurn},
+    {"LossyChurnRecovery", lossyChurnRecovery},
+    {"MassOutage", massOutage},
+    {"MassOutageNoRecovery", massOutageNoRecovery},
+    {"DrainCut", drainCut},
+};
+
+class AttributionMatchesTrace
+    : public ::testing::TestWithParam<
+          std::tuple<AttributedScenario, unsigned>>
+{
+};
+
+TEST_P(AttributionMatchesTrace, RecordForRecord)
+{
+    fleet::FleetConfig fc = std::get<0>(GetParam()).make();
+    fc.threads = std::get<1>(GetParam());
+    fc.trace.enabled = true;
+    fc.trace.ringCapacity = 1u << 20; // the reference needs every span
+    fc.attribution.sampleLimit = SIZE_MAX;
+    fleet::FleetSim fleet(fc);
+    const fleet::FleetReport rep = fleet.run();
+    ASSERT_NE(fleet.tracer(), nullptr);
+    ASSERT_EQ(rep.traceDrops, 0u);
+    ASSERT_GT(rep.attribution.requests, 300u);
+    testref::expectMatchesReference(rep.attribution, *fleet.tracer());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, AttributionMatchesTrace,
+    ::testing::Combine(::testing::ValuesIn(kAttributedScenarios),
+                       ::testing::Values(1u, 2u, 8u)),
+    [](const ::testing::TestParamInfo<
+        std::tuple<AttributedScenario, unsigned>> &p) {
+        return std::string(std::get<0>(p.param).name) + "_" +
+            std::to_string(std::get<1>(p.param)) + "T";
     });
 
 } // namespace

@@ -289,6 +289,30 @@ TEST(Auditor, EveryConservationBreakIsFlagged)
     }
 }
 
+TEST(Auditor, FloorBindsOnlyGrantsIssuedToActiveServers)
+{
+    // Server 1's enforced limit is the zero grant of an epoch that
+    // counted it inactive: it owes nothing to the floor, even when the
+    // server itself is back up and waiting for its next grant.
+    obs::AuditSnapshot s = cleanSnapshot();
+    s.serverLimitW[1] = 0.0;
+    s.grantActive = {1, 0};
+    obs::Auditor quiet(obs::AuditConfig{});
+    quiet.audit(s);
+    EXPECT_EQ(quiet.violationCount(), 0u);
+
+    // The same under-floor limit granted while the server was active
+    // is a real violation.
+    s.serverLimitW[1] = 10.0;
+    s.grantActive = {1, 1};
+    obs::Auditor trips(obs::AuditConfig{});
+    trips.audit(s);
+    EXPECT_EQ(trips.violationCount(), 1u);
+    EXPECT_EQ(trips.violations(obs::AuditCheck::Budget), 1u);
+    ASSERT_EQ(trips.log().size(), 1u);
+    EXPECT_EQ(trips.log()[0].entity, 1);
+}
+
 TEST(Auditor, MonotonicityTrackedAcrossAudits)
 {
     obs::Auditor a(obs::AuditConfig{});
@@ -410,6 +434,37 @@ healthFleet(unsigned threads, std::size_t shard_size, bool health_on)
     fc.shardSize = shard_size;
     fc.health.enabled = health_on;
     return fc;
+}
+
+TEST(HealthFleet, RestartedServerAwaitingItsGrantIsNoBudgetViolation)
+{
+    // Server 3 crashes at 8 ms and is ready again at 12 ms: the 10 ms
+    // budget epoch grants it zero while it is down, and it runs on that
+    // grant until the 20 ms epoch. Every audit in between sees it up
+    // with a 0 W limit — issued by an epoch that counted it inactive.
+    auto fc = healthFleet(1, 0, true);
+    fc.warmup = 2 * kMs;
+    fc.duration = 30 * kMs;
+    fc.faults.enabled = true;
+    fc.faults.scripted = {{8 * kMs, 2 * kMs, fault::FaultKind::ServerCrash, 3}};
+    fc.health.audit.interval = 0; // audit every epoch
+    fleet::FleetSim fleet(fc);
+    const fleet::FleetReport rep = fleet.run();
+
+    // The scenario takes the path: an epoch ran without server 3, the
+    // next with it, and the auditor ran in between.
+    bool without = false, back = false;
+    for (const auto &ep : rep.budgetLog) {
+        without |= ep.active == fc.numServers - 1;
+        back |= without && ep.active == fc.numServers;
+    }
+    EXPECT_TRUE(without);
+    EXPECT_TRUE(back);
+    EXPECT_GT(rep.health.audits, 20u);
+    EXPECT_EQ(rep.health.auditViolations, 0u);
+    EXPECT_EQ(rep.health.auditByCheck[static_cast<std::size_t>(
+                  obs::AuditCheck::Budget)],
+              0u);
 }
 
 TEST(HealthFleet, ZeroFootprintAndThreadInvariantAlertLog)
