@@ -44,17 +44,39 @@ checked(FleetConfig cfg)
     if (cfg.trace.enabled && cfg.trace.ringCapacity == 0)
         throw std::invalid_argument(
             "FleetConfig: trace.ringCapacity must be > 0 with tracing on");
+    if (cfg.recovery.enabled) {
+        const fault::RecoveryConfig &r = cfg.recovery;
+        if (r.requestTimeout <= 0)
+            // A deadline at or before its own send would fire the
+            // timeout of every attempt on the spot.
+            throw std::invalid_argument(
+                "FleetConfig: recovery.requestTimeout must be > 0");
+        if (r.maxAttempts < 1)
+            throw std::invalid_argument(
+                "FleetConfig: recovery.maxAttempts must be >= 1");
+        if (r.backoffBase < 0)
+            throw std::invalid_argument(
+                "FleetConfig: recovery.backoffBase must be >= 0");
+        if (r.backoffCap < r.backoffBase)
+            throw std::invalid_argument(
+                "FleetConfig: recovery.backoffCap must be >= backoffBase");
+        if (!(r.jitterFrac >= 0.0 && r.jitterFrac < 1.0))
+            throw std::invalid_argument(
+                "FleetConfig: recovery.jitterFrac must be in [0, 1)");
+    }
     return cfg;
 }
 
-/** Take the entries of @p queue due by @p t1 out of it and apply them
- *  in @p key order (a tuple led by the due instant): a canonical firing
- *  order, whatever the queueing order. @return whether any was due. */
+/** Take the entries of @p queue due by @p t1 out of it (into the
+ *  scratch @p due) and apply them in @p key order (a tuple led by the
+ *  due instant): a canonical firing order, whatever the queueing
+ *  order. @return whether any was due. */
 template <typename Entry, typename Key, typename Apply>
 bool
-applyDue(std::vector<Entry> &queue, sim::Tick t1, Key key, Apply &&apply)
+applyDue(std::vector<Entry> &queue, sim::Tick t1, Key key,
+         std::vector<Entry> &due, Apply &&apply)
 {
-    std::vector<Entry> due;
+    due.clear();
     std::size_t kept = 0;
     for (const Entry &e : queue) {
         if (std::get<0>(key(e)) <= t1)
@@ -283,7 +305,6 @@ FleetSim::FleetSim(FleetConfig cfg)
     }
     dispatcher_ = makeDispatcher(cfg_.dispatch, cfg_.numServers, budget);
     lbView_.assign(cfg_.numServers, 0);
-    inFlight_.reserve(1024);
 }
 
 FleetSim::~FleetSim() = default;
@@ -343,7 +364,7 @@ FleetSim::scheduleInject(std::size_t srv, sim::Tick deliver,
 }
 
 bool
-FleetSim::routeReplica(FlightMap::iterator it, sim::Tick at,
+FleetSim::routeReplica(std::uint64_t id, const Flight &fl, sim::Tick at,
                        std::size_t srv, obs::ReplicaSums *legs)
 {
     ++replicasDispatched_;
@@ -351,12 +372,12 @@ FleetSim::routeReplica(FlightMap::iterator it, sim::Tick at,
     if (!transit(at, srv, deliver, rto_wait))
         return false;
     if (fabric_) {
-        sendSegments(it->first, legs, at, deliver, rto_wait, false);
+        sendSegments(id, legs, at, deliver, rto_wait, false);
     } else if (cfg_.networkLatency > 1) {
         // Teleport mode: the constant RTT stands in for both transits.
         // Split it so request + response halves sum to exactly
         // networkLatency (integer additivity).
-        segment(it->first, legs, obs::Segment::XmitReq, at,
+        segment(id, legs, obs::Segment::XmitReq, at,
                 cfg_.networkLatency / 2);
     }
     {
@@ -369,9 +390,8 @@ FleetSim::routeReplica(FlightMap::iterator it, sim::Tick at,
             li = static_cast<std::uint32_t>(slot.legs.size());
             slot.legs.push_back(legs->sums);
         }
-        slot.injects.push_back({deliver, it->second.service,
-                                static_cast<std::uint32_t>(srv), li,
-                                it->first});
+        slot.injects.push_back({deliver, fl.service,
+                                static_cast<std::uint32_t>(srv), li, id});
     }
     return true;
 }
@@ -501,27 +521,25 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
 
     traffic_->epoch(from, to, trafficScratch_);
     for (const TrafficEvent &ev : trafficScratch_) {
-        const std::uint64_t id = nextId_++;
-        Flight fl;
-        fl.arrival = ev.at;
-        fl.service = ev.service;
-        fl.measured = measuring_ && ev.at >= measureStart_;
-        fl.failover = cfg_.recovery.enabled && ev.fanout <= 1;
-        if (fl.measured)
+        const std::uint64_t id = inFlight_.endId();
+        Flight &f = inFlight_.emplace();
+        f.arrival = ev.at;
+        f.service = ev.service;
+        f.measured = measuring_ && ev.at >= measureStart_;
+        f.failover = cfg_.recovery.enabled && ev.fanout <= 1;
+        if (f.measured)
             ++dispatched_;
-        const auto it = inFlight_.emplace(id, std::move(fl)).first;
-        Flight &f = it->second;
         if (ev.fanout <= 1) {
             const std::size_t srv = dispatcher_->pick();
             if (srv == Dispatcher::kNone) {
                 // Every server is out of the pick set (mass outage):
                 // fail the zeroth attempt — recovery backs off and
                 // retries, otherwise the request is lost to the fault.
-                failAttempt(it, ev.at);
+                failAttempt(id, f, ev.at);
             } else {
                 f.attempts = 1;
                 obs::ReplicaSums legs{static_cast<std::uint32_t>(srv), {}};
-                sendAttempt(it, srv, ev.at, attr_ ? &legs : nullptr);
+                sendAttempt(id, f, srv, ev.at, attr_ ? &legs : nullptr);
             }
             continue;
         }
@@ -534,7 +552,7 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
         for (int k = 0; k < replicas; ++k) {
             const std::size_t srv = dispatcher_->pick();
             if (srv == Dispatcher::kNone) {
-                ++f.lost;
+                f.lost = true;
                 f.crashLoss = true;
                 continue;
             }
@@ -542,14 +560,14 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
             dispatcher_->exclude(srv);
             obs::ReplicaSums legs{static_cast<std::uint32_t>(srv), {}};
             // A replica lost on its way out measured no segment.
-            if (routeReplica(it, ev.at, srv, attr_ ? &legs : nullptr))
+            if (routeReplica(id, f, ev.at, srv, attr_ ? &legs : nullptr))
                 ++f.remaining;
             else
-                ++f.lost;
+                f.lost = true;
         }
         dispatcher_->clearExclusions();
         if (f.remaining == 0)
-            finishFlight(it); // nothing routed (fabric loss / outage)
+            finishFlight(id, f); // nothing routed (fabric loss / outage)
     }
 }
 
@@ -612,7 +630,7 @@ FleetSim::mergeStaged(std::vector<StagedEvent> ShardSlot::*stream,
                       Apply &&apply)
 {
     // K-way merge of the sorted shard streams into one time-ordered
-    // stream: the shared fabric response links (and the flight map)
+    // stream: the shared fabric response links (and the flight table)
     // see events in a total order independent of the shard layout —
     // the same (time, server, id) order the pre-shard engine got from
     // globally sorting per-server buffers. The cursor heap is member
@@ -656,27 +674,26 @@ FleetSim::mergeStaged(std::vector<StagedEvent> ShardSlot::*stream,
 }
 
 void
-FleetSim::resolveFlight(FlightMap::iterator it, sim::Tick done,
+FleetSim::resolveFlight(std::uint64_t id, Flight &fl, sim::Tick done,
                         bool lost)
 {
-    Flight &fl = it->second;
     assert(!fl.resolved);
     fl.resolved = true;
+    fl.answered = !lost;
+    fl.lastDone = done;
     // End-to-end: winning response at the client. Without a fabric the
     // constant network RTT stands in.
     const sim::Tick e2e =
         done - fl.arrival + (fabric_ ? 0 : cfg_.networkLatency);
-    if (attr_ && !lost)
-        fl.e2e = e2e;
     if (fleetTrace_) {
         // Client-observed request lifecycle (warmup included): span to
         // the winning response, or a loss marker.
         if (lost)
             fleetTrace_->instant(fl.arrival, obs::Name::Lost,
-                                 obs::Track::Requests, it->first);
+                                 obs::Track::Requests, id);
         else
             fleetTrace_->span(fl.arrival, e2e, obs::Name::Request,
-                              obs::Track::Requests, it->first);
+                              obs::Track::Requests, id);
     }
     if (fl.measured) {
         if (lost) {
@@ -704,27 +721,44 @@ FleetSim::resolveFlight(FlightMap::iterator it, sim::Tick done,
     }
 }
 
+FleetSim::FlightExtras &
+FleetSim::extrasOf(Flight &fl)
+{
+    if (fl.extras == kNoExtras)
+        fl.extras = extras_.acquire(); // emptied by its last user
+    return extras_[fl.extras];
+}
+
 void
-FleetSim::finishFlight(FlightMap::iterator it,
+FleetSim::keepChain(Flight &fl, const obs::ReplicaSums *ended)
+{
+    if (ended && !ended->sums.empty())
+        extrasOf(fl).chains.add(*ended);
+}
+
+void
+FleetSim::finishFlight(std::uint64_t id, Flight &fl,
                        const obs::ReplicaSums *ended)
 {
-    Flight &fl = it->second;
     // The shell persists until every routed replica delivered or
     // aborted and no retry is scheduled: late responses and crash
     // aborts from superseded attempts must find their flight. (Stale
     // timeout entries look the flight up by id and tolerate absence.)
     if (fl.remaining > 0 || fl.retryPending ||
         (!fl.resolved && fl.timeoutsArmed > 0)) {
-        if (ended)
-            fl.chains.add(*ended);
+        keepChain(fl, ended);
         return;
     }
     if (!fl.resolved)
-        resolveFlight(it, fl.lastDone, fl.lost > 0);
+        resolveFlight(id, fl, fl.lastDone, fl.lost);
     if (attr_)
-        foldAttribution(it->first, fl, ended);
+        foldAttribution(id, fl, ended);
+    if (FlightExtras *ex = extrasIfAny(fl)) {
+        ex->clear();
+        extras_.release(fl.extras);
+    }
     ++flightsFinished_;
-    inFlight_.erase(it);
+    inFlight_.erase(id);
 }
 
 void
@@ -735,22 +769,26 @@ FleetSim::foldAttribution(std::uint64_t id, Flight &fl,
         return; // still unanswered at the drain deadline
     // The common flight had one replica, which just ended: fold it
     // straight from its sums, without keeping a chain.
-    const obs::ReplicaSums *replicas = fl.chains.data();
-    std::size_t n = fl.chains.size();
+    FlightExtras *ex = extrasIfAny(fl);
+    const obs::ReplicaSums *replicas = ex ? ex->chains.data() : nullptr;
+    std::size_t n = ex ? ex->chains.size() : 0;
     if (ended && !ended->sums.empty()) {
         if (n == 0) {
             replicas = ended;
             n = 1;
         } else {
-            fl.chains.add(*ended);
-            replicas = fl.chains.data();
-            n = fl.chains.size();
+            ex->chains.add(*ended);
+            replicas = ex->chains.data();
+            n = ex->chains.size();
         }
     }
-    if (fl.e2e < 0)
+    if (!fl.answered)
         attribution_.lost(n);
     else
-        attribution_.answered(id, fl.arrival, fl.e2e, replicas, n);
+        attribution_.answered(
+            id, fl.arrival,
+            fl.lastDone - fl.arrival + (fabric_ ? 0 : cfg_.networkLatency),
+            replicas, n);
 }
 
 obs::ReplicaSums *
@@ -764,96 +802,99 @@ FleetSim::stagedSums(const StagedEvent &ev)
 }
 
 void
-FleetSim::sendAttempt(FlightMap::iterator it, std::size_t srv,
+FleetSim::sendAttempt(std::uint64_t id, Flight &fl, std::size_t srv,
                       sim::Tick at, obs::ReplicaSums *legs)
 {
-    Flight &fl = it->second;
     dispatcher_->onDispatch(srv);
     fl.curSrv = static_cast<std::uint32_t>(srv);
     fl.attemptAt = at;
     ++fl.remaining;
-    if (routeReplica(it, at, srv, legs))
-        armTimeout(it, at);
+    if (routeReplica(id, fl, at, srv, legs))
+        armTimeout(id, fl, at);
     else
-        replicaFailed(it, fl.curSrv, at, false, false, legs);
+        replicaFailed(id, fl, fl.curSrv, at, false, false, legs);
 }
 
 void
-FleetSim::armTimeout(FlightMap::iterator it, sim::Tick at)
+FleetSim::armTimeout(std::uint64_t id, Flight &fl, sim::Tick at)
 {
-    Flight &fl = it->second;
     if (!fl.failover)
         return;
-    timeoutQueue_.push_back(
-        {at + cfg_.recovery.requestTimeout, it->first, fl.attempts - 1});
+    const sim::Tick deadline = at + cfg_.recovery.requestTimeout;
+    // Attempts go out at arrivals (in time order) or at an epoch edge
+    // past every routed arrival, so the FIFO stays in deadline order.
+    assert(timeoutQueue_.empty() ||
+           timeoutQueue_.back().deadline <= deadline);
+    timeoutQueue_.push({deadline, id, fl.attempts - 1});
     ++fl.timeoutsArmed;
 }
 
 void
-FleetSim::failAttempt(FlightMap::iterator it, sim::Tick at)
+FleetSim::failAttempt(std::uint64_t id, Flight &fl, sim::Tick at)
 {
-    Flight &fl = it->second;
     if (fl.resolved) {
-        finishFlight(it);
+        finishFlight(id, fl);
         return;
     }
-    if (fl.attempts > 0 &&
-        std::find(fl.failedSrv.begin(), fl.failedSrv.end(), fl.curSrv) ==
-            fl.failedSrv.end())
-        fl.failedSrv.push_back(fl.curSrv);
+    if (fl.attempts > 0) {
+        std::vector<std::uint32_t> &failed = extrasOf(fl).failedSrv;
+        if (std::find(failed.begin(), failed.end(), fl.curSrv) ==
+            failed.end())
+            failed.push_back(fl.curSrv);
+    }
     if (!fl.failover || fl.attempts >= cfg_.recovery.maxAttempts) {
         // Out of attempts (or no recovery): the client gives up now.
         // Anything still physically in flight drains into the shell.
-        ++fl.lost;
+        fl.lost = true;
         fl.crashLoss = true;
-        resolveFlight(it, at, true);
-        finishFlight(it);
+        resolveFlight(id, fl, at, true);
+        finishFlight(id, fl);
         return;
     }
     // Record the abandoned window for the blame report; the whole gap
     // history is re-emitted to each failover target at re-dispatch.
     if (attr_ && fl.attempts > 0 && at > fl.attemptAt)
-        fl.gaps.push_back({fl.attemptAt, at - fl.attemptAt, false});
+        extrasOf(fl).gaps.push_back({fl.attemptAt, at - fl.attemptAt,
+                                     false});
     fl.lastFailAt = at;
     fl.retryPending = true;
     retryQueue_.push_back(
-        {at + fault::backoffDelay(cfg_.recovery, cfg_.seed, it->first,
+        {at + fault::backoffDelay(cfg_.recovery, cfg_.seed, id,
                                   std::max(fl.attempts - 1, 0)),
-         it->first});
+         id});
 }
 
 void
-FleetSim::replicaFailed(FlightMap::iterator it, std::uint32_t srv,
+FleetSim::replicaFailed(std::uint64_t id, Flight &fl, std::uint32_t srv,
                         sim::Tick at, bool crash, bool silent,
                         const obs::ReplicaSums *ended)
 {
-    Flight &fl = it->second;
     --fl.remaining;
     if (fl.failover && !silent && !fl.resolved && !fl.retryPending &&
         srv == fl.curSrv) {
-        if (ended)
-            fl.chains.add(*ended);
-        failAttempt(it, at);
+        keepChain(fl, ended);
+        failAttempt(id, fl, at);
         return;
     }
     // A failover flight only resolves through a success or
     // failAttempt, which sets the loss fields itself, so counting a
     // superseded attempt's replica here never reaches a report.
     if (!fl.resolved) {
-        ++fl.lost;
+        fl.lost = true;
         if (crash)
             fl.crashLoss = true;
     }
-    finishFlight(it, ended);
+    finishFlight(id, fl, ended);
 }
 
 void
 FleetSim::drainAborts()
 {
     mergeStaged(&ShardSlot::aborts, [this](const StagedEvent &ev) {
-        const auto it = inFlight_.find(ev.id);
-        assert(it != inFlight_.end());
-        replicaFailed(it, ev.srv, ev.at, true, false, stagedSums(ev));
+        Flight *fl = inFlight_.find(ev.id);
+        assert(fl);
+        replicaFailed(ev.id, *fl, ev.srv, ev.at, true, false,
+                      stagedSums(ev));
     });
 }
 
@@ -861,25 +902,25 @@ void
 FleetSim::processRecovery(sim::Tick t1)
 {
     const auto fireTimeout = [this](const PendingTimeout &pt) {
-        const auto it = inFlight_.find(pt.id);
-        if (it == inFlight_.end())
+        Flight *fl = inFlight_.find(pt.id);
+        if (!fl)
             return; // shell already drained
-        Flight &fl = it->second;
-        --fl.timeoutsArmed;
-        if (fl.resolved || fl.retryPending ||
-            pt.attempt != fl.attempts - 1) {
+        --fl->timeoutsArmed;
+        if (fl->resolved || fl->retryPending ||
+            pt.attempt != fl->attempts - 1) {
             // Stale: the flight resolved or moved to a newer attempt
             // before this deadline came up.
-            finishFlight(it);
+            finishFlight(pt.id, *fl);
             return;
         }
         ++timeoutsFired_;
-        failAttempt(it, pt.deadline);
+        failAttempt(pt.id, *fl, pt.deadline);
     };
-    const auto redispatch = [this, t1](const auto &rt) {
-        const auto it = inFlight_.find(rt.second);
-        assert(it != inFlight_.end()); // retryPending pins the shell
-        Flight &fl = it->second;
+    const auto redispatch = [this, t1](const PendingRetry &rt) {
+        const std::uint64_t id = rt.second;
+        Flight *found = inFlight_.find(id);
+        assert(found); // retryPending pins the shell
+        Flight &fl = *found;
         fl.retryPending = false;
         // Re-dispatch at the quiescent epoch edge (the servers already
         // advanced past the nominal due instant).
@@ -888,15 +929,18 @@ FleetSim::processRecovery(sim::Tick t1)
         // The backoff window closes here even if no server is left: an
         // attempt that finds none fails at once, with no timeout wait.
         if (attr_ && at > fl.lastFailAt)
-            fl.gaps.push_back({fl.lastFailAt, at - fl.lastFailAt, true});
+            extrasOf(fl).gaps.push_back(
+                {fl.lastFailAt, at - fl.lastFailAt, true});
         fl.attemptAt = at;
-        for (const std::uint32_t s : fl.failedSrv)
-            dispatcher_->exclude(s);
+        const FlightExtras *ex = extrasIfAny(fl);
+        if (ex)
+            for (const std::uint32_t s : ex->failedSrv)
+                dispatcher_->exclude(s);
         const std::size_t srv = dispatcher_->pick();
         dispatcher_->clearExclusions();
         if (srv == Dispatcher::kNone) {
             // No server this request hasn't already failed on.
-            failAttempt(it, at);
+            failAttempt(id, fl, at);
             return;
         }
         ++failovers_;
@@ -905,28 +949,31 @@ FleetSim::processRecovery(sim::Tick t1)
         // the blame report additive.
         obs::ReplicaSums legs{static_cast<std::uint32_t>(srv), {}};
         obs::ReplicaSums *lp = attr_ ? &legs : nullptr;
-        for (const Flight::Gap &g : fl.gaps)
-            segment(rt.second, lp,
-                    g.backoff ? obs::Segment::Failover
-                              : obs::Segment::TimeoutWait,
-                    g.at, g.dur);
-        sendAttempt(it, srv, at, lp);
+        if (ex)
+            for (const FlightExtras::Gap &g : ex->gaps)
+                segment(id, lp,
+                        g.backoff ? obs::Segment::Failover
+                                  : obs::Segment::TimeoutWait,
+                        g.at, g.dur);
+        sendAttempt(id, fl, srv, at, lp);
+    };
+    const auto timeoutKey = [](const PendingTimeout &pt) {
+        return std::tie(pt.deadline, pt.id, pt.attempt);
     };
     // Fixpoint over this epoch: a fired timeout can schedule a retry
-    // due before t1, and a re-dispatched attempt can arm a timeout
-    // that also expires before t1. Attempts are capped, so each round
-    // strictly consumes attempt budget and the loop terminates.
+    // due before t1, and so can a re-dispatch that fails at once (lost
+    // in the fabric, or no server left). A re-dispatch's own timeout
+    // is never due yet: it is armed at t1 with a positive interval.
+    // Attempts are capped, so each round strictly consumes attempt
+    // budget and the loop terminates.
     for (bool progress = true; progress;) {
-        const bool fired = applyDue(
-            timeoutQueue_, t1,
-            [](const PendingTimeout &pt) {
-                return std::tie(pt.deadline, pt.id, pt.attempt);
-            },
-            fireTimeout);
+        takeDue(timeoutQueue_, t1, timeoutKey, timeoutsDue_);
+        for (const PendingTimeout &pt : timeoutsDue_)
+            fireTimeout(pt);
         progress = applyDue(retryQueue_, t1,
-                            [](const auto &rt) { return rt; },
-                            redispatch) ||
-            fired;
+                            [](const PendingRetry &rt) { return rt; },
+                            retriesDue_, redispatch) ||
+            !timeoutsDue_.empty();
     }
 }
 
@@ -934,9 +981,9 @@ void
 FleetSim::drainCompletions()
 {
     mergeStaged(&ShardSlot::completions, [this](const StagedEvent &ev) {
-        const auto it = inFlight_.find(ev.id);
-        assert(it != inFlight_.end());
-        Flight &fl = it->second;
+        Flight *found = inFlight_.find(ev.id);
+        assert(found);
+        Flight &fl = *found;
         obs::ReplicaSums *legs = stagedSums(ev);
         sim::Tick done = ev.at;
         if (fabric_) {
@@ -946,7 +993,7 @@ FleetSim::drainCompletions()
             if (tr.lost) {
                 // Silent: under failover the armed timeout notices the
                 // missing response and drives the failover.
-                replicaFailed(it, ev.srv, ev.at, false, true, legs);
+                replicaFailed(ev.id, fl, ev.srv, ev.at, false, true, legs);
                 return;
             }
             sendSegments(ev.id, legs, ev.at, tr.deliverAt, tr.rtoWait,
@@ -959,15 +1006,17 @@ FleetSim::drainCompletions()
             if (resp > 0)
                 segment(ev.id, legs, obs::Segment::XmitResp, ev.at, resp);
         }
-        fl.lastDone = std::max(fl.lastDone, done);
         // First successful response resolves a failover flight
         // immediately — even one from a timed-out attempt that beat
         // its own failover (the client takes whichever answer lands
         // first; the accounting happens exactly once).
-        if (fl.failover && !fl.resolved)
-            resolveFlight(it, done, false);
+        if (!fl.resolved) {
+            fl.lastDone = std::max(fl.lastDone, done);
+            if (fl.failover)
+                resolveFlight(ev.id, fl, done, false);
+        }
         --fl.remaining;
-        finishFlight(it, legs);
+        finishFlight(ev.id, fl, legs);
     });
 }
 
@@ -976,19 +1025,20 @@ FleetSim::drainNicDrops(sim::Tick now_floor)
 {
     mergeStaged(&ShardSlot::drops, [this,
                                     now_floor](const StagedEvent &ev) {
-        const auto it = inFlight_.find(ev.id);
-        assert(it != inFlight_.end());
-        Flight &fl = it->second;
+        Flight *found = inFlight_.find(ev.id);
+        assert(found);
+        Flight &fl = *found;
         // The dropped replica's sums ride on with its resend.
         obs::ReplicaSums *legs = stagedSums(ev);
         // This replica's attempt count (missing entry = the first send
         // already happened).
+        auto &tries = extrasOf(fl).triesBySrv;
         auto entry = std::find_if(
-            fl.triesBySrv.begin(), fl.triesBySrv.end(),
+            tries.begin(), tries.end(),
             [&ev](const auto &e) { return e.first == ev.srv; });
-        if (entry == fl.triesBySrv.end()) {
-            fl.triesBySrv.emplace_back(ev.srv, 1);
-            entry = fl.triesBySrv.end() - 1;
+        if (entry == tries.end()) {
+            tries.emplace_back(ev.srv, 1);
+            entry = tries.end() - 1;
         }
         if (entry->second < cfg_.fabric.maxTries) {
             // Client resend of the tail-dropped replica to the same
@@ -1015,7 +1065,7 @@ FleetSim::drainNicDrops(sim::Tick now_floor)
             }
         }
         // Out of resends, or the resend was lost in transit.
-        replicaFailed(it, ev.srv, ev.at, false, false, legs);
+        replicaFailed(ev.id, fl, ev.srv, ev.at, false, false, legs);
     });
 }
 
@@ -1095,19 +1145,19 @@ FleetSim::run()
     if (attr_ && !inFlight_.empty()) {
         // Flights the drain deadline left open: the answered ones are
         // attributed with the replicas they have, including those
-        // still inside a server. Walked by id, since the map's order
-        // is unspecified.
+        // still inside a server.
         for (std::size_t i = 0; i < servers_.size(); ++i)
             servers_[i]->forEachHeld(
                 [this, i](std::uint64_t id, const obs::SegmentSums &sums) {
-                    if (const auto it = inFlight_.find(id);
-                        it != inFlight_.end())
-                        it->second.chains.add(
-                            {static_cast<std::uint32_t>(i), sums});
+                    if (Flight *fl = inFlight_.find(id)) {
+                        const obs::ReplicaSums held{
+                            static_cast<std::uint32_t>(i), sums};
+                        keepChain(*fl, &held);
+                    }
                 });
-        for (std::uint64_t id = 0; id < nextId_; ++id)
-            if (const auto it = inFlight_.find(id); it != inFlight_.end())
-                foldAttribution(id, it->second, nullptr);
+        inFlight_.forEach([this](std::uint64_t id, Flight &fl) {
+            foldAttribution(id, fl, nullptr);
+        });
     }
 
     // Close the open package-state spans so the trace's power tracks
@@ -1202,20 +1252,19 @@ FleetSim::buildAuditSnapshot(sim::Tick now)
 {
     obs::AuditSnapshot snap;
     snap.now = now;
-    snap.flightsCreated = nextId_;
+    snap.flightsCreated = inFlight_.endId();
     snap.flightsFinished = flightsFinished_;
     snap.flightsInFlight = inFlight_.size();
     snap.dispatched = dispatched_;
     snap.completed = completed_;
     snap.lost = lostRequests_;
     snap.lostToCrash = lostToCrash_;
-    // lint:allow(unordered-iteration) commutative integer count; the
-    // result is independent of visit order
-    for (const auto &kv : inFlight_)
-        // A resolved shell was already counted (completed or lost);
-        // only unresolved flights are conservation's "in flight".
-        if (kv.second.measured && !kv.second.resolved)
+    // A resolved shell was already counted (completed or lost); only
+    // unresolved flights are conservation's "in flight".
+    inFlight_.forEach([&snap](std::uint64_t, const Flight &fl) {
+        if (fl.measured && !fl.resolved)
             ++snap.measuredInFlight;
+    });
 
     snap.servers.reserve(servers_.size());
     for (const auto &s : servers_)

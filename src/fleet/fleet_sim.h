@@ -39,12 +39,12 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cap/budget.h"
 #include "fault/fault.h"
 #include "fleet/dispatch.h"
+#include "fleet/flight_table.h"
 #include "fleet/shard.h"
 #include "fleet/thread_pool.h"
 #include "fleet/traffic.h"
@@ -397,41 +397,69 @@ class FleetSim
     bool writeAlertsJson(const std::string &path) const;
 
   private:
-    struct Flight
+    static constexpr std::uint32_t kNoExtras = UINT32_MAX;
+
+    /**
+     * One client request, from its arrival until every routed replica
+     * has drained. One cache line: the merge looks a flight up per
+     * completion. The rarely used history lives in FlightExtras.
+     */
+    struct alignas(64) Flight
     {
-        sim::Tick arrival;
-        sim::Tick service;  ///< dispatcher-chosen demand (resends)
-        int remaining = 0;      ///< replicas still running
-        int lost = 0;           ///< replicas dropped beyond retry
-        sim::Tick lastDone = 0; ///< slowest replica completion so far
-        bool measured;      ///< arrived inside the measurement window
-        /**
-         * Client outcome (success or loss) already recorded. The shell
-         * stays in the map until every routed replica has drained —
-         * late responses and crash aborts from superseded attempts
-         * land here instead of in an accounting hole.
-         */
-        bool resolved = false;
-        /** A fault caused the loss: crash/refusal abort, mass-outage
-         *  dispatch failure, or failover-attempt exhaustion. Splits
-         *  lostToCrash from lostRequests at resolution. */
-        bool crashLoss = false;
-        /** Recovery on and a single replica: a failed attempt fails
-         *  over instead of losing the request. Fixed at creation. */
-        bool failover = false;
+        // C++17 bit-fields take no default member initializers.
+        Flight()
+            : measured(false), resolved(false), answered(false),
+              lost(false), crashLoss(false), failover(false),
+              retryPending(false)
+        {
+        }
+
+        sim::Tick arrival = 0;
+        sim::Tick service = 0; ///< dispatcher-chosen demand (resends)
+        /** Slowest replica completion so far, frozen at resolution: an
+         *  answered flight's latency is lastDone - arrival (plus the
+         *  teleport RTT). */
+        sim::Tick lastDone = 0;
+        sim::Tick attemptAt = 0;  ///< latest dispatch instant
+        sim::Tick lastFailAt = 0; ///< latest attempt-failure instant
+        int remaining = 0;        ///< replicas still running
         /** Dispatch attempts consumed (recovery bookkeeping). */
         int attempts = 0;
-        /** A failover re-dispatch is scheduled but not yet routed. */
-        bool retryPending = false;
         /** Armed, not-yet-fired entries in the timeout queue. */
         int timeoutsArmed = 0;
         std::uint32_t curSrv = 0; ///< latest single-replica target
-        sim::Tick attemptAt = 0;  ///< latest dispatch instant
-        sim::Tick lastFailAt = 0; ///< latest attempt-failure instant
+        /** Index of the flight's FlightExtras, or kNoExtras. */
+        std::uint32_t extras = kNoExtras;
+        bool measured : 1; ///< arrived inside the measurement window
+        /**
+         * Client outcome (success or loss) already recorded. The
+         * flight stays in the table until every routed replica has
+         * drained — late responses and crash aborts from superseded
+         * attempts land here instead of in an accounting hole.
+         */
+        bool resolved : 1;
+        bool answered : 1; ///< resolved with a response, not a loss
+        bool lost : 1;     ///< a replica was dropped beyond retry
+        /** A fault caused the loss: crash/refusal abort, mass-outage
+         *  dispatch failure, or failover-attempt exhaustion. Splits
+         *  lostToCrash from lostRequests at resolution. */
+        bool crashLoss : 1;
+        /** Recovery on and a single replica: a failed attempt fails
+         *  over instead of losing the request. Fixed at creation. */
+        bool failover : 1;
+        /** A failover re-dispatch is scheduled but not yet routed. */
+        bool retryPending : 1;
+    };
+    static_assert(sizeof(Flight) == 64, "one cache line");
+
+    /** The history only some flights need, kept in a side pool (see
+     *  extrasOf) so the common flight never allocates. */
+    struct FlightExtras
+    {
         /**
          * Per-replica send attempts, keyed by server (fanout replicas
          * land on distinct servers; resends target the same one).
-         * Absent entry = one attempt so far.
+         * Absent entry = one attempt so far. NIC-drop resends only.
          */
         std::vector<std::pair<std::uint32_t, int>> triesBySrv;
         /** Servers whose attempt failed; failover never reuses one. */
@@ -447,13 +475,19 @@ class FleetSim
         };
         std::vector<Gap> gaps; ///< attribution runs only
         /** Attribution runs only: the sums of replicas that ended while
-         *  the flight stayed open, and the client-observed latency once
-         *  answered (-1 otherwise). */
+         *  the flight stayed open. */
         obs::RequestChains chains;
-        sim::Tick e2e = -1;
-    };
 
-    using FlightMap = std::unordered_map<std::uint64_t, Flight>;
+        /** Empty every list, keeping the capacity for the next user. */
+        void
+        clear()
+        {
+            triesBySrv.clear();
+            failedSrv.clear();
+            gaps.clear();
+            chains.clear();
+        }
+    };
 
     /** Rack->server budget reallocation at a budget-epoch boundary. */
     void allocateBudgets(sim::Tick now);
@@ -464,7 +498,7 @@ class FleetSim
      *  target's gap history; the transit adds to it, and the sums ride
      *  with the replica to its server. @return false if the replica
      *  was lost in the fabric. */
-    bool routeReplica(FlightMap::iterator it, sim::Tick at,
+    bool routeReplica(std::uint64_t id, const Flight &fl, sim::Tick at,
                       std::size_t srv, obs::ReplicaSums *legs);
     /** Fabric transit for one replica send; shared by first sends and
      *  NIC-drop resends. @return false if lost, else sets @p deliver
@@ -510,14 +544,14 @@ class FleetSim
     /** Send a single-replica flight's current attempt to the picked
      *  server @p srv at @p at with request-leg sums @p legs; arms its
      *  timeout (failover flights). */
-    void sendAttempt(FlightMap::iterator it, std::size_t srv,
+    void sendAttempt(std::uint64_t id, Flight &fl, std::size_t srv,
                      sim::Tick at, obs::ReplicaSums *legs);
     /** Arm the per-attempt client timeout for a just-routed attempt
      *  (failover flights only). */
-    void armTimeout(FlightMap::iterator it, sim::Tick at);
+    void armTimeout(std::uint64_t id, Flight &fl, sim::Tick at);
     /** One dispatch attempt failed at @p at: give the request up
      *  (crash-class loss) or schedule the backoff retry. */
-    void failAttempt(FlightMap::iterator it, sim::Tick at);
+    void failAttempt(std::uint64_t id, Flight &fl, sim::Tick at);
     /**
      * The one replica-outcome rule: a routed replica ended on @p srv
      * at @p at without answering — lost in the fabric, out of NIC
@@ -528,18 +562,29 @@ class FleetSim
      * counts lost, and the flight finishes once nothing is pending.
      * @p ended carries the replica's attribution sums (or null).
      */
-    void replicaFailed(FlightMap::iterator it, std::uint32_t srv,
+    void replicaFailed(std::uint64_t id, Flight &fl, std::uint32_t srv,
                        sim::Tick at, bool crash, bool silent,
                        const obs::ReplicaSums *ended);
     /** One-time client outcome accounting + request trace record. */
-    void resolveFlight(FlightMap::iterator it, sim::Tick done,
+    void resolveFlight(std::uint64_t id, Flight &fl, sim::Tick done,
                        bool lost);
     /** Resolve when nothing can still make progress, then erase the
      *  shell once every routed replica has drained. @p ended is the
      *  attribution sums of a replica that just ended (or null): kept
      *  with the flight while it stays open. */
-    void finishFlight(FlightMap::iterator it,
+    void finishFlight(std::uint64_t id, Flight &fl,
                       const obs::ReplicaSums *ended = nullptr);
+    /** @p fl's extras, created on first use. */
+    FlightExtras &extrasOf(Flight &fl);
+    /** @p fl's extras, or null if it never needed any. */
+    FlightExtras *
+    extrasIfAny(const Flight &fl)
+    {
+        return fl.extras == kNoExtras ? nullptr : &extras_[fl.extras];
+    }
+    /** Keep the sums of a replica that ended while @p fl stays open
+     *  (attribution on; sums with no segment are not kept). */
+    void keepChain(Flight &fl, const obs::ReplicaSums *ended);
     /** Fold a resolved flight's replicas — its kept chains plus
      *  @p ended — into the attribution result. Runs when the shell is
      *  erased, so the replica set is final. */
@@ -583,9 +628,17 @@ class FleetSim
         std::uint64_t id = 0;
         int attempt = 0; ///< stale once the flight moved past it
     };
-    std::vector<PendingTimeout> timeoutQueue_;
-    /** Scheduled failover re-dispatches: (due instant, flight id). */
-    std::vector<std::pair<sim::Tick, std::uint64_t>> retryQueue_;
+    /** Armed timeouts in push order, which is deadline order: every
+     *  attempt is sent at an arrival or at an epoch edge past all
+     *  routed arrivals, and the timeout interval is fixed. */
+    RingFifo<PendingTimeout> timeoutQueue_;
+    /** Scheduled failover re-dispatches: (due instant, flight id). Not
+     *  in due order (backoffs are jittered); few per run. */
+    using PendingRetry = std::pair<sim::Tick, std::uint64_t>;
+    std::vector<PendingRetry> retryQueue_;
+    /** Reused due-batch scratch of processRecovery. */
+    std::vector<PendingTimeout> timeoutsDue_;
+    std::vector<PendingRetry> retriesDue_;
     std::uint64_t lostToCrash_ = 0;
     std::uint64_t failovers_ = 0;
     std::uint64_t timeoutsFired_ = 0;
@@ -608,9 +661,11 @@ class FleetSim
      *  window (before the drain tail, so power windows line up). */
     std::vector<server::ServerResult> perServerResults_;
 
-    FlightMap inFlight_;
-    std::uint64_t nextId_ = 0;
-    /** Flights fully resolved (finishFlight calls); with nextId_ and
+    /** Live flights by id; endId() is the number created so far. */
+    FlightTable<Flight> inFlight_;
+    /** Side pool behind Flight::extras. */
+    SlotPool<FlightExtras> extras_;
+    /** Flights fully resolved (finishFlight calls); with endId() and
      *  inFlight_.size() this is the flight-conservation identity. */
     std::uint64_t flightsFinished_ = 0;
 

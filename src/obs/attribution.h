@@ -185,6 +185,8 @@ class RequestChains
 
     const ReplicaSums *data() const { return replicas_.data(); }
     std::size_t size() const { return replicas_.size(); }
+    /** Forget every kept replica; keeps the capacity. */
+    void clear() { replicas_.clear(); }
 
   private:
     std::vector<ReplicaSums> replicas_;

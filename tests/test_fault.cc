@@ -440,6 +440,31 @@ TEST(FleetChurn, ReportAndAlertLogBytesAreLayoutInvariant)
     }
 }
 
+TEST(FleetChurn, ShortTimeoutsFailOverIdenticallyAtAnyThreadCount)
+{
+    // A timeout below the loaded tail fires on live attempts too: the
+    // queue holds thousands of armed deadlines, many tied, late
+    // responses race their own failovers and stale entries outlive
+    // their flights. Debug builds check the queue's push order.
+    std::string ref_row;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        fleet::FleetConfig fc = churnFleet(threads, 0);
+        fc.recovery.requestTimeout = 300 * kUs;
+        const fleet::FleetReport rep = fleet::FleetSim(fc).run();
+        ASSERT_GT(rep.dispatched, 1000u);
+        EXPECT_GT(rep.timeouts, 100u);
+        EXPECT_GT(rep.failovers, 100u);
+        EXPECT_EQ(rep.inFlightAtEnd, 0u);
+        ASSERT_TRUE(rep.health.enabled);
+        EXPECT_GT(rep.health.audits, 50u);
+        EXPECT_EQ(rep.health.auditViolations, 0u);
+        if (ref_row.empty())
+            ref_row = rep.csvRow();
+        else
+            EXPECT_EQ(rep.csvRow(), ref_row) << "threads=" << threads;
+    }
+}
+
 // ------------------------------------------- extended audit law
 
 obs::AuditSnapshot

@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "fleet/dispatch.h"
 #include "fleet/fleet_sim.h"
+#include "fleet/flight_table.h"
 #include "fleet/thread_pool.h"
 #include "fleet/traffic.h"
 
@@ -228,6 +233,174 @@ TEST(ThreadPoolTest, InlineAndThreadedBothCoverAllIndices)
     }
 }
 
+// ------------------------------------------------------------ flight table
+
+/** A record whose value is a pure function of its id. */
+struct TaggedRecord
+{
+    std::uint64_t tag = 0;
+};
+
+std::uint64_t
+tagOf(std::uint64_t id)
+{
+    return id * 0x9E3779B97F4A7C15ULL + 1;
+}
+
+TEST(FlightTable, MatchesOrderedMapOnSeededMixes)
+{
+    for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+        std::mt19937_64 rng(seed);
+        // A four-entry ring: the window outgrows it many times over.
+        FlightTable<TaggedRecord> table(4);
+        std::map<std::uint64_t, std::uint64_t> ref;
+        std::vector<std::uint64_t> erased;
+        // A long-lived straggler pins the window's base for the first
+        // two thirds of the mix, so the ring must grow to cover every
+        // id created meanwhile; once it goes, the base jumps and the
+        // ids wrap around the grown ring.
+        const std::uint64_t straggler = 3;
+        constexpr int kSteps = 6000;
+        const auto lookupMatches = [&](std::uint64_t id) {
+            const TaggedRecord *got = table.find(id);
+            const auto want = ref.find(id);
+            if (want == ref.end())
+                return got == nullptr;
+            return got != nullptr && got->tag == want->second;
+        };
+        for (int step = 0; step < kSteps; ++step) {
+            const bool freeStraggler =
+                step == 2 * kSteps / 3 && ref.count(straggler);
+            const double pEmplace = ref.size() < 64 ? 0.8 : 0.45;
+            if (freeStraggler) {
+                table.erase(straggler);
+                ref.erase(straggler);
+                erased.push_back(straggler);
+            } else if (ref.size() <= 1 ||
+                       std::uniform_real_distribution<>(0, 1)(rng) <
+                           pEmplace) {
+                const std::uint64_t id = table.endId();
+                table.emplace().tag = tagOf(id);
+                ref.emplace(id, tagOf(id));
+            } else {
+                // Mostly near the oldest flights, sometimes anywhere:
+                // erases arrive out of id order.
+                auto it = ref.begin();
+                const std::size_t span =
+                    std::uniform_int_distribution<>(0, 3)(rng) == 0
+                    ? ref.size()
+                    : std::min<std::size_t>(ref.size(), 8);
+                std::advance(it, std::uniform_int_distribution<
+                                     std::size_t>(0, span - 1)(rng));
+                if (it->first == straggler && step < 2 * kSteps / 3)
+                    ++it;
+                if (it == ref.end())
+                    continue;
+                table.erase(it->first);
+                erased.push_back(it->first);
+                ref.erase(it);
+            }
+            ASSERT_EQ(table.size(), ref.size()) << "step " << step;
+            ASSERT_EQ(table.empty(), ref.empty());
+            // Live, erased, never-created and future ids.
+            if (!ref.empty()) {
+                ASSERT_TRUE(lookupMatches(ref.rbegin()->first));
+            }
+            if (!erased.empty()) {
+                ASSERT_TRUE(lookupMatches(
+                    erased[std::uniform_int_distribution<std::size_t>(
+                        0, erased.size() - 1)(rng)]));
+            }
+            ASSERT_TRUE(lookupMatches(table.endId()));
+            ASSERT_TRUE(lookupMatches(table.endId() + 1 + (rng() % 64)));
+            ASSERT_TRUE(lookupMatches(~std::uint64_t{0}));
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> walked;
+            table.forEach([&walked](std::uint64_t id, TaggedRecord &r) {
+                walked.emplace_back(id, r.tag);
+            });
+            ASSERT_EQ(walked,
+                      (std::vector<std::pair<std::uint64_t, std::uint64_t>>(
+                          ref.begin(), ref.end())))
+                << "step " << step;
+        }
+        EXPECT_FALSE(ref.count(straggler));
+        EXPECT_GT(table.endId(), 2000u);
+    }
+}
+
+/** One armed timeout, as the fleet queues it. */
+struct Deadline
+{
+    sim::Tick at = 0;
+    std::uint64_t id = 0;
+    int attempt = 0;
+};
+
+auto
+deadlineKey(const Deadline &d)
+{
+    return std::tie(d.at, d.id, d.attempt);
+}
+
+/** The sort-scan the FIFO replaced: take every due entry out of
+ *  @p queue, in any queueing order, and sort them by key. */
+std::vector<Deadline>
+sortScanDue(std::vector<Deadline> &queue, sim::Tick t1)
+{
+    std::vector<Deadline> due;
+    std::size_t kept = 0;
+    for (const Deadline &e : queue) {
+        if (e.at <= t1)
+            due.push_back(e);
+        else
+            queue[kept++] = e;
+    }
+    queue.resize(kept);
+    std::sort(due.begin(), due.end(),
+              [](const Deadline &a, const Deadline &b) {
+                  return deadlineKey(a) < deadlineKey(b);
+              });
+    return due;
+}
+
+TEST(TimeoutFifo, DueBatchesMatchTheSortScan)
+{
+    constexpr sim::Tick kTimeout = 5 * kUs;
+    constexpr sim::Tick kEpoch = 2 * kUs;
+    for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+        std::mt19937_64 rng(seed);
+        RingFifo<Deadline> fifo;
+        std::vector<Deadline> ref, due;
+        sim::Tick sent = 0;
+        std::size_t ties = 0, fired = 0;
+        for (sim::Tick t1 = kEpoch; t1 <= 400 * kEpoch; t1 += kEpoch) {
+            // Sends in time order on a coarse grid, so many share a
+            // deadline; ids are arbitrary, as at an epoch edge.
+            const int sends = std::uniform_int_distribution<>(0, 40)(rng);
+            for (int k = 0; k < sends; ++k) {
+                sent = std::min(t1, sent + static_cast<sim::Tick>(
+                                               rng() % 3) * (kUs / 2));
+                const Deadline d{sent + kTimeout, rng() % 50,
+                                 static_cast<int>(rng() % 3)};
+                if (!fifo.empty() && fifo.back().at == d.at)
+                    ++ties;
+                fifo.push(d);
+                ref.push_back(d);
+            }
+            takeDue(fifo, t1, deadlineKey, due);
+            const std::vector<Deadline> want = sortScanDue(ref, t1);
+            ASSERT_EQ(due.size(), want.size()) << "t1 " << t1;
+            for (std::size_t i = 0; i < want.size(); ++i)
+                ASSERT_EQ(deadlineKey(due[i]), deadlineKey(want[i]))
+                    << "t1 " << t1 << ", entry " << i;
+            ASSERT_EQ(fifo.size(), ref.size());
+            fired += due.size();
+        }
+        EXPECT_GT(ties, 1000u);
+        EXPECT_GT(fired, 3000u);
+    }
+}
+
 // --------------------------------------------------------------- fleet sim
 
 FleetConfig
@@ -315,6 +488,75 @@ TEST(Fleet, TracingWithoutRingRoomRejectedAtConstruction)
               std::string::npos);
     fc.trace.enabled = false; // the capacity is unused
     EXPECT_EQ(rejection(fc), "");
+}
+
+/** smallFleet with client recovery on (its defaults are valid). */
+FleetConfig
+recoveringFleet()
+{
+    auto fc = smallFleet(DispatchKind::LeastOutstanding, 0.2);
+    fc.recovery.enabled = true;
+    EXPECT_EQ(rejection(fc), "");
+    return fc;
+}
+
+TEST(Fleet, NonPositiveRequestTimeoutRejectedAtConstruction)
+{
+    // Every attempt's deadline would fall at or before its send.
+    auto fc = recoveringFleet();
+    fc.recovery.requestTimeout = 0;
+    EXPECT_EQ(rejection(fc),
+              "FleetConfig: recovery.requestTimeout must be > 0");
+    fc.recovery.requestTimeout = -1;
+    EXPECT_NE(rejection(fc), "");
+    fc.recovery.enabled = false; // recovery off: the value is unused
+    EXPECT_EQ(rejection(fc), "");
+}
+
+TEST(Fleet, ZeroMaxAttemptsRejectedAtConstruction)
+{
+    auto fc = recoveringFleet();
+    fc.recovery.maxAttempts = 0;
+    EXPECT_EQ(rejection(fc),
+              "FleetConfig: recovery.maxAttempts must be >= 1");
+    fc.recovery.maxAttempts = 1; // no failover, but a valid client
+    EXPECT_EQ(rejection(fc), "");
+}
+
+TEST(Fleet, NegativeBackoffBaseRejectedAtConstruction)
+{
+    auto fc = recoveringFleet();
+    fc.recovery.backoffBase = -1;
+    EXPECT_EQ(rejection(fc),
+              "FleetConfig: recovery.backoffBase must be >= 0");
+    fc.recovery.backoffBase = 0; // immediate retries are valid
+    EXPECT_EQ(rejection(fc), "");
+}
+
+TEST(Fleet, BackoffCapBelowBaseRejectedAtConstruction)
+{
+    auto fc = recoveringFleet();
+    fc.recovery.backoffCap = fc.recovery.backoffBase - 1;
+    EXPECT_EQ(rejection(fc),
+              "FleetConfig: recovery.backoffCap must be >= backoffBase");
+    fc.recovery.backoffCap = fc.recovery.backoffBase;
+    EXPECT_EQ(rejection(fc), "");
+}
+
+TEST(Fleet, JitterOutsideUnitIntervalRejectedAtConstruction)
+{
+    // A jitter of 1 or more can cancel or invert the backoff delay.
+    const std::string msg =
+        "FleetConfig: recovery.jitterFrac must be in [0, 1)";
+    auto fc = recoveringFleet();
+    for (const double bad : {-0.01, 1.0, 2.5, std::nan("")}) {
+        fc.recovery.jitterFrac = bad;
+        EXPECT_EQ(rejection(fc), msg) << bad;
+    }
+    for (const double good : {0.0, 0.999}) {
+        fc.recovery.jitterFrac = good;
+        EXPECT_EQ(rejection(fc), "") << good;
+    }
 }
 
 TEST(Fleet, IdenticalSeedsIdenticalReports)
