@@ -44,6 +44,11 @@ checked(FleetConfig cfg)
     if (cfg.trace.enabled && cfg.trace.ringCapacity == 0)
         throw std::invalid_argument(
             "FleetConfig: trace.ringCapacity must be > 0 with tracing on");
+    if (cfg.metrics.enabled && cfg.metrics.interval <= 0)
+        // due() is `now >= next_`: a non-positive interval would sample
+        // every epoch forever.
+        throw std::invalid_argument(
+            "FleetConfig: metrics.interval must be > 0 with metrics on");
     if (cfg.recovery.enabled) {
         const fault::RecoveryConfig &r = cfg.recovery;
         if (r.requestTimeout <= 0)
@@ -219,14 +224,6 @@ FleetSim::FleetSim(FleetConfig cfg)
             servers_[i]->enableTracing(tracer_->writer(i + 1));
         }
     }
-    if (cfg_.metrics.enabled && cfg_.metrics.interval <= 0) {
-        // due() is `now >= next_`: a non-positive interval would sample
-        // every epoch forever. Reject at setup rather than silently
-        // flooding the series store.
-        std::fprintf(stderr, "fleet: metrics.interval must be positive; "
-                             "disabling metrics sampling\n");
-        cfg_.metrics.enabled = false;
-    }
     if (cfg_.metrics.enabled) {
         metrics_ = std::make_unique<obs::MetricsSampler>(cfg_.metrics);
         series_.fleetPowerW = metrics_->addSeries("fleet.pkg_power_w");
@@ -270,10 +267,25 @@ FleetSim::FleetSim(FleetConfig cfg)
         cfg_.health.audit.failFast = true;
     }
     if (cfg_.health.enabled) {
-        health_ =
-            std::make_unique<obs::HealthMonitor>(cfg_.health, cfg_.sloUs);
+        health_ = std::make_unique<obs::HealthMonitor>(
+            cfg_.health, cfg_.sloUs, cfg_.epoch);
         if (fleetTrace_)
             health_->setTrace(fleetTrace_);
+    }
+    if (cfg_.health.enabled && cfg_.health.audit.enabled) {
+        // Size the reused snapshot and the auditor's baselines once,
+        // so audits allocate nothing during the run.
+        const std::size_t n = cfg_.numServers;
+        const std::size_t planes = 2 * n; // package + DRAM per server
+        auditSnap_.servers.reserve(n);
+        auditSnap_.energy.reserve(planes);
+        if (cfg_.fabric.enabled)
+            auditSnap_.links.reserve(2 * n + 2);
+        if (cfg_.budget.enabled) {
+            auditSnap_.serverLimitW.reserve(n);
+            auditSnap_.grantActive.reserve(n);
+        }
+        health_->auditor().reserve(n, planes);
     }
     traffic_ = std::make_unique<TrafficSource>(
         cfg_.traffic, mixSeed(cfg_.seed, 0xF1EE7));
@@ -294,15 +306,12 @@ FleetSim::FleetSim(FleetConfig cfg)
         nextAllocAt_ = cfg_.budgetEpoch;
     }
 
-    std::uint32_t budget = cfg_.packBudget;
-    if (budget == 0) {
-        // Pack to ~70% of the cores: keeps queueing (and therefore the
-        // p99) bounded while still emptying the rest of the fleet.
-        const auto cores = servers_[0]->soc().numCores();
-        budget = std::max<std::uint32_t>(
-            1, static_cast<std::uint32_t>(
-                   std::floor(0.7 * static_cast<double>(cores))));
-    }
+    // Pack to ~70% of the cores: keeps queueing (and therefore the p99)
+    // bounded while still emptying the rest of the fleet.
+    const auto cores = servers_[0]->soc().numCores();
+    const auto budget = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(
+               std::floor(0.7 * static_cast<double>(cores))));
     dispatcher_ = makeDispatcher(cfg_.dispatch, cfg_.numServers, budget);
     lbView_.assign(cfg_.numServers, 0);
 }
@@ -575,16 +584,13 @@ void
 FleetSim::advanceShards(sim::Tick to)
 {
     const auto sc = profiler_.scope(obs::PhaseProfiler::Phase::Advance);
-    const bool prof = profiler_.enabled();
     pool_.parallelForRanges(
         layout_.numShards,
-        [this, to, prof](std::size_t b, std::size_t e) {
+        [this, to](std::size_t b, std::size_t e) {
             for (std::size_t sh = b; sh < e; ++sh) {
                 // Per-shard wall-clock feeds the imbalance metric; one
                 // writer per shard index, so no synchronization.
-                const auto t0 = prof
-                    ? obs::PhaseProfiler::Clock::now()
-                    : obs::PhaseProfiler::Clock::time_point{};
+                const auto t0 = obs::PhaseProfiler::Clock::now();
                 ShardSlot &slot = slots_[sh];
                 // This worker owns the shard for the whole phase.
                 sim::RoleGuard own(slot.writer);
@@ -614,10 +620,8 @@ FleetSim::advanceShards(sim::Tick to)
                           stagedBefore);
                 std::sort(slot.aborts.begin(), slot.aborts.end(),
                           stagedBefore);
-                if (prof)
-                    profiler_.addShardTime(
-                        sh,
-                        std::chrono::duration<double>(
+                profiler_.addShardTime(
+                    sh, std::chrono::duration<double>(
                             obs::PhaseProfiler::Clock::now() - t0)
                             .count());
             }
@@ -1073,7 +1077,6 @@ FleetReport
 FleetSim::run()
 {
     using Phase = obs::PhaseProfiler::Phase;
-    profiler_.enable(cfg_.profile);
     profiler_.beginRun(layout_.numShards);
 
     for (auto &s : servers_)
@@ -1247,10 +1250,16 @@ FleetSim::healthEpoch(sim::Tick t0, sim::Tick t1)
         health_->auditor().audit(buildAuditSnapshot(t1));
 }
 
-obs::AuditSnapshot
+const obs::AuditSnapshot &
 FleetSim::buildAuditSnapshot(sim::Tick now)
 {
-    obs::AuditSnapshot snap;
+    obs::AuditSnapshot &snap = auditSnap_;
+    snap.servers.clear();
+    snap.links.clear();
+    snap.energy.clear();
+    snap.newEpochs.clear();
+    snap.serverLimitW.clear();
+    snap.measuredInFlight = 0;
     snap.now = now;
     snap.flightsCreated = inFlight_.endId();
     snap.flightsFinished = flightsFinished_;
@@ -1266,7 +1275,6 @@ FleetSim::buildAuditSnapshot(sim::Tick now)
             ++snap.measuredInFlight;
     });
 
-    snap.servers.reserve(servers_.size());
     for (const auto &s : servers_)
         snap.servers.push_back(
             {s->accepted(), s->completed(), s->aborted()});
@@ -1284,7 +1292,6 @@ FleetSim::buildAuditSnapshot(sim::Tick now)
         }
     }
 
-    snap.energy.reserve(servers_.size() * 2);
     for (std::size_t i = 0; i < servers_.size(); ++i) {
         auto &soc = servers_[i]->soc();
         const auto &meter = soc.meter();
@@ -1321,7 +1328,6 @@ FleetSim::buildAuditSnapshot(sim::Tick now)
         auditLogPos_ = log.size();
         if (!log.empty())
             snap.lastBudgetW = log.back().budgetW;
-        snap.serverLimitW.reserve(servers_.size());
         for (const auto &s : servers_)
             snap.serverLimitW.push_back(s->powerLimitW());
         snap.grantActive = grantActive_;
@@ -1340,15 +1346,14 @@ FleetSim::writeTrace(const std::string &path) const
                      "records dropped; export is incomplete (raise "
                      "TraceConfig::ringCapacity)\n",
                      static_cast<unsigned long long>(drops));
-    const obs::PhaseProfiler *prof = cfg_.profile ? &profiler_ : nullptr;
     if (attr_) {
         // Flow arrows (client -> critical server -> client) ride along
         // when attribution ran.
         const std::vector<obs::FlowEvent> flows =
-            obs::buildFlows(attribution_, cfg_.attribution.flowLimit);
-        return tracer_->writePerfettoJson(path, prof, &flows);
+            obs::buildFlows(attribution_, obs::kFlowLimit);
+        return tracer_->writePerfettoJson(path, &profiler_, &flows);
     }
-    return tracer_->writePerfettoJson(path, prof);
+    return tracer_->writePerfettoJson(path, &profiler_);
 }
 
 bool

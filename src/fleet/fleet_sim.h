@@ -88,12 +88,6 @@ struct FleetConfig
 
     /** Per-server NIC model (normally enabled together with fabric). */
     net::NicConfig nic;
-    /**
-     * Packing policy's per-server outstanding budget; 0 derives it from
-     * the server's core count (~70% target utilization).
-     */
-    std::uint32_t packBudget = 0;
-
     /** Latency SLO for violation accounting. */
     double sloUs = 1000.0;
 
@@ -185,10 +179,6 @@ struct FleetConfig
      * (a crashed replica is a lost request).
      */
     fault::RecoveryConfig recovery;
-
-    /** Wall-clock profiling of the route/advance/merge pipeline
-     *  (obs/profiler.h); negligible cost, on by default. */
-    bool profile = true;
 
     /**
      * Servers per shard; 0 picks one automatically from the thread
@@ -382,9 +372,9 @@ class FleetSim
     /** Engine wall-clock profile of the last run(). */
     const obs::PhaseProfiler &profiler() const { return profiler_; }
 
-    /** Export the merged trace as Perfetto JSON (includes the engine's
-     *  wall-clock phase spans when cfg.profile). @return false when
-     *  tracing is off or on IO failure. */
+    /** Export the merged trace as Perfetto JSON, with the engine's
+     *  wall-clock phase spans. @return false when tracing is off or on
+     *  IO failure. */
     bool writeTrace(const std::string &path) const;
 
     /** Export the sampled metrics series. @return false when metrics
@@ -601,8 +591,9 @@ class FleetSim
     /** Feed the health monitor at the quiescent boundary closing the
      *  epoch [t0, t1): SLO window roll + due invariant audits. */
     void healthEpoch(sim::Tick t0, sim::Tick t1);
-    /** Gather the auditor's view of the fleet at quiescent @p now. */
-    obs::AuditSnapshot buildAuditSnapshot(sim::Tick now);
+    /** Gather the auditor's view of the fleet at quiescent @p now
+     *  into auditSnap_. */
+    const obs::AuditSnapshot &buildAuditSnapshot(sim::Tick now);
 
     FleetConfig cfg_;
     ShardLayout layout_;
@@ -697,6 +688,9 @@ class FleetSim
     std::unique_ptr<obs::MetricsSampler> metrics_;
     /** SLO burn-rate monitor + invariant auditor (obs/health.h). */
     std::unique_ptr<obs::HealthMonitor> health_;
+    /** The auditor's view, rebuilt in place at every audit: its
+     *  vectors are sized at construction and keep their capacity. */
+    obs::AuditSnapshot auditSnap_;
     /** Budget-allocator log records already audited. */
     std::size_t auditLogPos_ = 0;
     /** Per server: whether the budget epoch that issued its enforced

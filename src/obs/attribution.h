@@ -98,9 +98,10 @@ struct AttributionConfig
     /** Per-request samples carried into the exported report (exact
      *  integer ticks; CI validates additivity on them). */
     std::size_t sampleLimit = 256;
-    /** Perfetto flow arrows emitted into writeTrace() exports. */
-    std::size_t flowLimit = 256;
 };
+
+/** Perfetto flow arrows emitted into trace exports. */
+inline constexpr std::size_t kFlowLimit = 256;
 
 /** A segment's place in the trace's merged `(ts, writer, seq)` order:
  *  writer 0 is the fleet spine, writer i + 1 server i; seq orders one

@@ -172,6 +172,14 @@ class Auditor
     /** Record violation instants on @p w's Health track (null off). */
     void setTrace(TraceWriter *w) { trace_ = w; }
 
+    /** Size the monotonicity baselines for @p servers servers and
+     *  @p energy_planes planes, so audits allocate nothing. */
+    void reserve(std::size_t servers, std::size_t energy_planes)
+    {
+        prevServers_.reserve(servers);
+        prevEnergyJ_.reserve(energy_planes);
+    }
+
     /** True when the audit cadence has elapsed since the last audit. */
     bool due(sim::Tick now) const
     {

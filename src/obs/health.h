@@ -90,9 +90,11 @@ class HealthMonitor
 {
   public:
     /** @param default_latency_slo_us fleet `sloUs` (latency SLI
-     *  threshold default); @param severity policies come from @p cfg. */
-    HealthMonitor(const HealthConfig &cfg, double default_latency_slo_us)
-        : cfg_(cfg), slo_(cfg.slo, default_latency_slo_us),
+     *  threshold default); @param epoch fleet epoch (one SLO bucket);
+     *  severity policies come from @p cfg. */
+    HealthMonitor(const HealthConfig &cfg, double default_latency_slo_us,
+                  sim::Tick epoch)
+        : cfg_(cfg), slo_(cfg.slo, default_latency_slo_us, epoch),
           auditor_(cfg.audit)
     {
     }

@@ -48,20 +48,15 @@ class PhaseProfiler
 
     using Clock = std::chrono::steady_clock;
 
-    /** RAII phase timer; no-op when the profiler is disabled. */
+    /** RAII phase timer. */
     class Scope
     {
       public:
-        Scope(PhaseProfiler &p, Phase ph) : prof_(p), phase_(ph)
+        Scope(PhaseProfiler &p, Phase ph)
+            : prof_(p), phase_(ph), t0_(Clock::now())
         {
-            if (prof_.enabled_)
-                t0_ = Clock::now();
         }
-        ~Scope()
-        {
-            if (prof_.enabled_)
-                prof_.addSpan(phase_, t0_, Clock::now());
-        }
+        ~Scope() { prof_.addSpan(phase_, t0_, Clock::now()); }
         Scope(const Scope &) = delete;
         Scope &operator=(const Scope &) = delete;
 
@@ -70,10 +65,6 @@ class PhaseProfiler
         Phase phase_;
         Clock::time_point t0_;
     };
-
-    /** Enable/disable all measurement (disabled scopes cost a branch). */
-    void enable(bool on) { enabled_ = on; }
-    bool enabled() const { return enabled_; }
 
     /** Anchor the span timeline and size the per-shard table. Clears
      *  any previous measurements. */
@@ -136,7 +127,6 @@ class PhaseProfiler
 
     void addSpan(Phase p, Clock::time_point t0, Clock::time_point t1);
 
-    bool enabled_ = true;
     Clock::time_point anchor_{};
     double totalSec_[kNumPhases] = {};
     std::uint64_t count_[kNumPhases] = {};

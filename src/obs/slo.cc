@@ -32,7 +32,8 @@ burnTraceName(std::size_t sli)
 
 } // namespace
 
-SloMonitor::SloMonitor(SloConfig cfg, double default_latency_slo_us)
+SloMonitor::SloMonitor(SloConfig cfg, double default_latency_slo_us,
+                       sim::Tick epoch)
     : cfg_(cfg)
 {
     if (cfg_.latencyThresholdUs <= 0.0)
@@ -46,6 +47,21 @@ SloMonitor::SloMonitor(SloConfig cfg, double default_latency_slo_us)
         p.shortWindow =
             std::min(std::max<sim::Tick>(p.shortWindow, 1), p.longWindow);
     }
+    // Right after a seal, a window of length w holds ceil(w / epoch)
+    // buckets plus the one about to be evicted or released.
+    const sim::Tick e = std::max<sim::Tick>(epoch, 1);
+    const auto buckets = [e](sim::Tick w) {
+        return static_cast<std::size_t>((w + e - 1) / e) + 1;
+    };
+    ring_.resize(buckets(
+        std::max(policies_[0].longWindow, policies_[1].longWindow)));
+    const std::size_t buffers = buckets(policies_[0].longWindow);
+    cur_.latency.reserve(cfg_.maxSamplesPerEpoch);
+    spare_.reserve(buffers);
+    spare_.resize(buffers - 1);
+    for (std::vector<double> &b : spare_)
+        b.reserve(cfg_.maxSamplesPerEpoch);
+    p99Runs_.reserve(buffers);
 }
 
 void
@@ -96,22 +112,30 @@ SloMonitor::errorBudget(std::size_t sli) const
     return std::max(1.0 - objective, 1e-12);
 }
 
-double
-SloMonitor::burnRate(std::size_t sli, sim::Tick t1,
-                     sim::Tick window) const
+void
+SloMonitor::windowCounts(std::size_t sli, sim::Tick from,
+                         std::uint64_t &good, std::uint64_t &bad) const
 {
-    const sim::Tick from = t1 - window;
-    std::uint64_t good = 0, bad = 0;
+    good = bad = 0;
     // Newest buckets sit at the back; stop at the first bucket fully
     // outside the window. A bucket belongs to every window its end
     // falls in (windows are tens of epochs, so the partial-overlap
     // error of the oldest bucket is one epoch's worth at most).
-    for (auto it = window_.rbegin(); it != window_.rend(); ++it) {
-        if (it->t1 <= from)
+    for (std::size_t i = numSealed_; i-- > 0;) {
+        const Bucket &b = sealed(i);
+        if (b.t1 <= from)
             break;
-        good += it->good[sli];
-        bad += it->bad[sli];
+        good += b.good[sli];
+        bad += b.bad[sli];
     }
+}
+
+double
+SloMonitor::burnRate(std::size_t sli, sim::Tick t1,
+                     sim::Tick window) const
+{
+    std::uint64_t good = 0, bad = 0;
+    windowCounts(sli, t1 - window, good, bad);
     const std::uint64_t total = good + bad;
     if (total == 0)
         return 0.0;
@@ -123,18 +147,11 @@ SloMonitor::burnRate(std::size_t sli, sim::Tick t1,
 double
 SloMonitor::windowGoodFraction(Sli sli, sim::Tick window) const
 {
-    if (window_.empty())
+    if (numSealed_ == 0)
         return 1.0; // nothing sealed yet: vacuously healthy
-    const std::size_t s = static_cast<std::size_t>(sli);
-    const sim::Tick t1 = window_.back().t1;
-    const sim::Tick from = t1 - window;
     std::uint64_t good = 0, bad = 0;
-    for (auto it = window_.rbegin(); it != window_.rend(); ++it) {
-        if (it->t1 <= from)
-            break;
-        good += it->good[s];
-        bad += it->bad[s];
-    }
+    windowCounts(static_cast<std::size_t>(sli),
+                 sealed(numSealed_ - 1).t1 - window, good, bad);
     const std::uint64_t total = good + bad;
     if (total == 0)
         return 1.0; // zero traffic in the window: 100% available
@@ -142,15 +159,12 @@ SloMonitor::windowGoodFraction(Sli sli, sim::Tick window) const
 }
 
 double
-SloMonitor::windowP99(sim::Tick t1)
+SloMonitor::windowP99()
 {
-    const sim::Tick from = t1 - policies_[0].longWindow;
     p99Runs_.clear();
-    for (auto it = window_.rbegin(); it != window_.rend(); ++it) {
-        if (it->t1 <= from)
-            break;
-        p99Runs_.push_back({it->latency.data(),
-                            it->latency.data() + it->latency.size()});
+    for (std::size_t i = numSealed_; i-- > numSealed_ - numSampled_;) {
+        const std::vector<double> &lat = sealed(i).latency;
+        p99Runs_.push_back({lat.data(), lat.data() + lat.size()});
     }
     return stats::quantileSortedRuns(p99Runs_, 99, 100);
 }
@@ -172,16 +186,41 @@ SloMonitor::onEpoch(sim::Tick t0, sim::Tick t1)
     // Sorted once here, so every window p99 this bucket takes part in
     // only selects across the window's sorted runs.
     std::sort(cur_.latency.begin(), cur_.latency.end());
-    window_.push_back(std::move(cur_));
-    cur_ = Bucket{};
+    if (numSealed_ == ring_.size()) {
+        // Epochs shorter than the one the ring was sized for.
+        std::rotate(ring_.begin(),
+                    ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                    ring_.end());
+        head_ = 0;
+        ring_.resize(2 * ring_.size());
+    }
+    sealed(numSealed_++) = std::move(cur_);
+    ++numSampled_;
 
-    // Evict buckets no window can see anymore.
+    // Buckets that left the fast long window hand their samples back
+    // (the one just sealed never has); buckets no window can see
+    // anymore leave the ring. The longest window is at least the fast
+    // one, so evicted buckets hold no samples.
+    const sim::Tick fast_from = t1 - policies_[0].longWindow;
+    while (sealed(numSealed_ - numSampled_).t1 <= fast_from) {
+        std::vector<double> &lat = sealed(numSealed_ - numSampled_).latency;
+        lat.clear();
+        spare_.push_back(std::move(lat));
+        --numSampled_;
+    }
     const sim::Tick horizon =
         t1 - std::max(policies_[0].longWindow, policies_[1].longWindow);
-    while (!window_.empty() && window_.front().t1 <= horizon)
-        window_.pop_front();
+    while (numSealed_ > 0 && sealed(0).t1 <= horizon) {
+        head_ = (head_ + 1) % ring_.size();
+        --numSealed_;
+    }
+    cur_ = Bucket{};
+    if (!spare_.empty()) {
+        cur_.latency = std::move(spare_.back());
+        spare_.pop_back();
+    }
 
-    const double p99 = windowP99(t1);
+    const double p99 = windowP99();
     worstP99Us_ = std::max(worstP99Us_, p99);
 
     for (std::size_t s = 0; s < kNumSlis; ++s) {

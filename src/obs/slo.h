@@ -35,7 +35,6 @@
 #define APC_OBS_SLO_H
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "obs/tracer.h"
@@ -120,7 +119,12 @@ struct AlertEvent
 class SloMonitor
 {
   public:
-    SloMonitor(SloConfig cfg, double default_latency_slo_us);
+    /** @param epoch the length of one bucket (the fleet epoch). The
+     *  bucket ring and the latency sample buffers are sized from it
+     *  once, here, so a run at that epoch allocates nothing per epoch;
+     *  shorter epochs still work and grow the storage. */
+    SloMonitor(SloConfig cfg, double default_latency_slo_us,
+               sim::Tick epoch);
 
     /** Mirror alert lifecycles and burn counters onto @p w's Health
      *  track (null disables). */
@@ -174,7 +178,7 @@ class SloMonitor
         std::uint64_t good[kNumSlis] = {};
         std::uint64_t bad[kNumSlis] = {};
         /** Bounded percentile context; sorted when the bucket is
-         *  sealed. */
+         *  sealed, handed back once it leaves the fast long window. */
         std::vector<double> latency;
     };
 
@@ -185,6 +189,19 @@ class SloMonitor
         double worstWhileActive = 0.0;
     };
 
+    /** Sealed bucket @p i, counted from the oldest. */
+    Bucket &sealed(std::size_t i)
+    {
+        return ring_[(head_ + i) % ring_.size()];
+    }
+    const Bucket &sealed(std::size_t i) const
+    {
+        return ring_[(head_ + i) % ring_.size()];
+    }
+    /** Good and bad counts of @p sli over the sealed buckets ending
+     *  after @p from. */
+    void windowCounts(std::size_t sli, sim::Tick from, std::uint64_t &good,
+                      std::uint64_t &bad) const;
     /** Burn rate of @p sli over the window (@p t1 - @p window, @p t1]:
      *  bad fraction over the bucketed window divided by the SLI's
      *  error budget (0 when the window holds no events). */
@@ -192,14 +209,22 @@ class SloMonitor
                     sim::Tick window) const;
     double errorBudget(std::size_t sli) const;
     /** Exact-rank p99 over the fast long window's sorted buckets. */
-    double windowP99(sim::Tick t1);
+    double windowP99();
 
     SloConfig cfg_;
     BurnPolicy policies_[kNumBurnPolicies];
     TraceWriter *trace_ = nullptr;
 
     Bucket cur_;
-    std::deque<Bucket> window_;
+    /** Sealed buckets in a ring, oldest at head_: every bucket some
+     *  window can still see. */
+    std::vector<Bucket> ring_;
+    std::size_t head_ = 0, numSealed_ = 0;
+    /** The newest numSampled_ sealed buckets lie in the fast long
+     *  window, the only one whose p99 needs samples; older buckets
+     *  return their buffer to spare_ (capacity kept). */
+    std::size_t numSampled_ = 0;
+    std::vector<std::vector<double>> spare_;
     std::uint64_t capSamplesPrev_ = 0, capViolationsPrev_ = 0;
     std::uint64_t capSamplesNow_ = 0, capViolationsNow_ = 0;
 

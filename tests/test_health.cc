@@ -61,10 +61,10 @@ TEST(SloMonitor, ThresholdInheritsFleetSloOnlyWhenUnset)
     obs::SloConfig explicit_cfg;
     explicit_cfg.latencyThresholdUs = 250.0;
     EXPECT_DOUBLE_EQ(
-        obs::SloMonitor(explicit_cfg, 777.0).config().latencyThresholdUs,
+        obs::SloMonitor(explicit_cfg, 777.0, kMs).config().latencyThresholdUs,
         250.0);
     EXPECT_DOUBLE_EQ(
-        obs::SloMonitor(obs::SloConfig{}, 777.0)
+        obs::SloMonitor(obs::SloConfig{}, 777.0, kMs)
             .config()
             .latencyThresholdUs,
         777.0);
@@ -72,7 +72,7 @@ TEST(SloMonitor, ThresholdInheritsFleetSloOnlyWhenUnset)
 
 TEST(SloMonitor, FiresOnlyWhenBothWindowsBurnAndResolvesOnEither)
 {
-    obs::SloMonitor m(scriptedSlo(), 0.0);
+    obs::SloMonitor m(scriptedSlo(), 0.0, kMs);
 
     // 4 healthy epochs, then the SLI goes fully bad.
     for (int k = 1; k <= 4; ++k)
@@ -132,7 +132,7 @@ TEST(SloMonitor, PowerSliFollowsCapCounterDeltas)
     c.powerObjective = 0.9;
     c.fast = {4 * kMs, 1 * kMs, 5.0, "page"};
     c.slow = {4 * kMs, 1 * kMs, 1e9, "ticket"};
-    obs::SloMonitor m(c, 0.0);
+    obs::SloMonitor m(c, 0.0, kMs);
 
     // Counters are cumulative; the monitor consumes epoch deltas.
     m.setCapCounters(100, 0);
@@ -158,7 +158,7 @@ TEST(SloMonitor, LatencyPercentileBufferIsBoundedAndCounted)
 {
     obs::SloConfig c = scriptedSlo();
     c.maxSamplesPerEpoch = 4;
-    obs::SloMonitor m(c, 0.0);
+    obs::SloMonitor m(c, 0.0, kMs);
     for (int i = 0; i < 10; ++i)
         m.recordLatency(50.0);
     m.onEpoch(0, 1 * kMs);
@@ -169,7 +169,7 @@ TEST(SloMonitor, LatencyPercentileBufferIsBoundedAndCounted)
 
 TEST(SloMonitor, IdleFleetIsFullyAvailableNotNaN)
 {
-    obs::SloMonitor m(scriptedSlo(), 0.0);
+    obs::SloMonitor m(scriptedSlo(), 0.0, kMs);
 
     // Before any epoch is sealed the window is empty: availability is
     // a healthy 1.0, never 0/0.
@@ -194,6 +194,51 @@ TEST(SloMonitor, IdleFleetIsFullyAvailableNotNaN)
     m.onEpoch(4 * kMs, 5 * kMs);
     EXPECT_LT(m.windowGoodFraction(obs::Sli::Availability, 2 * kMs),
               1.0);
+}
+
+TEST(SloMonitor, EpochSizingIsOnlyACapacityHint)
+{
+    // One feed through monitors sized for its 1 ms epochs, for 1 µs
+    // epochs, and for 20 ms epochs (a ring and sample buffers that must
+    // grow). The feed ends in quarter-millisecond epochs, which outgrow
+    // even the exact sizing. Every result must match.
+    obs::SloConfig c = scriptedSlo();
+    c.slow = {12 * kMs, 3 * kMs, 2.0, "ticket"};
+    std::vector<obs::SloMonitor> ms;
+    ms.reserve(3);
+    for (const sim::Tick epoch : {kMs, kUs, 20 * kMs})
+        ms.emplace_back(c, 0.0, epoch);
+    sim::Tick t = 0;
+    for (int k = 0; k < 60; ++k) {
+        const sim::Tick len = k < 40 ? kMs : kMs / 4;
+        for (obs::SloMonitor &m : ms) {
+            // A burst of slow requests every 16 epochs fires alerts.
+            for (int i = 0; i < 5 + k % 7; ++i)
+                m.recordLatency(k % 16 < 4 ? 90.0 + 40.0 * i
+                                           : 10.0 + 3.0 * ((k + i) % 11));
+            if (k % 9 == 0)
+                m.recordLost();
+            m.onEpoch(t, t + len);
+        }
+        t += len;
+    }
+    EXPECT_GT(ms[0].alertsFired(), 2u);
+    for (std::size_t j = 1; j < ms.size(); ++j) {
+        EXPECT_EQ(ms[j].worstWindowP99Us(), ms[0].worstWindowP99Us());
+        EXPECT_EQ(ms[j].worstBurn(), ms[0].worstBurn());
+        EXPECT_EQ(ms[j].timeInViolation(), ms[0].timeInViolation());
+        EXPECT_EQ(ms[j].windowGoodFraction(obs::Sli::Latency, 12 * kMs),
+                  ms[0].windowGoodFraction(obs::Sli::Latency, 12 * kMs));
+        ASSERT_EQ(ms[j].alerts().size(), ms[0].alerts().size());
+        for (std::size_t i = 0; i < ms[0].alerts().size(); ++i) {
+            const obs::AlertEvent &a = ms[j].alerts()[i];
+            const obs::AlertEvent &b = ms[0].alerts()[i];
+            EXPECT_EQ(a.at, b.at);
+            EXPECT_EQ(a.fire, b.fire);
+            EXPECT_EQ(a.burnLong, b.burnLong);
+            EXPECT_EQ(a.windowP99Us, b.windowP99Us);
+        }
+    }
 }
 
 // ----------------------------------------------------- auditor (unit)

@@ -377,7 +377,6 @@ TEST(MetricsSampler, PartialRowConsistentAcrossCsvAndJson)
 TEST(PhaseProfiler, AccumulatesAndComputesImbalance)
 {
     obs::PhaseProfiler p;
-    p.enable(true);
     p.beginRun(4);
     { auto s = p.scope(obs::PhaseProfiler::Phase::Route); }
     { auto s = p.scope(obs::PhaseProfiler::Phase::Route); }
@@ -519,11 +518,9 @@ TEST(ObsFleet, MetricsIntervalZeroRejectedAtSetup)
     fc.duration = 4 * kMs;
     fc.warmup = 2 * kMs;
     fc.metrics.interval = 0;
-    fleet::FleetSim fleet(fc);
-    // Rejected at setup: no sampler rather than one row per epoch.
-    EXPECT_EQ(fleet.metrics(), nullptr);
-    const auto rep = fleet.run();
-    EXPECT_GT(rep.completed, 0u);
+    // Rejected at setup, loudly: not a sampler that writes a row every
+    // epoch, and not a run that silently drops its metrics.
+    EXPECT_THROW(fleet::FleetSim{fc}, std::invalid_argument);
 }
 
 TEST(ObsFleet, RunShorterThanOneIntervalStillSamples)
