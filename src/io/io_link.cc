@@ -130,7 +130,9 @@ IoLink::transfer(sim::Tick payload_time, std::function<void()> done)
     ++transfers_;
     idleTimer_.cancel();
 
-    auto start_payload = [this, payload_time, done = std::move(done)] {
+    // Mutable, so the completion moves on rather than being copied.
+    auto start_payload = [this, payload_time,
+                          done = std::move(done)]() mutable {
         sim_.after(payload_time, [this, done = std::move(done)] {
             --transactions_;
             assert(transactions_ >= 0);

@@ -97,8 +97,8 @@ Nic::fireInterrupt()
     if (ring_.empty())
         return;
     std::vector<RxPacket> batch = std::move(ring_);
-    ring_.clear();
-    ring_.reserve(cfg_.rxRingSize);
+    ring_.swap(spare_);
+    ring_.reserve(cfg_.rxRingSize); // allocates only without a spare
 
     const sim::Tick irq_at = sim_.now();
     ++stats_.interrupts;

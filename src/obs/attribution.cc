@@ -4,6 +4,7 @@
 #include <cassert>
 #include <iterator>
 #include <numeric>
+#include <stdexcept>
 
 namespace apc::obs {
 
@@ -82,15 +83,70 @@ AttributionResult::answered(std::uint64_t id, sim::Tick arrival,
     push(rec);
 }
 
+namespace {
+
+constexpr std::uint64_t kSlotMax = std::uint64_t{1} << 32;
+
+/** @p r fits a Slot: one replica, a chain summing to e2e, every tick
+ *  and the id below 2^32, and a server that is not the sentinel. */
+bool
+packs(const RequestRecord &r)
+{
+    if (r.replicas != 1 || r.id >= kSlotMax ||
+        r.srv == AttributionResult::kSide)
+        return false;
+    sim::Tick sum = 0;
+    for (const sim::Tick s : r.seg) {
+        if (static_cast<std::uint64_t>(s) >= kSlotMax)
+            return false;
+        sum += s;
+    }
+    return sum == r.e2e;
+}
+
+} // namespace
+
 void
 AttributionResult::push(const RequestRecord &r)
 {
+    if (size_ >= kMaxRecords)
+        throw std::length_error(
+            "attribution: more than 2^32 records in one run");
     if (size_ % kChunk == 0) {
         chunks_.emplace_back();
         chunks_.back().reserve(kChunk);
     }
-    chunks_.back().push_back(r);
+    Slot s;
+    s.arrival = r.arrival;
+    if (packs(r)) {
+        s.id = static_cast<std::uint32_t>(r.id);
+        s.srv = r.srv;
+        std::copy(std::begin(r.seg), std::end(r.seg), s.seg);
+    } else {
+        s.id = static_cast<std::uint32_t>(side_.size());
+        s.srv = kSide;
+        side_.push_back(r);
+    }
+    chunks_.back().push_back(s);
     ++size_;
+}
+
+RequestRecord
+AttributionResult::operator[](std::size_t i) const
+{
+    const Slot &s = slot(i);
+    if (s.srv == kSide)
+        return side_[s.id];
+    RequestRecord r;
+    r.id = s.id;
+    r.arrival = s.arrival;
+    r.srv = s.srv;
+    r.replicas = 1;
+    for (std::size_t k = 0; k < kNumSegments; ++k) {
+        r.seg[k] = s.seg[k];
+        r.e2e += s.seg[k];
+    }
+    return r;
 }
 
 std::vector<std::uint32_t>
@@ -111,8 +167,9 @@ AttributionResult::firstByArrival(std::size_t limit) const
     std::vector<Key> heap;
     heap.reserve(keep);
     for (std::size_t i = 0; i < size_ && keep > 0; ++i) {
-        const RequestRecord &r = (*this)[i];
-        const Key k{r.arrival, r.id, static_cast<std::uint32_t>(i)};
+        const Slot &s = slot(i);
+        const Key k{s.arrival, s.srv == kSide ? side_[s.id].id : s.id,
+                    static_cast<std::uint32_t>(i)};
         if (heap.size() < keep) {
             heap.push_back(k);
             std::push_heap(heap.begin(), heap.end(), before);
@@ -137,7 +194,7 @@ buildFlows(const AttributionResult &res, std::size_t limit)
     const std::vector<std::uint32_t> first = res.firstByArrival(limit);
     flows.reserve(3 * first.size());
     for (const std::uint32_t i : first) {
-        const RequestRecord &r = res[i];
+        const RequestRecord r = res[i];
         const sim::Tick serve_start = r.arrival + r.e2e -
             r.seg[static_cast<std::size_t>(Segment::Serve)] -
             r.seg[static_cast<std::size_t>(Segment::StallDvfs)] -

@@ -17,10 +17,10 @@
  *  - the server adds its own segments while it holds the request and
  *    hands the sums back with the completion, abort or ring drop;
  *  - the spine adds the response leg. When the flight closes, its
- *    replicas fold into one compact RequestRecord — the critical
- *    replica's chain — appended to the run's AttributionResult; a
- *    flight keeps replicas that ended before it closed (fanout legs,
- *    failed attempts) in a RequestChains.
+ *    replicas fold into one RequestRecord — the critical replica's
+ *    chain — appended to the run's AttributionResult, which packs it
+ *    into one 64-byte slot; a flight keeps replicas that ended before
+ *    it closed (fanout legs, failed attempts) in a RequestChains.
  *
  * The invariant: the critical chain's segments **sum exactly**
  * (integer ticks) to the client-observed latency; for fanout requests
@@ -159,9 +159,9 @@ struct alignas(64) ReplicaSums
 };
 static_assert(sizeof(ReplicaSums) == 128, "two cache lines");
 
-/** One attributed request: its critical replica's chain. Two whole
- *  cache lines, so ranking visits no third one per record. */
-struct alignas(64) RequestRecord
+/** One attributed request: its critical replica's chain. The value
+ *  form; AttributionResult stores it packed. */
+struct RequestRecord
 {
     std::uint64_t id = 0;
     sim::Tick arrival = 0;
@@ -173,7 +173,6 @@ struct alignas(64) RequestRecord
     /** The segment holding the largest share of the chain. */
     Segment dominant() const;
 };
-static_assert(sizeof(RequestRecord) == 128, "two cache lines");
 
 /** The ended replicas of one open request (fleet side): one entry per
  *  server, since a request never returns to a server it left. */
@@ -197,10 +196,39 @@ class RequestChains
  * The run's attribution: one record per answered request, appended as
  * flights close, in fixed-size chunks so the store never reallocates
  * (and never doubles its footprint) as it grows.
+ *
+ * Each record takes one 64-byte Slot. A slot holds the arrival, a
+ * 32-bit id, the server and the 12 segment ticks as 32-bit values; it
+ * stores no end-to-end latency, since a critical chain sums exactly to
+ * it, and no replica count, since it holds only single-replica
+ * requests. A record that does not fit — replicas != 1, e2e != the
+ * sum of its segments, a segment or the id not below 2^32, or srv at
+ * the side sentinel — is kept whole in a side table, and its slot
+ * holds the side index instead of the id. Either way, operator[]
+ * returns every field exactly as pushed.
  */
 class AttributionResult
 {
   public:
+    /** One packed record: one cache line. */
+    struct alignas(64) Slot
+    {
+        sim::Tick arrival = 0;
+        /** The request id, or the side-table index when srv is kSide. */
+        std::uint32_t id = 0;
+        /** The critical replica's server, or kSide. */
+        std::uint32_t srv = 0;
+        std::uint32_t seg[kNumSegments] = {};
+    };
+
+    /** Slot::srv of a record kept whole in the side table. */
+    static constexpr std::uint32_t kSide = UINT32_MAX;
+    /** Most records a run can hold: rank keys, firstByArrival's
+     *  indices and the side index are all 32-bit. */
+    static constexpr std::uint64_t kMaxRecords = std::uint64_t{1} << 32;
+    /** Slots per chunk (256 KiB). */
+    static constexpr std::size_t kChunk = 4096;
+
     /**
      * Fold answered request @p id (client-observed latency @p e2e)
      * given its @p n replicas: append the critical replica's chain —
@@ -219,15 +247,30 @@ class AttributionResult
             ++lostExcluded;
     }
 
+    /** Append @p r. @throws std::length_error past kMaxRecords. */
     void push(const RequestRecord &r);
 
     std::size_t size() const { return size_; }
 
-    const RequestRecord &
-    operator[](std::size_t i) const
+    /** Record @p i, every field as pushed. */
+    RequestRecord operator[](std::size_t i) const;
+
+    /** Record @p i's slot; it never moves once pushed. */
+    const Slot &
+    slot(std::size_t i) const
     {
         return chunks_[i / kChunk][i % kChunk];
     }
+
+    /** Bytes of slot storage held (whole chunks). */
+    std::size_t
+    slotBytes() const
+    {
+        return chunks_.size() * kChunk * sizeof(Slot);
+    }
+
+    /** Records kept whole in the side table. */
+    std::size_t sideRecords() const { return side_.size(); }
 
     /** Indices of the first @p limit records in (arrival, id) order. */
     std::vector<std::uint32_t> firstByArrival(std::size_t limit) const;
@@ -241,11 +284,11 @@ class AttributionResult
     std::uint64_t violations = 0;
 
   private:
-    /** Records per chunk (512 KiB). */
-    static constexpr std::size_t kChunk = 4096;
-    std::vector<std::vector<RequestRecord>> chunks_;
+    std::vector<std::vector<Slot>> chunks_;
+    std::vector<RequestRecord> side_;
     std::size_t size_ = 0;
 };
+static_assert(sizeof(AttributionResult::Slot) == 64, "one cache line");
 
 /** Strict (arrival, id) order over records. */
 inline bool

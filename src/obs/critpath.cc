@@ -1,7 +1,6 @@
 #include "obs/critpath.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "obs/fmt.h"
@@ -82,12 +81,15 @@ LatencyAttribution::build(const AttributionResult &res,
     // the rank order — and with it every band's FP summation order —
     // does not depend on the order the records were folded in. The
     // sort runs over packed 64-bit keys, the latency's 32 leading
-    // significant bits above the record index; runs that share those
-    // bits (rare) are then put in exact order from the records.
+    // significant bits above the record index (n <= 2^32, which
+    // AttributionResult::push enforces); runs that share those bits
+    // (rare) are then put in exact order from the records.
+    std::vector<std::uint64_t> order(n);
     std::uint64_t max_e2e = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const RequestRecord &rec = res[i];
-        max_e2e = std::max(max_e2e, static_cast<std::uint64_t>(rec.e2e));
+        const RequestRecord rec = res[i];
+        order[i] = static_cast<std::uint64_t>(rec.e2e);
+        max_e2e = std::max(max_e2e, order[i]);
         if (rec.replicas > 1)
             ++out.fanoutRequests;
         ++out.criticalBySegment[static_cast<std::size_t>(rec.dominant())];
@@ -95,13 +97,9 @@ LatencyAttribution::build(const AttributionResult &res,
     const unsigned shift =
         bitWidth(max_e2e) > 32 ? bitWidth(max_e2e) - 32 : 0;
     const unsigned idx_bits = std::max(1u, bitWidth(n - 1));
-    assert(idx_bits <= 32);
     const std::uint64_t idx_mask = (std::uint64_t{1} << idx_bits) - 1;
-    std::vector<std::uint64_t> order(n);
     for (std::size_t i = 0; i < n; ++i)
-        order[i] = (static_cast<std::uint64_t>(res[i].e2e) >> shift)
-                << idx_bits |
-            i;
+        order[i] = (order[i] >> shift) << idx_bits | i;
     radixSort(order, idx_bits + 32);
     for (auto run = order.begin(); run != order.end();) {
         const auto end =
@@ -110,8 +108,8 @@ LatencyAttribution::build(const AttributionResult &res,
             });
         if (end - run > 1)
             std::sort(run, end, [&res, idx_mask](auto a, auto b) {
-                const RequestRecord &ra = res[a & idx_mask];
-                const RequestRecord &rb = res[b & idx_mask];
+                const RequestRecord ra = res[a & idx_mask];
+                const RequestRecord rb = res[b & idx_mask];
                 return ra.e2e != rb.e2e ? ra.e2e < rb.e2e
                                         : arrivedBefore(ra, rb);
             });
@@ -124,13 +122,9 @@ LatencyAttribution::build(const AttributionResult &res,
     for (std::size_t b = 0; b < kNumBands; ++b) {
         BlameBand &band = out.bands[b];
         for (std::size_t r = edges[b]; r < edges[b + 1]; ++r) {
-            if (r + kAhead < n) {
-                const auto *next = reinterpret_cast<const char *>(
-                    &res[order[r + kAhead] & idx_mask]);
-                __builtin_prefetch(next);
-                __builtin_prefetch(next + sizeof(RequestRecord) - 1);
-            }
-            const RequestRecord &rec = res[order[r] & idx_mask];
+            if (r + kAhead < n)
+                __builtin_prefetch(&res.slot(order[r + kAhead] & idx_mask));
+            const RequestRecord rec = res[order[r] & idx_mask];
             ++band.count;
             band.e2eMeanUs += sim::toMicros(rec.e2e);
             for (std::size_t s = 0; s < kNumSegments; ++s)

@@ -272,9 +272,12 @@ ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
         }
     const std::uint32_t inc = inc_;
     soc_->whenFabricReady([this, batch = std::move(batch), irq_at,
-                           dma_done, inc] {
-        if (inc != inc_)
-            return; // the crash already reported every id this carries
+                           dma_done, inc]() mutable {
+        if (inc != inc_) {
+            // The crash already reported every id this carries.
+            nic_->recycle(std::move(batch));
+            return;
+        }
         if (sim_.now() >= measureStart_)
             nicWakeUs_.record(sim::toMicros(sim_.now() - irq_at));
         const sim::Tick adm = sim_.now();
@@ -300,6 +303,7 @@ ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
                     gate_base, inc_});
             first = false;
         }
+        nic_->recycle(std::move(batch));
     });
 }
 

@@ -94,12 +94,13 @@ TEST(AllocGuard, Pc1aFleetStaysWithinWorkBudget)
                 "request; heap share %.6f\n",
                 static_cast<unsigned long long>(rep.serversCompleted),
                 allocsPerRequest, eventsPerRequest, heapShare);
-    // Each bound is the counter's value when it was last pinned (7.853069
+    // Each bound is the counter's value when it was last pinned (6.853069
     // allocations, 35.142131 events, heap share 0.389022), rounded up in
     // the fourth decimal. Wait lists that drop their capacity on every
     // wake cost about 3 more allocations per request; a hashed flight
-    // map costs one more per request.
-    EXPECT_LE(allocsPerRequest, 7.8531);
+    // map costs one more per request, and so does an IO link transfer
+    // that copies its completion instead of moving it.
+    EXPECT_LE(allocsPerRequest, 6.8531);
     EXPECT_LE(eventsPerRequest, 35.1422);
     EXPECT_LE(heapShare, 0.3891);
 }

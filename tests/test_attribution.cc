@@ -174,22 +174,25 @@ TEST(AttributionChains, LostRequestsCountOnlyWithSegments)
 TEST(AttributionChains, ChunkedStoreKeepsRecordsInPlace)
 {
     // Several chunks' worth of records, folded out of arrival order
-    // with arrival ties: the store keeps every record where it was
-    // put, and firstByArrival orders them by (arrival, id).
+    // with arrival ties: the store keeps every record's slot where it
+    // was put, and firstByArrival orders them by (arrival, id).
     obs::AttributionResult res;
     constexpr std::size_t kN = 10000;
-    const obs::RequestRecord *first = nullptr;
+    const obs::AttributionResult::Slot *first = nullptr;
     for (std::size_t i = 0; i < kN; ++i) {
         obs::RequestRecord r;
         r.id = (i * 7919) % kN;
         r.arrival = static_cast<sim::Tick>(r.id / 3);
         r.e2e = static_cast<sim::Tick>(i);
+        r.seg[static_cast<std::size_t>(obs::Segment::Serve)] = r.e2e;
+        r.replicas = 1; // packs into its slot
         res.push(r);
         if (i == 0)
-            first = &res[0];
+            first = &res.slot(0);
     }
     ASSERT_EQ(res.size(), kN);
-    EXPECT_EQ(&res[0], first); // no reallocation moved it
+    EXPECT_EQ(&res.slot(0), first); // no reallocation moved it
+    EXPECT_EQ(res.sideRecords(), 0u);
     for (std::size_t i = 0; i < kN; ++i)
         ASSERT_EQ(res[i].e2e, static_cast<sim::Tick>(i));
     const std::vector<std::uint32_t> order = res.firstByArrival(kN);
@@ -247,6 +250,116 @@ TEST(AttributionChains, BandsFollowExactRankOrder)
                       obs::Segment::Queue)],
                   queue * inv);
     }
+}
+
+TEST(AttributionChains, PackedStoreRoundTripsEveryWideClass)
+{
+    // Narrow records mixed with every class a slot cannot hold —
+    // replicas 0, 2 and 3, e2e != the segment sum, a segment or the id
+    // at 2^32, srv at the side sentinel — plus the largest values that
+    // still pack, over several chunks and out of arrival order:
+    // operator[] returns every field as pushed, exactly the wide ones
+    // take the side table, and the bands sum over both kinds in exact
+    // (e2e, arrival, id) order.
+    using Store = obs::AttributionResult;
+    constexpr sim::Tick k32 = sim::Tick{1} << 32;
+    constexpr std::size_t kN = 3 * Store::kChunk + 123;
+    const auto at = [](obs::Segment s) {
+        return static_cast<std::size_t>(s);
+    };
+    std::mt19937_64 rng(29);
+    Store res;
+    std::vector<obs::RequestRecord> recs;
+    std::size_t wide = 0;
+    for (std::size_t i = 0; i < kN; ++i) {
+        obs::RequestRecord r;
+        r.id = (i * 7919) % kN;
+        r.arrival = static_cast<sim::Tick>(rng() % 2000);
+        r.srv = static_cast<std::uint32_t>(rng() % 64);
+        r.replicas = 1;
+        for (sim::Tick &s : r.seg)
+            s = rng() % 4 == 0 ? static_cast<sim::Tick>(rng() % 100000) : 0;
+        r.seg[at(obs::Segment::Serve)] +=
+            1 + static_cast<sim::Tick>(rng() % 5000);
+        bool packs = false;
+        switch (i % 16) {
+        case 1:
+            r.replicas = 0;
+            break;
+        case 3:
+            r.replicas = 2;
+            break;
+        case 5:
+            r.replicas = 3;
+            break;
+        case 7:
+            r.seg[at(obs::Segment::Queue)] = k32;
+            break;
+        case 9:
+            r.id += static_cast<std::uint64_t>(k32);
+            break;
+        case 11:
+            r.srv = Store::kSide;
+            break;
+        case 13: // e2e is set off the segment sum below
+            break;
+        case 15: // the largest segment, id and server that still pack
+            r.seg[at(obs::Segment::Wake)] = k32 - 1;
+            if (i == 15)
+                r.id = static_cast<std::uint64_t>(k32 - 1);
+            r.srv = Store::kSide - 1;
+            packs = true;
+            break;
+        default:
+            packs = true;
+            break;
+        }
+        for (const sim::Tick s : r.seg)
+            r.e2e += s;
+        if (i % 16 == 13)
+            r.e2e += 1 + static_cast<sim::Tick>(rng() % 3);
+        wide += packs ? 0 : 1;
+        res.push(r);
+        recs.push_back(r);
+    }
+    ASSERT_EQ(res.size(), kN);
+    EXPECT_EQ(res.sideRecords(), wide);
+    EXPECT_LE(res.slotBytes(), 64 * kN + 64 * Store::kChunk);
+    std::vector<obs::RequestRecord> got;
+    for (std::size_t i = 0; i < kN; ++i)
+        got.push_back(res[i]);
+    testref::expectSameRecords(got, recs);
+
+    std::sort(recs.begin(), recs.end(),
+              [](const obs::RequestRecord &a, const obs::RequestRecord &b) {
+                  return a.e2e != b.e2e ? a.e2e < b.e2e
+                                        : obs::arrivedBefore(a, b);
+              });
+    const auto edges = stats::percentileBandEdges(recs.size());
+    const obs::LatencyAttribution la =
+        obs::LatencyAttribution::build(res, SIZE_MAX);
+    for (std::size_t b = 0; b < obs::LatencyAttribution::kNumBands; ++b) {
+        double e2e = 0.0;
+        double seg[obs::kNumSegments] = {};
+        for (std::size_t r = edges[b]; r < edges[b + 1]; ++r) {
+            e2e += sim::toMicros(recs[r].e2e);
+            for (std::size_t s = 0; s < obs::kNumSegments; ++s)
+                seg[s] += sim::toMicros(recs[r].seg[s]);
+        }
+        const obs::BlameBand &band = la.bands[b];
+        ASSERT_EQ(band.count, edges[b + 1] - edges[b]);
+        const double inv = 1.0 / static_cast<double>(band.count);
+        EXPECT_EQ(band.e2eMeanUs, e2e * inv) << "band " << b;
+        for (std::size_t s = 0; s < obs::kNumSegments; ++s)
+            EXPECT_EQ(band.segMeanUs[s], seg[s] * inv)
+                << "band " << b << " segment " << s;
+    }
+    std::uint64_t fanout = 0;
+    for (const obs::RequestRecord &r : recs)
+        fanout += r.replicas > 1 ? 1 : 0;
+    EXPECT_EQ(la.fanoutRequests, fanout);
+    std::sort(recs.begin(), recs.end(), obs::arrivedBefore);
+    testref::expectSameRecords(la.samples, recs);
 }
 
 // ------------------------------------------- synthetic differential

@@ -11,6 +11,9 @@
  * threads, the online attribution must equal the reference chains
  * reassembled from the run's complete trace.
  *
+ * A counted gate holds the attribution store to one cache line per
+ * record on the observer pin's fleet.
+ *
  * Re-pinning is allowed only for a change that means to move an
  * output, and it needs a line in CHANGES.md that names the output and
  * says why it moved. A speed-up or a refactor never re-pins.
@@ -18,10 +21,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "attribution_reference.h"
 #include "fleet/fleet_sim.h"
@@ -151,6 +156,45 @@ TEST_P(ObserverGolden, OutputsMatchThePin)
 
 INSTANTIATE_TEST_SUITE_P(Threads, ObserverGolden,
                          ::testing::Values(1u, 2u));
+
+/**
+ * The record store's footprint on the observer pin's fleet, counted
+ * rather than timed: every attributed request takes one 64-byte slot
+ * (plus at most one chunk's slack), and only the records a slot cannot
+ * hold — fanout and failed-over requests here — are kept whole in the
+ * side table. The report carries every record as a sample, and the
+ * store is rebuilt from them, so the gate sees the run's exact mix.
+ */
+TEST(AttributionStoreGate, ObserverFleetRecordsTakeOneCacheLine)
+{
+    fleet::FleetConfig fc = goldenFleet(1);
+    fc.attribution.sampleLimit = SIZE_MAX;
+    fleet::FleetSim fleet(fc);
+    const fleet::FleetReport rep = fleet.run();
+    const std::vector<obs::RequestRecord> &recs = rep.attribution.samples;
+    ASSERT_EQ(recs.size(), rep.attribution.requests);
+    ASSERT_GT(recs.size(), 1000u);
+
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+    obs::AttributionResult store;
+    std::size_t wide = 0;
+    for (const obs::RequestRecord &r : recs) {
+        store.push(r);
+        sim::Tick sum = 0;
+        bool big = r.id >= k32;
+        for (const sim::Tick s : r.seg) {
+            sum += s;
+            big = big || static_cast<std::uint64_t>(s) >= k32;
+        }
+        if (r.replicas != 1 || r.e2e != sum || big ||
+            r.srv == obs::AttributionResult::kSide)
+            ++wide;
+    }
+    EXPECT_GT(wide, 0u);
+    EXPECT_EQ(store.sideRecords(), wide);
+    EXPECT_LE(store.slotBytes(),
+              64 * (store.size() + obs::AttributionResult::kChunk));
+}
 
 /** Shared base of the replica-outcome scenarios: MMPP arrivals, a
  *  short window, tracing with attribution, so the trace digest covers

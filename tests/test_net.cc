@@ -1,16 +1,54 @@
 /**
  * @file
  * Unit tests for the network fabric subsystem (net/): drop-tail link
- * conservation, NIC interrupt moderation, coalescing-timer determinism
- * under seed replay, and NIC-wake -> package-exit latency accounting.
+ * conservation, NIC interrupt moderation, RX-ring buffer reuse,
+ * coalescing-timer determinism under seed replay, and NIC-wake ->
+ * package-exit latency accounting.
  */
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <new>
 
 #include "fleet/fleet_sim.h"
 #include "net/fabric.h"
 #include "net/nic.h"
 #include "server/server_sim.h"
+
+namespace {
+
+// Allocations of at least one default-size RX ring's buffer, counted
+// by the replaced operator new below (this binary only).
+constexpr std::size_t kRingBytes =
+    apc::net::NicConfig{}.rxRingSize * sizeof(apc::net::Nic::RxPacket);
+std::atomic<std::uint64_t> g_ringSizedAllocs{0};
+
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    if (n >= kRingBytes)
+        g_ringSizedAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n != 0 ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace apc::net {
 namespace {
@@ -274,6 +312,37 @@ TEST(Nic, FullRingTailDropsWithConservation)
     EXPECT_EQ(h.nic.ringOccupancy(), 8u);
 }
 
+TEST(Nic, SteadyInterruptsReuseTheRecycledRing)
+{
+    // A receiver that hands every delivered batch back: once the first
+    // interrupt has left a buffer to recycle, no interrupt allocates a
+    // ring again.
+    NicConfig cfg;
+    cfg.enabled = true;
+    cfg.rxFrames = 4;
+    cfg.rxUsecs = 10 * kMs; // every interrupt is a frame-threshold one
+    NicHarness h(cfg);
+    std::uint64_t delivered = 0;
+    h.nic.onDeliver([&](std::vector<Nic::RxPacket> b, sim::Tick) {
+        delivered += b.size();
+        h.nic.recycle(std::move(b));
+    });
+    constexpr std::uint64_t kPackets = 4000;
+    std::uint64_t sent = 0;
+    std::function<void()> arrive = [&] {
+        h.nic.rxEnqueue(sent, kUs);
+        if (++sent < kPackets)
+            h.sim.after(1 * kUs, arrive);
+    };
+    h.sim.at(0, arrive);
+    h.sim.runUntil(100 * kUs); // warm-up: the first recycled buffers
+    const std::uint64_t before = g_ringSizedAllocs.load();
+    h.sim.runUntil(10 * kMs);
+    EXPECT_EQ(g_ringSizedAllocs.load() - before, 0u);
+    EXPECT_EQ(h.nic.stats().interrupts, kPackets / 4);
+    EXPECT_EQ(delivered, kPackets);
+}
+
 // ----------------------------------------------- ServerSim NIC wake path
 
 server::ServerConfig
@@ -309,6 +378,20 @@ TEST(NicServer, WakeLatencyCoversPackageExit)
     // NIC energy is accounted off-RAPL on the Network plane.
     EXPECT_GT(r.nicPowerW, 1.0);
     EXPECT_LT(r.nicPowerW, 20.0);
+}
+
+TEST(NicServer, AdmittedBatchesHandTheirRingBack)
+{
+    // The server recycles each batch once admitted, so its interrupts
+    // do not allocate a fresh ring apiece.
+    server::ServerSim srv(nicServerConfig(20 * kUs));
+    const std::uint64_t before = g_ringSizedAllocs.load();
+    const auto r = srv.run();
+    const std::uint64_t allocs = g_ringSizedAllocs.load() - before;
+    ASSERT_GT(r.nicInterrupts, 100u);
+    EXPECT_LT(allocs, r.nicInterrupts / 10)
+        << allocs << " ring-sized allocations for " << r.nicInterrupts
+        << " interrupts";
 }
 
 TEST(NicServer, SeedReplayIsDeterministic)
