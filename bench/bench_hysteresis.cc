@@ -11,6 +11,8 @@
  * second cost negligible energy, so hysteresis only forfeits residency.
  */
 
+#include <functional>
+
 #include "bench_common.h"
 
 #include "soc/soc.h"

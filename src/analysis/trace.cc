@@ -17,12 +17,10 @@ TraceRecorder::TraceRecorder(soc::Soc &soc, bool trace_cores,
         pkgNames_[s] = interner_.intern(
             soc::pkgStateName(static_cast<soc::PkgState>(s)));
 
-    // Package-level state: recompute on the same triggers Soc uses.
-    soc_.allIdle().subscribe([this](bool) { recordPkg(); });
-    soc_.gpmu().onStateChange(
-        [this](uncore::Gpmu::State) { recordPkg(); });
+    soc_.onPkgStateChange([this](soc::PkgState s) {
+        record(kindPkg_, pkgNames_[static_cast<std::size_t>(s)]);
+    });
     if (auto *apmu = soc_.apmu()) {
-        apmu->onStateChange([this](core::Apmu::State) { recordPkg(); });
         const auto cc1 = wirePair("InCC1");
         apmu->allCoresCc1().subscribe(
             [this, cc1](bool v) { record(kindWire_, cc1[v]); });
@@ -63,13 +61,6 @@ TraceRecorder::record(obs::StrId kind, obs::StrId detail)
 {
     ring_.record(obs::TraceKind::Instant, obs::Track::Power,
                  soc_.sim().now(), 0, detail, kind, 0.0);
-}
-
-void
-TraceRecorder::recordPkg()
-{
-    record(kindPkg_,
-           pkgNames_[static_cast<std::size_t>(soc_.pkgState())]);
 }
 
 std::vector<TraceEvent>

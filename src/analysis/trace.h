@@ -87,7 +87,6 @@ class TraceRecorder
     std::array<obs::StrId, 2> wirePair(const std::string &base);
 
     void record(obs::StrId kind, obs::StrId detail);
-    void recordPkg();
 
     soc::Soc &soc_;
     obs::StringInterner interner_;

@@ -41,8 +41,7 @@ Apmu::setState(State s)
     if (s == state_)
         return;
     state_ = s;
-    for (auto &fn : observers_)
-        fn(s);
+    observer_(s);
 }
 
 void
@@ -293,15 +292,14 @@ Apmu::startExit()
             }
             sim_.after(worst, branch_done);
         } else {
-            auto pending = std::make_shared<int>(
-                static_cast<int>(mcs_.size()));
-            if (*pending == 0) {
+            srExitsPending_ = static_cast<int>(mcs_.size());
+            if (srExitsPending_ == 0) {
                 branch_done();
                 return;
             }
             for (auto *m : mcs_) {
-                auto cb = [pending, branch_done] {
-                    if (--*pending == 0)
+                auto cb = [this, gen, branch_done] {
+                    if (flowGen_ == gen && --srExitsPending_ == 0)
                         branch_done();
                 };
                 if (m->state() == dram::McState::SelfRefresh)

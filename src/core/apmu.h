@@ -29,7 +29,6 @@
 #define APC_CORE_APMU_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -37,6 +36,7 @@
 #include "cpu/core.h"
 #include "dram/memory_controller.h"
 #include "io/io_link.h"
+#include "sim/inline_function.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
 #include "stats/summary.h"
@@ -59,6 +59,8 @@ class Apmu
         Exiting = 4,
     };
     static constexpr std::size_t kNumStates = 5;
+
+    using StateFn = sim::InplaceFunction<void(State), 16>;
 
     /** What ended the last PC1A residency. */
     enum class WakeReason
@@ -90,12 +92,8 @@ class Apmu
     /** Aggregated all-IOs-shallow wire (post AND-tree). */
     sim::Signal &allIosL0s() { return allL0s_->output(); }
 
-    /** Register a state-change observer (Soc residency tracking). */
-    void
-    onStateChange(std::function<void(State)> fn)
-    {
-        observers_.push_back(std::move(fn));
-    }
+    /** Set the state-change observer (the Soc's package tracking). */
+    void onStateChange(StateFn fn) { observer_ = std::move(fn); }
 
     /** Completed PC1A residencies. */
     std::uint64_t pc1aEntries() const { return pc1aEntries_; }
@@ -146,6 +144,9 @@ class Apmu
     bool wakePending_ = false;
     WakeReason lastWake_ = WakeReason::None;
     int exitJoinsPending_ = 0;
+    /** Self-refresh exits the exit flow's IOSM branch still awaits
+     *  (the legacy self-refresh ablation). */
+    int srExitsPending_ = 0;
     sim::Tick entryStart_ = 0;
     sim::Tick exitStart_ = 0;
     /** Far in the past: the first entry is never rate-limited. */
@@ -154,7 +155,7 @@ class Apmu
     std::uint64_t pc1aEntries_ = 0;
     stats::Summary entryLatencyNs_;
     stats::Summary exitLatencyNs_;
-    std::vector<std::function<void(State)>> observers_;
+    StateFn observer_;
 };
 
 } // namespace apc::core

@@ -102,12 +102,11 @@ Core::armPromotion()
 }
 
 void
-Core::requestWake(std::function<void()> on_active)
+Core::requestWake(sim::WaitList::Fn on_active)
 {
     switch (phase_) {
       case Phase::Active:
-        if (on_active)
-            on_active();
+        on_active();
         return;
       case Phase::Exiting:
         if (on_active)

@@ -15,7 +15,6 @@
 #define APC_CPU_CORE_H
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,7 +72,7 @@ class Core
      * is executing again. If already Active, runs synchronously. Multiple
      * concurrent requests coalesce into one wake.
      */
-    void requestWake(std::function<void()> on_active);
+    void requestWake(sim::WaitList::Fn on_active);
 
     Phase phase() const { return phase_; }
     bool isActive() const { return phase_ == Phase::Active; }

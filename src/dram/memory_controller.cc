@@ -97,15 +97,14 @@ MemoryController::beginWake()
 }
 
 void
-MemoryController::access(sim::Tick hold_time, std::function<void()> on_ready)
+MemoryController::access(sim::Tick hold_time, SmallDone on_ready)
 {
     ++transactions_;
     downEvent_.cancel();
 
     auto serve = [this, hold_time, on_ready = std::move(on_ready)] {
         updatePower();
-        if (on_ready)
-            on_ready();
+        on_ready();
         sim_.after(hold_time, [this] {
             --transactions_;
             assert(transactions_ >= 0);
@@ -145,13 +144,12 @@ MemoryController::endAccess()
 }
 
 void
-MemoryController::enterSelfRefresh(std::function<void()> done)
+MemoryController::enterSelfRefresh(SmallDone done)
 {
     assert(transactions_ == 0 && !transitioning_ &&
            "self-refresh entry requires a quiesced controller");
     if (state_ == McState::SelfRefresh) {
-        if (done)
-            done();
+        done();
         return;
     }
     downEvent_.cancel();
@@ -161,13 +159,12 @@ MemoryController::enterSelfRefresh(std::function<void()> done)
                                [this, done = std::move(done)] {
         transitioning_ = false;
         setState(McState::SelfRefresh);
-        if (done)
-            done();
+        done();
     });
 }
 
 void
-MemoryController::exitSelfRefresh(std::function<void()> done)
+MemoryController::exitSelfRefresh(Done done)
 {
     assert(state_ == McState::SelfRefresh);
     waiters_.push(std::move(done));

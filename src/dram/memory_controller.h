@@ -20,7 +20,6 @@
 #define APC_DRAM_MEMORY_CONTROLLER_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -80,6 +79,12 @@ struct MemoryControllerConfig
 class MemoryController
 {
   public:
+    /** A callback parked until the controller is active. */
+    using Done = sim::WaitList::Fn;
+    /** A callback carried inside a parked access or a transition
+     *  event, so it takes a small capture. */
+    using SmallDone = sim::InplaceFunction<void(), 16>;
+
     MemoryController(sim::Simulation &sim, power::EnergyMeter &meter,
                      const MemoryControllerConfig &cfg);
 
@@ -89,7 +94,7 @@ class MemoryController
      * use with begin/endAccess or relies on the implicit transaction this
      * call holds until @p hold_time elapses).
      */
-    void access(sim::Tick hold_time, std::function<void()> on_ready);
+    void access(sim::Tick hold_time, SmallDone on_ready);
 
     /** Manually bracket a period of memory traffic. */
     void beginAccess();
@@ -102,10 +107,10 @@ class MemoryController
     sim::Signal &active() { return active_; }
 
     /** GPMU (PC6) flow: put DRAM into self-refresh. */
-    void enterSelfRefresh(std::function<void()> done);
+    void enterSelfRefresh(SmallDone done);
 
     /** GPMU (PC6) flow: leave self-refresh. */
-    void exitSelfRefresh(std::function<void()> done);
+    void exitSelfRefresh(Done done);
 
     McState state() const { return state_; }
     bool busy() const { return transactions_ > 0; }

@@ -622,7 +622,7 @@ class FleetSim
     /** Armed timeouts in push order, which is deadline order: every
      *  attempt is sent at an arrival or at an epoch edge past all
      *  routed arrivals, and the timeout interval is fixed. */
-    RingFifo<PendingTimeout> timeoutQueue_;
+    sim::RingFifo<PendingTimeout> timeoutQueue_;
     /** Scheduled failover re-dispatches: (due instant, flight id). Not
      *  in due order (backoffs are jittered); few per run. */
     using PendingRetry = std::pair<sim::Tick, std::uint64_t>;
@@ -655,7 +655,7 @@ class FleetSim
     /** Live flights by id; endId() is the number created so far. */
     FlightTable<Flight> inFlight_;
     /** Side pool behind Flight::extras. */
-    SlotPool<FlightExtras> extras_;
+    sim::SlotPool<FlightExtras> extras_;
     /** Flights fully resolved (finishFlight calls); with endId() and
      *  inFlight_.size() this is the flight-conservation identity. */
     std::uint64_t flightsFinished_ = 0;

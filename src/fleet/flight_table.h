@@ -6,11 +6,12 @@
  * flights die in roughly that order, so the live ids always lie in a
  * short window [oldest live id, next id). FlightTable indexes that
  * window with a power-of-two ring of 32-bit slot numbers; the records
- * themselves sit in a SlotPool, a vector with a free list. A lookup is
- * two array reads, an erased, never-created or future id reads as
- * absent, and iteration visits the live ids in increasing order.
+ * themselves sit in a sim::SlotPool, a vector with a free list. A
+ * lookup is two array reads, an erased, never-created or future id
+ * reads as absent, and iteration visits the live ids in increasing
+ * order.
  *
- * RingFifo with takeDue() is the constant-interval timer queue of
+ * sim::RingFifo with takeDue() is the constant-interval timer queue of
  * Varghese & Lauck (SOSP '87): when every deadline is its push instant
  * plus one fixed interval and pushes come in time order, deadlines are
  * pushed in nondecreasing order and the due entries are a prefix.
@@ -26,39 +27,10 @@
 #include <tuple>
 #include <vector>
 
+#include "sim/containers.h"
 #include "sim/time.h"
 
 namespace apc::fleet {
-
-/**
- * Records addressed by 32-bit slot numbers, recycled through a LIFO
- * free list. A recycled slot holds whatever its last user left in it;
- * the owner resets it.
- */
-template <typename T>
-class SlotPool
-{
-  public:
-    std::uint32_t
-    acquire()
-    {
-        if (free_.empty()) {
-            records_.emplace_back();
-            return static_cast<std::uint32_t>(records_.size() - 1);
-        }
-        const std::uint32_t s = free_.back();
-        free_.pop_back();
-        return s;
-    }
-
-    void release(std::uint32_t s) { free_.push_back(s); }
-
-    T &operator[](std::uint32_t s) { return records_[s]; }
-
-  private:
-    std::vector<T> records_;
-    std::vector<std::uint32_t> free_;
-};
 
 /** Records keyed by a dense, monotone id; see the file comment. */
 template <typename T>
@@ -144,46 +116,7 @@ class FlightTable
     std::uint64_t base_ = 0; ///< oldest possibly-live id
     std::uint64_t end_ = 0;  ///< next id
     std::size_t live_ = 0;
-    SlotPool<T> pool_;
-};
-
-/** A growable power-of-two ring queue. */
-template <typename T>
-class RingFifo
-{
-  public:
-    bool empty() const { return head_ == tail_; }
-    std::size_t size() const { return tail_ - head_; }
-    const T &front() const { return buf_[head_ & mask_]; }
-    const T &back() const { return buf_[(tail_ - 1) & mask_]; }
-
-    void
-    push(const T &v)
-    {
-        if (size() == buf_.size())
-            grow();
-        buf_[tail_++ & mask_] = v;
-    }
-
-    void pop() { ++head_; }
-
-  private:
-    void
-    grow()
-    {
-        std::vector<T> wider(std::max<std::size_t>(16, buf_.size() * 2));
-        for (std::size_t i = head_; i != tail_; ++i)
-            wider[i - head_] = buf_[i & mask_];
-        tail_ -= head_;
-        head_ = 0;
-        buf_.swap(wider);
-        mask_ = buf_.size() - 1;
-    }
-
-    std::vector<T> buf_;
-    std::size_t mask_ = 0;
-    std::size_t head_ = 0;
-    std::size_t tail_ = 0;
+    sim::SlotPool<T> pool_;
 };
 
 /**
@@ -194,7 +127,7 @@ class RingFifo
  */
 template <typename T, typename Key>
 void
-takeDue(RingFifo<T> &fifo, sim::Tick t1, Key key, std::vector<T> &due)
+takeDue(sim::RingFifo<T> &fifo, sim::Tick t1, Key key, std::vector<T> &due)
 {
     due.clear();
     while (!fifo.empty() && std::get<0>(key(fifo.front())) <= t1) {

@@ -61,7 +61,7 @@ IoLink::IoLink(sim::Simulation &sim, power::EnergyMeter &meter,
             idleTimer_.cancel();
             // Return to the active state when standby is disallowed.
             if (state_ == cfg_.shallowState && !exiting_)
-                beginShallowExit();
+                beginWake();
         }
     });
 }
@@ -105,18 +105,21 @@ IoLink::enterShallow()
 }
 
 void
-IoLink::beginShallowExit()
+IoLink::beginWake()
 {
-    assert(state_ == cfg_.shallowState && !exiting_);
+    assert(state_ != LState::L0 && !exiting_);
     exiting_ = true;
     // The wake event is visible to the APMU immediately (paper: the link
     // unsets InL0s as soon as the L0s exit starts).
     inL0s_.write(false);
     // Wake burns active-level power while lanes retrain.
     load_.setPower(cfg_.powerL0);
-    wakeEvent_ = sim_.after(cfg_.shallowExitLatency, [this] {
+    const sim::Tick exit_lat = state_ == LState::L1
+        ? cfg_.l1ExitLatency : cfg_.shallowExitLatency;
+    wakeEvent_ = sim_.after(exit_lat, [this] {
         exiting_ = false;
-        ++shallowWakes_;
+        if (state_ != LState::L1)
+            ++shallowWakes_;
         setState(LState::L0);
         wakeWaiters_.drain();
         updateIdleTimer();
@@ -124,20 +127,23 @@ IoLink::beginShallowExit()
 }
 
 void
-IoLink::transfer(sim::Tick payload_time, std::function<void()> done)
+IoLink::transfer(sim::Tick payload_time, Done done)
 {
     ++transactions_;
     ++transfers_;
     idleTimer_.cancel();
 
-    // Mutable, so the completion moves on rather than being copied.
-    auto start_payload = [this, payload_time,
-                          done = std::move(done)]() mutable {
-        sim_.after(payload_time, [this, done = std::move(done)] {
+    const std::uint32_t slot = transferDone_.acquire();
+    transferDone_[slot] = std::move(done);
+    auto start_payload = [this, payload_time, slot] {
+        sim_.after(payload_time, [this, slot] {
             --transactions_;
             assert(transactions_ >= 0);
-            if (done)
-                done();
+            // Out of the pool first: the completion may start another
+            // transfer, which can grow the pool.
+            const Done fn = std::move(transferDone_[slot]);
+            transferDone_.release(slot);
+            fn();
             updateIdleTimer();
         });
     };
@@ -154,23 +160,10 @@ IoLink::transfer(sim::Tick payload_time, std::function<void()> done)
         break;
       case LState::L0s:
       case LState::L0p:
-        wakeWaiters_.push(std::move(start_payload));
-        if (!exiting_)
-            beginShallowExit();
-        break;
       case LState::L1:
         wakeWaiters_.push(std::move(start_payload));
-        if (!exiting_) {
-            exiting_ = true;
-            inL0s_.write(false);
-            load_.setPower(cfg_.powerL0);
-            wakeEvent_ = sim_.after(cfg_.l1ExitLatency, [this] {
-                exiting_ = false;
-                setState(LState::L0);
-                wakeWaiters_.drain();
-                updateIdleTimer();
-            });
-        }
+        if (!exiting_)
+            beginWake();
         break;
     }
 }
@@ -191,13 +184,12 @@ IoLink::endTransaction()
 }
 
 void
-IoLink::enterL1(std::function<void()> done)
+IoLink::enterL1(EntryDone done)
 {
     assert(!exiting_ && transactions_ == 0 &&
            "enterL1 requires a quiesced link");
     if (state_ == LState::L1) {
-        if (done)
-            done();
+        done();
         return;
     }
     enteringL1_ = true;
@@ -208,13 +200,12 @@ IoLink::enterL1(std::function<void()> done)
         setState(LState::L1);
         // InL0s means "L0s or deeper" (paper Sec. 4.2.1): L1 qualifies.
         inL0s_.write(true);
-        if (done)
-            done();
+        done();
     });
 }
 
 void
-IoLink::exitL1(std::function<void()> done)
+IoLink::exitL1(Done done)
 {
     // Traffic may have beaten the GPMU to the wake: queue behind an
     // exit already in flight, abort a not-yet-completed entry (the
@@ -226,26 +217,16 @@ IoLink::exitL1(std::function<void()> done)
     if (enteringL1_) {
         entryEvent_.cancel();
         enteringL1_ = false;
-        if (done)
-            done();
+        done();
         updateIdleTimer();
         return;
     }
     if (state_ != LState::L1) {
-        if (done)
-            done();
+        done();
         return;
     }
     wakeWaiters_.push(std::move(done));
-    exiting_ = true;
-    inL0s_.write(false);
-    load_.setPower(cfg_.powerL0);
-    wakeEvent_ = sim_.after(cfg_.l1ExitLatency, [this] {
-        exiting_ = false;
-        setState(LState::L0);
-        wakeWaiters_.drain();
-        updateIdleTimer();
-    });
+    beginWake();
 }
 
 } // namespace apc::io

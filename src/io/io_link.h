@@ -19,12 +19,12 @@
 #define APC_IO_IO_LINK_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "io/lstate.h"
 #include "power/energy_meter.h"
+#include "sim/containers.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
 #include "sim/wait_list.h"
@@ -64,6 +64,11 @@ struct IoLinkConfig
 class IoLink
 {
   public:
+    /** Completion of a transfer or an L1 exit. */
+    using Done = sim::WaitList::Fn;
+    /** Completion of an L1 entry; it rides inside the entry event. */
+    using EntryDone = sim::InplaceFunction<void(), 16>;
+
     IoLink(sim::Simulation &sim, power::EnergyMeter &meter,
            const IoLinkConfig &cfg);
 
@@ -72,17 +77,17 @@ class IoLink
      * the link as needed (shallow exit or L1 retrain), then holds it
      * busy; @p done fires when the payload has crossed.
      */
-    void transfer(sim::Tick payload_time, std::function<void()> done);
+    void transfer(sim::Tick payload_time, Done done);
 
     /** Manually mark the link busy/idle (for agents with open DMA). */
     void beginTransaction();
     void endTransaction();
 
     /** Force the link into L1 (GPMU PC6 entry); @p done on completion. */
-    void enterL1(std::function<void()> done);
+    void enterL1(EntryDone done);
 
     /** Bring the link out of L1 (PC6 exit); @p done when L0. */
-    void exitL1(std::function<void()> done);
+    void exitL1(Done done);
 
     LState state() const { return state_; }
     bool busy() const { return transactions_ > 0; }
@@ -119,8 +124,9 @@ class IoLink
     /** (Re)arm or cancel the idle timer for shallow entry. */
     void updateIdleTimer();
     void enterShallow();
-    /** Begin waking from the shallow state; @p then runs at L0. */
-    void beginShallowExit();
+    /** Begin waking from the shallow state or L1; the wake waiters
+     *  run at L0. */
+    void beginWake();
     void setState(LState s);
 
     sim::Simulation &sim_;
@@ -137,6 +143,9 @@ class IoLink
     sim::EventHandle wakeEvent_;
     sim::EventHandle entryEvent_;
     sim::WaitList wakeWaiters_;
+    /** Completions of transfers in flight; their events carry the
+     *  slot, so a completion may be as large as a parked callback. */
+    sim::SlotPool<Done> transferDone_;
     std::uint64_t shallowWakes_ = 0;
     std::uint64_t transfers_ = 0;
 };

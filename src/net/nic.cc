@@ -40,8 +40,7 @@ Nic::rxEnqueue(std::uint64_t id, sim::Tick service)
         if (auto *tw = sim_.trace())
             tw->instant(sim_.now(), obs::Name::NicDrop, obs::Track::Nic,
                         id);
-        if (dropFn_)
-            dropFn_(id, sim_.now());
+        dropFn_(id, sim_.now());
         return;
     }
     ring_.push_back({id, service, sim_.now()});
@@ -78,17 +77,12 @@ Nic::freeze(sim::Tick until)
     });
 }
 
-std::vector<std::uint64_t>
+void
 Nic::crashAbort()
 {
     timer_.cancel();
-    std::vector<std::uint64_t> ids;
-    ids.reserve(ring_.size());
-    for (const RxPacket &p : ring_)
-        ids.push_back(p.id);
     stats_.rxAborted += ring_.size();
     ring_.clear();
-    return ids;
 }
 
 void
@@ -117,21 +111,20 @@ Nic::fireInterrupt()
         static_cast<sim::Tick>(batch.size()) * cfg_.dmaPerPacket;
     link_.transfer(dma, [this, irq_at, batch = std::move(batch)]() mutable {
         dmaEnd();
-        if (deliverFn_)
-            deliverFn_(std::move(batch), irq_at);
+        deliverFn_(batch, irq_at);
+        recycle(std::move(batch));
     });
 }
 
 void
-Nic::txSend(std::function<void()> done)
+Nic::txSend(TxDone done)
 {
     ++stats_.txPackets;
     dmaBegin();
     link_.transfer(cfg_.dmaPerPacket,
                    [this, done = std::move(done)] {
                        dmaEnd();
-                       if (done)
-                           done();
+                       done();
                    });
 }
 

@@ -29,11 +29,11 @@
 #define APC_NET_NIC_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "io/io_link.h"
 #include "power/energy_meter.h"
+#include "sim/inline_function.h"
 #include "sim/simulation.h"
 #include "stats/summary.h"
 
@@ -94,13 +94,20 @@ class Nic
     /**
      * Batch delivery after the interrupt's DMA completed. @p irq_at is
      * the instant the interrupt was raised (DMA start), so the receiver
-     * can account the NIC-wake -> fabric-ready latency.
+     * can account the NIC-wake -> fabric-ready latency. The receiver
+     * may move the batch out (and recycle() it later); whatever it
+     * leaves behind is recycled on return.
      */
-    using DeliverFn =
-        std::function<void(std::vector<RxPacket> batch, sim::Tick irq_at)>;
+    using DeliverFn = sim::InplaceFunction<
+        void(std::vector<RxPacket> &batch, sim::Tick irq_at), 16>;
 
     /** Ring-full tail drop of the packet carrying @p id. */
-    using DropFn = std::function<void(std::uint64_t id, sim::Tick at)>;
+    using DropFn =
+        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at), 16>;
+
+    /** A response's TX completion; it rides inside the DMA completion,
+     *  so it takes a small capture. */
+    using TxDone = sim::InplaceFunction<void(), 32>;
 
     Nic(sim::Simulation &sim, power::EnergyMeter &meter, io::IoLink &link,
         const NicConfig &cfg);
@@ -116,7 +123,7 @@ class Nic
     void rxEnqueue(std::uint64_t id, sim::Tick service);
 
     /** DMA one response to the wire; @p done when it has left the NIC. */
-    void txSend(std::function<void()> done);
+    void txSend(TxDone done);
 
     /**
      * Hand a delivered batch's buffer back once its packets are
@@ -149,12 +156,12 @@ class Nic
 
     /**
      * Server crash: destroy every unsignalled RX descriptor and cancel
-     * the moderation timer. @return the request ids the ring carried
-     * (the caller reports them lost — a crash never silently vanishes
-     * work). A DMA batch already in flight is not recalled; the owner
-     * discards it on delivery by its pre-crash enqueue time.
+     * the moderation timer. The owner reports the ids they carried as
+     * lost (a crash never silently vanishes work). A DMA batch already
+     * in flight is not recalled; the owner discards it on delivery by
+     * its pre-crash enqueue time.
      */
-    std::vector<std::uint64_t> crashAbort();
+    void crashAbort();
 
     const NicStats &stats() const { return stats_; }
 

@@ -47,10 +47,8 @@ ServerSim::ServerSim(ServerConfig cfg)
         nic_ = std::make_unique<net::Nic>(sim_, soc_->meter(),
                                           soc_->nic(), cfg_.nic);
         nic_->onDeliver(
-            [this](std::vector<net::Nic::RxPacket> batch,
-                   sim::Tick irq_at) {
-                deliverNicBatch(std::move(batch), irq_at);
-            });
+            [this](std::vector<net::Nic::RxPacket> &batch,
+                   sim::Tick irq_at) { deliverNicBatch(batch, irq_at); });
         nic_->onRxDrop([this](std::uint64_t id, sim::Tick at) {
             if (id == kNoRequestId)
                 return;
@@ -98,7 +96,7 @@ ServerSim::onArrival()
     if (nic_)
         nic_->rxEnqueue(kNoRequestId, svc);
     else
-        admit({sim_.now(), svc, false, kNoRequestId});
+        admit({sim_.now(), svc, kNoRequestId});
 }
 
 void
@@ -147,7 +145,7 @@ ServerSim::inject(std::uint64_t id, sim::Tick service)
     if (nic_)
         nic_->rxEnqueue(id, svc);
     else
-        admit({sim_.now(), svc, false, id});
+        admit({sim_.now(), svc, id});
 }
 
 void
@@ -246,7 +244,7 @@ ServerSim::crashNow()
 }
 
 void
-ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
+ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> &batch,
                            sim::Tick irq_at)
 {
     // The DMA burst already woke the PCIe link; once the fabric (CLM +
@@ -299,8 +297,8 @@ ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
             // Latency counts from RX-ring arrival: the coalescing wait
             // is part of the request's end-to-end cost. Followers of
             // the batch share the leader's wake.
-            assign({p.enqueuedAt, p.service, !first, p.id, adm,
-                    gate_base, inc_});
+            assign({p.enqueuedAt, p.service, p.id, adm, gate_base, inc_,
+                    !first});
             first = false;
         }
         nic_->recycle(std::move(batch));
@@ -339,7 +337,7 @@ ServerSim::assign(const Request &r)
     // RSS-style hashing: connections spread ~uniformly across cores.
     const auto idx = static_cast<std::size_t>(sim_.rng().uniformInt(
         0, static_cast<std::int64_t>(soc_->numCores()) - 1));
-    ctx_[idx].queue.push_back(r);
+    ctx_[idx].queue.push(r);
     pump(idx);
 }
 
@@ -372,7 +370,7 @@ ServerSim::serveFront(std::size_t idx, bool was_active)
         return;
     }
     const Request r = ctx.queue.front();
-    ctx.queue.pop_front();
+    ctx.queue.pop();
 
     const sim::Tick t0 = sim_.now();
     if (trace_)
@@ -410,107 +408,106 @@ ServerSim::serveFront(std::size_t idx, bool was_active)
         if (work > gov)
             dvfs_stall = work - gov;
     }
-    auto &mc = soc_->mc(idx % soc_->numMcs());
-    mc.beginAccess();
+    soc_->mc(idx % soc_->numMcs()).beginAccess();
 
     // The request completes when the local work has run *and* any
     // remote memory access has returned over UPI.
-    auto pending = std::make_shared<int>(1);
-    auto finish = [this, idx, r, t0, &mc, pending, seg, dvfs_stall] {
-        if (--*pending > 0)
-            return;
-        mc.endAccess();
-        if (r.inc != inc_) {
-            // The crash destroyed this request on-core: its abort was
-            // already reported, so only the physical bookkeeping runs.
-            auto &c = ctx_[idx];
-            c.processing = false;
-            if (!c.queue.empty() && !capGated_)
-                pump(idx);
-            else
-                soc_->core(idx).release();
-            return;
-        }
-        ++completed_;
-        recordLatency(sim_.now() - r.arrival + cfg_.networkLatency);
-        if (trace_)
-            trace_->span(t0, sim_.now() - t0, obs::Name::Serve,
-                         obs::Track::Requests,
-                         r.id == kNoRequestId ? 0 : r.id);
-        if (seg) {
-            const sim::Tick serve = sim_.now() - t0 - dvfs_stall;
-            if (serve > 0)
-                segment(r.id, obs::Segment::Serve, t0, serve);
-            if (dvfs_stall > 0)
-                segment(r.id, obs::Segment::StallDvfs, t0 + serve,
-                        dvfs_stall);
-        }
-        if (nic_) {
-            // Response TX through the NIC: the request completes (and
-            // the fleet's response enters the fabric) when the packet
-            // has left the device, not when the core finished.
-            const std::uint64_t rid = r.id;
-            const std::uint32_t rinc = r.inc;
-            const sim::Tick serve_end = sim_.now();
-            nic_->txSend([this, rid, rinc, serve_end] {
-                if (rid == kNoRequestId)
-                    return;
-                if (rinc != inc_)
-                    return; // crashed while the response was in TX
-                if (attr_ && sim_.now() > serve_end)
-                    segment(rid, obs::Segment::XmitResp, serve_end,
-                            sim_.now() - serve_end);
-                completeInjected(rid);
-            });
-        } else {
-            if (r.id != kNoRequestId)
-                completeInjected(r.id);
-            // Response TX (fire-and-forget; keeps the NIC link busy).
-            soc_->nic().transfer(cfg_.workload.nicTransfer, nullptr);
-        }
-        // TX-completion softirq: IRQ affinity spreads the network
-        // stack's completion work onto another core.
-        scheduleSoftirq(idx);
-        auto &c = ctx_[idx];
-        c.processing = false;
-        if (!c.queue.empty() && !capGated_)
-            pump(idx);
-        else
-            soc_->core(idx).release();
-    };
+    ctx.serving = r;
+    ctx.serveStart = t0;
+    ctx.dvfsStall = dvfs_stall;
+    ctx.pending = 1;
     if (cfg_.numa.enabled &&
         sim_.rng().bernoulli(cfg_.numa.remoteFraction)) {
-        ++*pending;
-        remoteAccess(finish);
+        ++ctx.pending;
+        remoteAccess(idx);
     }
-    sim_.after(work, finish);
+    sim_.after(work, [this, idx] { finishServe(idx); });
 }
 
 void
-ServerSim::remoteAccess(std::function<void()> done)
+ServerSim::finishServe(std::size_t idx)
+{
+    auto &ctx = ctx_[idx];
+    if (--ctx.pending > 0)
+        return;
+    const Request r = ctx.serving;
+    const sim::Tick t0 = ctx.serveStart;
+    soc_->mc(idx % soc_->numMcs()).endAccess();
+    if (r.inc != inc_) {
+        // The crash destroyed this request on-core: its abort was
+        // already reported, so only the physical bookkeeping runs.
+        ctx.processing = false;
+        if (!ctx.queue.empty() && !capGated_)
+            pump(idx);
+        else
+            soc_->core(idx).release();
+        return;
+    }
+    ++completed_;
+    recordLatency(sim_.now() - r.arrival + cfg_.networkLatency);
+    if (trace_)
+        trace_->span(t0, sim_.now() - t0, obs::Name::Serve,
+                     obs::Track::Requests,
+                     r.id == kNoRequestId ? 0 : r.id);
+    if (attr_ && r.id != kNoRequestId) {
+        const sim::Tick serve = sim_.now() - t0 - ctx.dvfsStall;
+        if (serve > 0)
+            segment(r.id, obs::Segment::Serve, t0, serve);
+        if (ctx.dvfsStall > 0)
+            segment(r.id, obs::Segment::StallDvfs, t0 + serve,
+                    ctx.dvfsStall);
+    }
+    if (nic_) {
+        // Response TX through the NIC: the request completes (and the
+        // fleet's response enters the fabric) when the packet has left
+        // the device, not when the core finished.
+        const std::uint64_t rid = r.id;
+        const std::uint32_t rinc = r.inc;
+        const sim::Tick serve_end = sim_.now();
+        nic_->txSend([this, rid, rinc, serve_end] {
+            if (rid == kNoRequestId)
+                return;
+            if (rinc != inc_)
+                return; // crashed while the response was in TX
+            if (attr_ && sim_.now() > serve_end)
+                segment(rid, obs::Segment::XmitResp, serve_end,
+                        sim_.now() - serve_end);
+            completeInjected(rid);
+        });
+    } else {
+        if (r.id != kNoRequestId)
+            completeInjected(r.id);
+        // Response TX (fire-and-forget; keeps the NIC link busy).
+        soc_->nic().transfer(cfg_.workload.nicTransfer, nullptr);
+    }
+    // TX-completion softirq: IRQ affinity spreads the network stack's
+    // completion work onto another core.
+    scheduleSoftirq(idx);
+    ctx.processing = false;
+    if (!ctx.queue.empty() && !capGated_)
+        pump(idx);
+    else
+        soc_->core(idx).release();
+}
+
+void
+ServerSim::remoteAccess(std::size_t idx)
 {
     // Local UPI lanes stay busy for the round trip; the remote socket's
     // UPI link wake doubles as its package wake (APMU IO-wake path).
-    auto &local_upi = soc_->link(4);
-    local_upi.beginTransaction();
-    auto &remote_upi = remoteSoc_->link(4);
-    remote_upi.transfer(cfg_.numa.upiHop, [this, &local_upi,
-                                           done = std::move(done)] {
-        remoteSoc_->whenFabricReady([this, &local_upi,
-                                     done = std::move(done)] {
+    soc_->link(4).beginTransaction();
+    remoteSoc_->link(4).transfer(cfg_.numa.upiHop, [this, idx] {
+        remoteSoc_->whenFabricReady([this, idx] {
             const auto mc_idx = static_cast<std::size_t>(
                 sim_.rng().uniformInt(0, 1));
-            remoteSoc_->mc(mc_idx).access(
-                cfg_.numa.remoteHold,
-                [this, &local_upi, done = std::move(done)] {
-                    // Response hop back over UPI.
-                    sim_.after(cfg_.numa.upiHop,
-                               [&local_upi, done = std::move(done)] {
-                        local_upi.endTransaction();
-                        if (done)
-                            done();
-                    });
+            remoteSoc_->mc(mc_idx).access(cfg_.numa.remoteHold,
+                                          [this, idx] {
+                // Response hop back over UPI.
+                sim_.after(cfg_.numa.upiHop, [this, idx] {
+                    soc_->link(4).endTransaction();
+                    finishServe(idx);
                 });
+            });
         });
     });
 }
@@ -701,31 +698,22 @@ ServerSim::enableTracing(obs::TraceWriter *w)
     trace_ = w;
     // Components inside this simulation (the NIC) find the sink here.
     sim_.setTrace(w);
-    // Package power-state spans: piggyback on the same triggers Soc
-    // uses to recompute pkgState(). Signal subscription appends, so
-    // the SoC's own observers are unaffected.
+    // Package power-state spans, one per change.
     tracePkg_ = static_cast<std::size_t>(soc_->pkgState());
     tracePkgSince_ = sim_.now();
-    soc_->allIdle().subscribe([this](bool) { tracePkgState(); });
-    soc_->gpmu().onStateChange(
-        [this](uncore::Gpmu::State) { tracePkgState(); });
-    if (auto *apmu = soc_->apmu())
-        apmu->onStateChange(
-            [this](core::Apmu::State) { tracePkgState(); });
+    soc_->onPkgStateChange(
+        [this](soc::PkgState s) { tracePkgState(s); });
 }
 
 void
-ServerSim::tracePkgState()
+ServerSim::tracePkgState(soc::PkgState s)
 {
-    const auto s = static_cast<std::size_t>(soc_->pkgState());
-    if (s == tracePkg_)
-        return;
     const sim::Tick now = sim_.now();
     if (now > tracePkgSince_)
         trace_->span(tracePkgSince_, now - tracePkgSince_,
                      obs::pkgStateTraceName(tracePkg_),
                      obs::Track::Power);
-    tracePkg_ = s;
+    tracePkg_ = static_cast<std::size_t>(s);
     tracePkgSince_ = now;
 }
 

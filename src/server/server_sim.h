@@ -16,18 +16,17 @@
 #define APC_SERVER_SERVER_SIM_H
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "cap/power_cap.h"
-#include "sim/inline_function.h"
 #include "cpu/pstate.h"
 #include "net/nic.h"
 #include "obs/attribution.h"
 #include "obs/tracer.h"
 #include "power/rapl.h"
+#include "sim/containers.h"
+#include "sim/inline_function.h"
 #include "soc/soc.h"
 #include "stats/histogram.h"
 #include "stats/summary.h"
@@ -246,9 +245,8 @@ class ServerSim
      * the duration of the call. Runs inside this server's event loop:
      * when a fleet advances servers on worker threads, the hook must
      * only touch state owned by this server (e.g. its shard's staging
-     * slot). Inline small-buffer callable: the hook fires once per
-     * completed request across the whole fleet, so it must not cost a
-     * heap allocation to install or an std::function dispatch to call.
+     * slot). Inline callable: the hook fires once per completed
+     * request across the whole fleet, so it costs no heap allocation.
      */
     using CompletionFn =
         sim::InplaceFunction<void(std::uint64_t id, sim::Tick done,
@@ -459,9 +457,8 @@ class ServerSim
   private:
     struct Request
     {
-        sim::Tick arrival;
-        sim::Tick service;
-        bool coalesced; ///< arrived within the NIC coalesce window
+        sim::Tick arrival = 0;
+        sim::Tick service = 0;
         std::uint64_t id = kNoRequestId; ///< set for injected requests
         // Attribution boundaries (set at admission; only read when
         // attribution is on).
@@ -471,12 +468,23 @@ class ServerSim
          *  bumps the incarnation, turning every continuation still in
          *  flight into a ghost that must not complete. */
         std::uint32_t inc = 0;
+        bool coalesced = false; ///< arrived within the coalesce window
     };
 
     struct CoreCtx
     {
-        std::deque<Request> queue;
+        sim::RingFifo<Request> queue;
+        /** The core is claimed: by a request from pump() until
+         *  finishServe(), or by a kernel task. A crash does not clear
+         *  it, so the four serving fields below stay that request's
+         *  until finishServe() runs. */
         bool processing = false;
+        /** Completions finishServe() still awaits: the local work,
+         *  plus a remote memory access under NUMA. */
+        int pending = 0;
+        Request serving;             ///< the request on the core
+        sim::Tick serveStart = 0;    ///< when its service began
+        sim::Tick dvfsStall = 0;     ///< its cap-induced DVFS stall
         // DVFS bookkeeping:
         std::size_t pstate = 0;      ///< index into the P-state table
         double slowdown = 1.0;       ///< service-time dilation
@@ -499,18 +507,22 @@ class ServerSim
     void segment(std::uint64_t id, obs::Segment s, sim::Tick at,
                  sim::Tick dur);
     /** NIC interrupt batch: shared wake, then per-packet admission. */
-    void deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
+    void deliverNicBatch(std::vector<net::Nic::RxPacket> &batch,
                          sim::Tick irq_at);
     void assign(const Request &r);
     void pump(std::size_t idx);
     void serveFront(std::size_t idx, bool was_active);
+    /** One of core @p idx's pending completions arrived; the last one
+     *  completes the request it serves and frees the core. */
+    void finishServe(std::size_t idx);
     /** TX-completion softirq on a core other than @p origin. */
     void scheduleSoftirq(std::size_t origin);
     /** Short kernel-context work (softirq, timer tick) on core @p idx. */
     void runKernelTask(std::size_t idx, sim::Tick work);
     void scheduleTimerTick();
-    /** Issue a remote memory access chain; @p done when it completes. */
-    void remoteAccess(std::function<void()> done);
+    /** Issue core @p idx's remote memory access chain; it ends in
+     *  finishServe(@p idx). */
+    void remoteAccess(std::size_t idx);
     /** Periodic ondemand governor evaluation (when DVFS is enabled). */
     void scheduleDvfsSample();
     void recordLatency(sim::Tick end_to_end);
@@ -525,8 +537,8 @@ class ServerSim
     void applyCorePower(std::size_t idx);
     /** Restart admission on every core after the gate opens. */
     void pumpAll();
-    /** Emit the span of the package state just left (on change). */
-    void tracePkgState();
+    /** Package state changed to @p s: emit the span of the one left. */
+    void tracePkgState(soc::PkgState s);
     /** Monotone closed-gate time integral G(@p t) (attribution). */
     sim::Tick
     gateClosedTotalAt(sim::Tick t) const

@@ -1,19 +1,20 @@
 /**
  * @file
- * Small-buffer type-erased callable for the simulation hot path.
+ * Inline, move-only type-erased callable for the simulation hot path.
  *
- * `InplaceFunction<R(Args...), Capacity>` is a drop-in replacement for
- * `std::function` on paths where per-call heap allocation matters: the
- * callable is stored inline when it fits in `Capacity` bytes (the common
- * case for event callbacks — a `this` pointer plus a few captured
- * scalars) and falls back to a single heap allocation otherwise. Unlike
- * `std::function`, there is no RTTI and no `target()`.
+ * `InplaceFunction<R(Args...), Capacity>` stores its callable inside
+ * its own `Capacity`-byte buffer and never allocates. A callable that
+ * does not fit (or whose move may throw) is rejected at compile time,
+ * so each site sizes its capacity to the captures it carries: a `this`
+ * pointer plus a few scalars for event callbacks. Like C++23's
+ * `std::move_only_function`, it is move-only, so move-only captures
+ * (`std::unique_ptr`, another InplaceFunction) are accepted and a
+ * capture is never copied behind the caller's back; there is no RTTI
+ * and no `target()`.
  *
- * Copy semantics match `std::function`: the stored callable must be
- * copy-constructible (every lambda capturing copyable state qualifies).
- * Invoking an empty function asserts in debug builds; in release
- * builds it is a no-op for void-returning signatures and undefined for
- * value-returning ones.
+ * Invoking an empty function is a no-op for void-returning signatures;
+ * for value-returning ones it asserts in debug builds and is undefined
+ * otherwise.
  */
 
 #ifndef APC_SIM_INLINE_FUNCTION_H
@@ -27,6 +28,19 @@
 #include <utility>
 
 namespace apc::sim {
+
+namespace detail {
+/** Compile-time capacity check; a failing instantiation names both the
+ *  callable's size and the capacity it overflows. */
+template <std::size_t CallableSize, std::size_t Capacity>
+constexpr void
+checkInplaceCapacity()
+{
+    static_assert(CallableSize <= Capacity,
+                  "callable larger than its InplaceFunction capacity: "
+                  "shrink the capture or raise the capacity");
+}
+} // namespace detail
 
 template <typename Signature, std::size_t Capacity = 64>
 class InplaceFunction;
@@ -60,30 +74,9 @@ class InplaceFunction<R(Args...), Capacity>
         return *this;
     }
 
-    InplaceFunction(const InplaceFunction &other)
-    {
-        if (other.ops_) {
-            other.ops_->copyTo(other.buf_, buf_);
-            ops_ = other.ops_;
-        }
-    }
-
     InplaceFunction(InplaceFunction &&other) noexcept
     {
         moveFrom(other);
-    }
-
-    InplaceFunction &
-    operator=(const InplaceFunction &other)
-    {
-        if (this != &other) {
-            reset();
-            if (other.ops_) {
-                other.ops_->copyTo(other.buf_, buf_);
-                ops_ = other.ops_;
-            }
-        }
-        return *this;
     }
 
     InplaceFunction &
@@ -110,10 +103,11 @@ class InplaceFunction<R(Args...), Capacity>
     R
     operator()(Args... args) const
     {
-        assert(ops_ && "invoking an empty InplaceFunction");
         if constexpr (std::is_void_v<R>) {
             if (!ops_)
                 return;
+        } else {
+            assert(ops_ && "invoking an empty InplaceFunction");
         }
         return ops_->invoke(const_cast<unsigned char *>(buf_),
                             std::forward<Args>(args)...);
@@ -123,25 +117,14 @@ class InplaceFunction<R(Args...), Capacity>
     struct Ops
     {
         R (*invoke)(void *, Args...);
-        void (*copyTo)(const void *src, void *dst);
         /** Move the callable from src to dst and destroy src. */
         void (*relocateTo)(void *src, void *dst) noexcept;
         void (*destroy)(void *) noexcept;
-        /** Relocation is a plain byte copy (trivially-copyable inline
-         *  callables, and the heap case where only a pointer moves). */
+        /** Relocation is a plain byte copy (trivially copyable). */
         bool trivialRelocate;
         /** Destruction is a no-op (no indirect call needed). */
         bool trivialDestroy;
     };
-
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= Capacity &&
-            alignof(Fn) <= alignof(std::max_align_t) &&
-            std::is_nothrow_move_constructible_v<Fn>;
-    }
 
     void
     reset()
@@ -158,14 +141,13 @@ class InplaceFunction<R(Args...), Capacity>
     construct(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            ::new (static_cast<void *>(buf_))
-                void *(new Fn(std::forward<F>(f)));
-            ops_ = &heapOps<Fn>;
-        }
+        detail::checkInplaceCapacity<sizeof(Fn), Capacity>();
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "over-aligned callable");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "callable must be nothrow move-constructible");
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+        ops_ = &kOps<Fn>;
     }
 
     void
@@ -185,16 +167,11 @@ class InplaceFunction<R(Args...), Capacity>
     }
 
     template <typename Fn>
-    static inline const Ops inlineOps = {
+    static inline const Ops kOps = {
         /* invoke */
         [](void *p, Args... args) -> R {
             return (*std::launder(reinterpret_cast<Fn *>(p)))(
                 std::forward<Args>(args)...);
-        },
-        /* copyTo */
-        [](const void *src, void *dst) {
-            ::new (dst) Fn(*std::launder(
-                reinterpret_cast<const Fn *>(src)));
         },
         /* relocateTo */
         [](void *src, void *dst) noexcept {
@@ -209,37 +186,6 @@ class InplaceFunction<R(Args...), Capacity>
         /* trivialRelocate */ std::is_trivially_copyable_v<Fn>,
         /* trivialDestroy */ std::is_trivially_destructible_v<Fn>,
     };
-
-    template <typename Fn>
-    static inline const Ops heapOps = {
-        /* invoke */
-        [](void *p, Args... args) -> R {
-            return (*static_cast<Fn *>(
-                *std::launder(reinterpret_cast<void **>(p))))(
-                std::forward<Args>(args)...);
-        },
-        /* copyTo */
-        [](const void *src, void *dst) {
-            const Fn *f = static_cast<const Fn *>(
-                *std::launder(reinterpret_cast<void *const *>(src)));
-            ::new (dst) void *(new Fn(*f));
-        },
-        /* relocateTo */
-        [](void *src, void *dst) noexcept {
-            ::new (dst)
-                void *(*std::launder(reinterpret_cast<void **>(src)));
-        },
-        /* destroy */
-        [](void *p) noexcept {
-            delete static_cast<Fn *>(
-                *std::launder(reinterpret_cast<void **>(p)));
-        },
-        /* trivialRelocate */ true, // ownership moves with the pointer
-        /* trivialDestroy */ false,
-    };
-
-    static_assert(Capacity >= sizeof(void *),
-                  "capacity must at least hold the heap-fallback pointer");
 
     const Ops *ops_ = nullptr;
     alignas(std::max_align_t) unsigned char buf_[Capacity];

@@ -29,9 +29,8 @@ namespace apc::sim {
 
 /**
  * Edge callback: invoked with the new level after a change. Stored
- * inline (no heap allocation) when the captures fit in 32 bytes — every
- * observer in the control fabric is a `this` pointer plus a scalar or
- * two.
+ * inline in 32 bytes — every observer in the control fabric is a
+ * `this` pointer plus a scalar or two.
  */
 using SignalObserver = InplaceFunction<void(bool), 32>;
 

@@ -8,9 +8,10 @@
 #ifndef APC_SIM_WAIT_LIST_H
 #define APC_SIM_WAIT_LIST_H
 
-#include <functional>
 #include <utility>
 #include <vector>
+
+#include "sim/inline_function.h"
 
 namespace apc::sim {
 
@@ -22,7 +23,8 @@ namespace apc::sim {
 class WaitList
 {
   public:
-    using Fn = std::function<void()>;
+    /** A parked callback: an event-sized inline callable. */
+    using Fn = InplaceFunction<void()>;
 
     void push(Fn fn) { waiting_.push_back(std::move(fn)); }
     bool empty() const { return waiting_.empty(); }
@@ -42,8 +44,7 @@ class WaitList
         batch.swap(spare_);
         batch.swap(waiting_);
         for (Fn &fn : batch)
-            if (fn)
-                fn();
+            fn();
         batch.clear();
         spare_.swap(batch);
     }

@@ -50,6 +50,7 @@ Soc::Soc(sim::Simulation &sim, const SkxConfig &cfg, PackagePolicy policy)
     gpmu_->onStateChange([this](uncore::Gpmu::State) {
         recomputePkgState();
         drainFabricWaiters();
+        notifyPkgState();
     });
 
     if (policy_ == PackagePolicy::Cpc1a && cfg_.apc.enabled) {
@@ -59,6 +60,7 @@ Soc::Soc(sim::Simulation &sim, const SkxConfig &cfg, PackagePolicy policy)
         apmu_->onStateChange([this](core::Apmu::State) {
             recomputePkgState();
             drainFabricWaiters();
+            notifyPkgState();
         });
     }
 
@@ -77,6 +79,7 @@ Soc::Soc(sim::Simulation &sim, const SkxConfig &cfg, PackagePolicy policy)
                 socWatchIdleTime_ += d;
         }
         recomputePkgState();
+        notifyPkgState();
     });
 
     // Fabric availability edges.
@@ -118,7 +121,7 @@ Soc::fabricReady() const
 }
 
 void
-Soc::whenFabricReady(std::function<void()> fn)
+Soc::whenFabricReady(sim::WaitList::Fn fn)
 {
     if (fabricReady()) {
         fn();
@@ -166,6 +169,16 @@ Soc::recomputePkgState()
         pkgResidency_.transitionTo(static_cast<std::size_t>(next),
                                    sim_.now());
     }
+}
+
+void
+Soc::notifyPkgState()
+{
+    if (pkg_ == notifiedPkg_)
+        return;
+    notifiedPkg_ = pkg_;
+    for (const PkgStateFn &fn : pkgObservers_)
+        fn(pkg_);
 }
 
 void

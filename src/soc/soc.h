@@ -14,7 +14,6 @@
 #ifndef APC_SOC_SOC_H
 #define APC_SOC_SOC_H
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -87,11 +86,24 @@ class Soc
     bool fabricReady() const;
 
     /** Run @p fn as soon as the fabric is (or becomes) open. */
-    void whenFabricReady(std::function<void()> fn);
+    void whenFabricReady(sim::WaitList::Fn fn);
 
     // --- package accounting ---
     /** Current package-level state. */
     PkgState pkgState() const { return pkg_; }
+
+    using PkgStateFn = sim::InplaceFunction<void(PkgState), 16>;
+
+    /**
+     * Add an observer of package-state changes (tracing). It runs with
+     * the new state once per change, after the SoC has recomputed the
+     * state and released the fabric waiters the change let through.
+     */
+    void
+    onPkgStateChange(PkgStateFn fn)
+    {
+        pkgObservers_.push_back(std::move(fn));
+    }
 
     /** Package residency counters. */
     const stats::ResidencyCounter<kNumPkgStates> &pkgResidency() const
@@ -124,6 +136,9 @@ class Soc
   private:
     void recomputePkgState();
     void drainFabricWaiters();
+    /** Tell the package-state observers about a change since the last
+     *  notification, if any. */
+    void notifyPkgState();
 
     sim::Simulation &sim_;
     SkxConfig cfg_;
@@ -140,6 +155,8 @@ class Soc
     std::unique_ptr<power::PowerLoad> miscLoad_;
     std::unique_ptr<sim::AndTree> allIdle_;
     PkgState pkg_ = PkgState::Pc0;
+    PkgState notifiedPkg_ = PkgState::Pc0;
+    std::vector<PkgStateFn> pkgObservers_;
     stats::ResidencyCounter<kNumPkgStates> pkgResidency_;
     stats::Histogram idlePeriodsUs_{0.01, 1e7, 32};
     sim::Tick idleStart_ = 0;

@@ -37,8 +37,7 @@ Gpmu::setState(State s)
     if (s == state_)
         return;
     state_ = s;
-    for (auto &fn : observers_)
-        fn(s);
+    observer_(s);
 }
 
 void
@@ -79,18 +78,23 @@ Gpmu::triggerWake()
 
 template <typename Range, typename Op>
 void
-Gpmu::forAll(Range &range, Op op, std::function<void()> done)
+Gpmu::forAll(Range &range, Op op, Step done)
 {
-    auto pending = std::make_shared<int>(static_cast<int>(range.size()));
-    auto cb = std::make_shared<std::function<void()>>(std::move(done));
-    if (*pending == 0) {
-        (*cb)();
+    if (range.empty()) {
+        done();
         return;
     }
+    // Flow steps run one at a time, so one join serves them all; the
+    // completions of a step a newer flow abandoned are ignored.
+    joinsPending_ = static_cast<int>(range.size());
+    joinDone_ = std::move(done);
+    const auto gen = flowGen_;
     for (auto *item : range) {
-        op(item, [pending, cb] {
-            if (--*pending == 0)
-                (*cb)();
+        op(item, [this, gen] {
+            if (flowGen_ != gen || --joinsPending_ > 0)
+                return;
+            const Step next = std::move(joinDone_);
+            next();
         });
     }
 }
@@ -120,12 +124,10 @@ Gpmu::entryIoL1()
     }
     const auto gen = flowGen_;
     forAll(links_,
-           [](io::IoLink *l, std::function<void()> done) {
+           [](io::IoLink *l, auto done) {
                l->enterL1(std::move(done));
            },
            [this, gen] {
-               if (flowGen_ != gen)
-                   return;
                doneIoL1_ = true;
                sim_.after(cfg_.dramSrMsg, [this, gen] {
                    if (flowGen_ != gen)
@@ -144,12 +146,10 @@ Gpmu::entryDramSr()
     }
     const auto gen = flowGen_;
     forAll(mcs_,
-           [](dram::MemoryController *m, std::function<void()> done) {
+           [](dram::MemoryController *m, auto done) {
                m->enterSelfRefresh(std::move(done));
            },
            [this, gen] {
-               if (flowGen_ != gen)
-                   return;
                doneDramSr_ = true;
                sim_.after(cfg_.clkPllMsg, [this, gen] {
                    if (flowGen_ != gen)
@@ -274,12 +274,10 @@ Gpmu::exitDramSr()
         if (flowGen_ != gen)
             return;
         forAll(mcs_,
-               [](dram::MemoryController *m, std::function<void()> done) {
+               [](dram::MemoryController *m, auto done) {
                    m->exitSelfRefresh(std::move(done));
                },
-               [this, gen] {
-                   if (flowGen_ != gen)
-                       return;
+               [this] {
                    doneDramSr_ = false;
                    exitIoL1();
                });
@@ -298,12 +296,10 @@ Gpmu::exitIoL1()
         if (flowGen_ != gen)
             return;
         forAll(links_,
-               [](io::IoLink *l, std::function<void()> done) {
+               [](io::IoLink *l, auto done) {
                    l->exitL1(std::move(done));
                },
-               [this, gen] {
-                   if (flowGen_ != gen)
-                       return;
+               [this] {
                    doneIoL1_ = false;
                    finishExit();
                });

@@ -20,13 +20,13 @@
 #define APC_UNCORE_GPMU_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "cpu/core.h"
 #include "dram/memory_controller.h"
 #include "io/io_link.h"
+#include "sim/inline_function.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
 #include "stats/summary.h"
@@ -66,6 +66,8 @@ class Gpmu
     };
     static constexpr std::size_t kNumStates = 4;
 
+    using StateFn = sim::InplaceFunction<void(State), 16>;
+
     Gpmu(sim::Simulation &sim, const GpmuConfig &cfg,
          std::vector<cpu::Core *> cores, std::vector<io::IoLink *> links,
          std::vector<dram::MemoryController *> mcs, Clm *clm,
@@ -79,12 +81,8 @@ class Gpmu
     /** Output wire to the APMU: explicit GPMU wake events. */
     sim::Signal &wakeUp() { return wakeUp_; }
 
-    /** Register a state-change observer (Soc residency tracking). */
-    void
-    onStateChange(std::function<void(State)> fn)
-    {
-        observers_.push_back(std::move(fn));
-    }
+    /** Set the state-change observer (the Soc's package tracking). */
+    void onStateChange(StateFn fn) { observer_ = std::move(fn); }
 
     std::uint64_t pc6Entries() const { return pc6Entries_; }
 
@@ -112,9 +110,11 @@ class Gpmu
     void exitDramSr();
     void exitIoL1();
     void finishExit();
-    /** Run all links/MCs through an op, @p done when all complete. */
+    using Step = sim::InplaceFunction<void(), 16>;
+    /** Run all links/MCs through an op, @p done when all complete
+     *  (unless a newer flow started meanwhile). */
     template <typename Range, typename Op>
-    void forAll(Range &range, Op op, std::function<void()> done);
+    void forAll(Range &range, Op op, Step done);
 
     sim::Simulation &sim_;
     GpmuConfig cfg_;
@@ -128,6 +128,8 @@ class Gpmu
     std::unique_ptr<sim::AndTree> allCc6_;
     sim::EventHandle demotionEvent_;
     std::uint64_t flowGen_ = 0; ///< invalidates stale flow steps
+    int joinsPending_ = 0;      ///< forAll() completions still due
+    Step joinDone_;             ///< runs when joinsPending_ reaches 0
     bool wakePending_ = false;
     // Which entry steps completed (for unwinding):
     bool doneIoL1_ = false;
@@ -138,7 +140,7 @@ class Gpmu
     std::uint64_t pc6Entries_ = 0;
     stats::Summary entryLatencyUs_;
     stats::Summary exitLatencyUs_;
-    std::vector<std::function<void(State)>> observers_;
+    StateFn observer_;
 };
 
 } // namespace apc::uncore

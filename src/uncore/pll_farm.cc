@@ -6,14 +6,19 @@ namespace apc::uncore {
 
 PllFarm::PllFarm(sim::Simulation &sim, power::EnergyMeter &meter,
                  const power::PllConfig &cfg)
-    : sim_(sim)
 {
     const char *names[] = {"pll.pcie0", "pll.pcie1", "pll.pcie2",
                            "pll.dmi", "pll.upi0", "pll.upi1",
                            "pll.clm_mc", "pll.gpmu"};
-    for (const char *n : names)
+    for (const char *n : names) {
         plls_.push_back(
             std::make_unique<power::Pll>(sim, meter, n, cfg));
+        // The farm is the only observer of its PLLs' lock wires.
+        plls_.back()->locked().subscribe([this](bool locked) {
+            if (locked && allLocked())
+                lockWaiters_.drain();
+        });
+    }
 }
 
 void
@@ -24,29 +29,15 @@ PllFarm::powerOffAll()
 }
 
 void
-PllFarm::powerOnAll(std::function<void()> done)
+PllFarm::powerOnAll(sim::WaitList::Fn done)
 {
     // All PLLs relock in parallel; completion is bounded by the slowest.
-    auto pending = std::make_shared<int>(0);
-    auto cb = std::make_shared<std::function<void()>>(std::move(done));
-    for (auto &p : plls_) {
-        if (p->state() == power::Pll::State::Locked)
-            continue;
-        ++*pending;
-        const auto id = std::make_shared<std::uint64_t>(0);
-        power::Pll *pll = p.get();
-        *id = pll->locked().subscribe(
-            [pending, cb, pll, id](bool locked) {
-                if (!locked)
-                    return;
-                pll->locked().unsubscribe(*id);
-                if (--*pending == 0 && *cb)
-                    (*cb)();
-            });
-        pll->powerOn();
-    }
-    if (*pending == 0 && *cb)
-        (*cb)();
+    for (auto &p : plls_)
+        p->powerOn();
+    if (!allLocked())
+        lockWaiters_.push(std::move(done));
+    else
+        done();
 }
 
 bool

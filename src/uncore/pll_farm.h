@@ -12,7 +12,6 @@
 #ifndef APC_UNCORE_PLL_FARM_H
 #define APC_UNCORE_PLL_FARM_H
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "power/energy_meter.h"
 #include "power/pll.h"
 #include "sim/simulation.h"
+#include "sim/wait_list.h"
 
 namespace apc::uncore {
 
@@ -30,6 +30,8 @@ class PllFarm
     /** Builds the default SKX set (8 PLLs). */
     PllFarm(sim::Simulation &sim, power::EnergyMeter &meter,
             const power::PllConfig &cfg);
+    PllFarm(const PllFarm &) = delete;
+    PllFarm &operator=(const PllFarm &) = delete;
 
     /** Power all PLLs off (legacy PC6 entry). */
     void powerOffAll();
@@ -38,7 +40,7 @@ class PllFarm
      * Power all PLLs on; @p done fires when every PLL reports locked
      * (i.e. after the relock latency when they were off).
      */
-    void powerOnAll(std::function<void()> done);
+    void powerOnAll(sim::WaitList::Fn done);
 
     /** True when every PLL is locked. */
     bool allLocked() const;
@@ -50,8 +52,9 @@ class PllFarm
     double totalPowerWatts() const;
 
   private:
-    sim::Simulation &sim_;
     std::vector<std::unique_ptr<power::Pll>> plls_;
+    /** powerOnAll() callers waiting for the last PLL to lock. */
+    sim::WaitList lockWaiters_;
 };
 
 } // namespace apc::uncore

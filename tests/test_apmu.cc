@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/apmu.h"
 #include "soc/soc.h"
 

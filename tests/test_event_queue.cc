@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel (sim/event_queue.h,
- * sim/simulation.h, sim/time.h, sim/wait_list.h).
+ * sim/inline_function.h, sim/simulation.h, sim/time.h,
+ * sim/wait_list.h).
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +11,10 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "sim/inline_function.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
 #include "sim/wait_list.h"
@@ -805,6 +808,101 @@ TEST(WaitList, NestedDrainRunsOnlyNewerCallbacks)
     w.push([&] { ran.push_back(4); });
     w.drain();
     EXPECT_EQ(ran, (std::vector<int>{1, 3, 2, 4}));
+}
+
+TEST(InplaceFunction, EmptyInvokeIsNoop)
+{
+    InplaceFunction<void()> unset;
+    InplaceFunction<void(int), 16> null = nullptr;
+    EXPECT_FALSE(unset);
+    EXPECT_FALSE(null);
+    unset();
+    null(3);
+    int calls = 0;
+    InplaceFunction<void()> f = [&calls] { ++calls; };
+    f = nullptr;
+    EXPECT_FALSE(f);
+    f();
+    EXPECT_EQ(calls, 0);
+}
+
+TEST(InplaceFunction, MoveLeavesSourceEmpty)
+{
+    // The moved-from state is the behaviour under test, hence the
+    // deliberate uses after a move.
+    int calls = 0;
+    InplaceFunction<void(), 16> f = [&calls] { ++calls; };
+    InplaceFunction<void(), 16> g = std::move(f);
+    EXPECT_FALSE(f); // NOLINT(bugprone-use-after-move)
+    ASSERT_TRUE(g);
+    g();
+    InplaceFunction<void(), 16> h;
+    h = std::move(g);
+    EXPECT_FALSE(g); // NOLINT(bugprone-use-after-move)
+    ASSERT_TRUE(h);
+    h();
+    EXPECT_EQ(calls, 2);
+}
+
+/** A capture that counts its destructions; a moved-from probe no
+ *  longer counts, so each live probe must be destroyed exactly once. */
+struct DestroyProbe
+{
+    explicit DestroyProbe(int *counter) : count(counter) {}
+    DestroyProbe(DestroyProbe &&other) noexcept : count(other.count)
+    {
+        other.count = nullptr;
+    }
+    DestroyProbe &operator=(DestroyProbe &&) = delete;
+    ~DestroyProbe()
+    {
+        if (count)
+            ++*count;
+    }
+    int *count;
+};
+
+TEST(InplaceFunction, NonTrivialCaptureIsDestroyedExactlyOnce)
+{
+    using Fn = InplaceFunction<void()>;
+    static_assert(!std::is_trivially_destructible_v<DestroyProbe>);
+    int a = 0, b = 0, c = 0, d = 0;
+    {
+        Fn f = [p = DestroyProbe(&a)] {};
+        Fn g = std::move(f); // relocation, not a second probe
+        EXPECT_EQ(a, 0);
+        g = nullptr;
+        EXPECT_EQ(a, 1);
+        Fn h = [p = DestroyProbe(&b)] {};
+        h = [p = DestroyProbe(&c)] {}; // reassignment drops b's probe
+        EXPECT_EQ(b, 1);
+        Fn k = [p = DestroyProbe(&d)] {};
+        k = std::move(h); // move-assignment drops d's, takes c's
+        EXPECT_EQ(d, 1);
+        EXPECT_EQ(c, 0);
+    } // scope exit destroys c's probe, held by k
+    EXPECT_EQ(a, 1);
+    EXPECT_EQ(b, 1);
+    EXPECT_EQ(c, 1);
+    EXPECT_EQ(d, 1);
+}
+
+TEST(InplaceFunction, AcceptsMoveOnlyCaptures)
+{
+    using Fn = InplaceFunction<int(), 16>;
+    static_assert(!std::is_copy_constructible_v<Fn>);
+    static_assert(!std::is_copy_assignable_v<Fn>);
+    Fn f = [p = std::make_unique<int>(7)] { return *p; };
+    EXPECT_EQ(f(), 7);
+    Fn g = std::move(f);
+    EXPECT_EQ(g(), 7);
+    // A parked callback that owns another callable.
+    int got = 0;
+    InplaceFunction<void()> outer = [inner = std::move(g), &got] {
+        got = inner();
+    };
+    outer();
+    EXPECT_EQ(got, 7);
 }
 
 TEST(Rng, ExponentialMean)

@@ -369,7 +369,7 @@ TEST(TimeoutFifo, DueBatchesMatchTheSortScan)
     constexpr sim::Tick kEpoch = 2 * kUs;
     for (std::uint32_t seed = 1; seed <= 6; ++seed) {
         std::mt19937_64 rng(seed);
-        RingFifo<Deadline> fifo;
+        sim::RingFifo<Deadline> fifo;
         std::vector<Deadline> ref, due;
         sim::Tick sent = 0;
         std::size_t ties = 0, fired = 0;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "soc/soc.h"
 
 namespace apc::core {

@@ -45,6 +45,15 @@ TEST(TraceRecorder, RecordsPc1aChoreography)
     // Events are time-ordered.
     for (std::size_t i = 1; i < trace.events().size(); ++i)
         EXPECT_LE(trace.events()[i - 1].when, trace.events()[i].when);
+
+    // Package rows mark changes only: no state follows itself.
+    obs::StrId last = obs::kNoStr;
+    for (const analysis::TraceEvent &e : trace.events()) {
+        if (trace.str(e.kind) != "pkg")
+            continue;
+        EXPECT_NE(e.detail, last) << trace.str(e.detail) << " repeated";
+        last = e.detail;
+    }
 }
 
 TEST(TraceRecorder, CsvRoundTrip)
