@@ -1,6 +1,7 @@
 #include "fleet/dispatch.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace apc::fleet {
 
@@ -57,37 +58,110 @@ MinIndex::firstUnder(std::uint32_t bound) const
     return node - base_;
 }
 
-// --------------------------------------------------------------- policies
+// ------------------------------------------------------------- Dispatcher
 
-std::size_t
-RoundRobinDispatcher::pick()
+Dispatcher::Dispatcher(DispatchKind kind, std::size_t num_servers,
+                       std::uint32_t pack_budget)
+    : kind_(kind), packBudget_(pack_budget), removed_(num_servers, 0)
 {
-    for (std::size_t tries = 0; tries < n_; ++tries) {
-        const std::size_t i = next_;
-        next_ = (next_ + 1) % n_;
-        if (i < removed_.size() && removed_[i])
-            continue;
-        if (std::find(excluded_.begin(), excluded_.end(), i)
-                == excluded_.end())
-            return i;
-    }
-    return kNone; // everything excluded or removed
+    refresh(std::vector<std::uint32_t>(num_servers, 0));
 }
 
-std::unique_ptr<Dispatcher>
-makeDispatcher(DispatchKind kind, std::size_t num_servers,
-               std::uint32_t pack_budget)
+void
+Dispatcher::refresh(const std::vector<std::uint32_t> &outstanding)
 {
-    switch (kind) {
+    assert(outstanding.size() == removed_.size());
+    idx_.assign(outstanding);
+    // Removals survive the epoch-boundary view reload: a Down server's
+    // (possibly non-zero, still-draining) outstanding count must not
+    // bring it back into the pick set.
+    for (std::size_t i = 0; i < removed_.size(); ++i)
+        if (removed_[i])
+            idx_.set(i, MinIndex::kInf);
+}
+
+std::size_t
+Dispatcher::pick()
+{
+    switch (kind_) {
       case DispatchKind::RoundRobin:
-        return std::make_unique<RoundRobinDispatcher>(num_servers);
-      case DispatchKind::LeastOutstanding:
-        return std::make_unique<LeastOutstandingDispatcher>(num_servers);
+        // Cycles through the servers irrespective of load; the cursor
+        // moves past every server it skips.
+        for (std::size_t tries = 0; tries < idx_.size(); ++tries) {
+            const std::size_t i = next_;
+            next_ = (next_ + 1) % idx_.size();
+            if (idx_.get(i) != MinIndex::kInf)
+                return i;
+        }
+        return kNone;
       case DispatchKind::PowerAwarePacking:
-        return std::make_unique<PackingDispatcher>(num_servers,
-                                                   pack_budget);
+        // Consolidate: the first server (by fixed index order) under
+        // the budget wins; when all are at budget, join the shortest
+        // queue, so overload degrades into spreading instead of
+        // unbounded queueing.
+        if (const std::size_t i = idx_.firstUnder(packBudget_);
+            i != MinIndex::npos)
+            return i;
+        return shortestQueue();
+      case DispatchKind::LeastOutstanding:
+        break;
     }
-    return std::make_unique<RoundRobinDispatcher>(num_servers);
+    return shortestQueue();
+}
+
+std::size_t
+Dispatcher::shortestQueue() const
+{
+    const std::size_t i = idx_.argmin();
+    return i != MinIndex::npos && idx_.get(i) != MinIndex::kInf ? i
+                                                                : kNone;
+}
+
+void
+Dispatcher::onDispatch(std::size_t srv)
+{
+    // An excluded server's live count is parked in saved_.
+    for (auto &[s, v] : saved_)
+        if (s == srv) {
+            ++v;
+            return;
+        }
+    idx_.add(srv, 1);
+}
+
+void
+Dispatcher::exclude(std::size_t srv)
+{
+    saved_.emplace_back(srv, idx_.get(srv));
+    idx_.set(srv, MinIndex::kInf);
+}
+
+void
+Dispatcher::clearExclusions()
+{
+    for (const auto &[s, v] : saved_)
+        if (!removed_[s])
+            idx_.set(s, v);
+    saved_.clear();
+}
+
+void
+Dispatcher::remove(std::size_t srv)
+{
+    // If the server is also excluded, its live count sits in saved_;
+    // clearExclusions() skips removed servers, so parking the leaf at
+    // infinity here is final either way.
+    removed_[srv] = 1;
+    idx_.set(srv, MinIndex::kInf);
+}
+
+void
+Dispatcher::reinsert(std::size_t srv, std::uint32_t outstanding)
+{
+    if (!removed_[srv])
+        return;
+    removed_[srv] = 0;
+    idx_.set(srv, outstanding);
 }
 
 } // namespace apc::fleet

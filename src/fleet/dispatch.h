@@ -1,14 +1,15 @@
 /**
  * @file
- * Cluster load-balancing (dispatch) policies.
+ * Cluster load balancing: one `Dispatcher` for the three dispatch
+ * policies.
  *
  * The dispatcher sees the load balancer's view of the fleet: per-server
  * outstanding request counts, refreshed at epoch boundaries
  * (`refresh`) plus the dispatches it made itself since (`onDispatch`)
  * — a realistic, slightly stale view of the backends.
  *
- * Policies are stateful and indexed: the queue-depth policies keep the
- * view in a `MinIndex` (a flat segment tree), so choosing a server is
+ * The dispatcher is stateful and indexed: it keeps the view in a
+ * `MinIndex` (a flat segment tree), so choosing a server is
  * O(log n) instead of the O(n) scan the first fleet engine used — at
  * 10k servers that scan, once per routed replica, was a third of a
  * sweep's wall-clock. Tie-breaking is leftmost, matching the old
@@ -30,16 +31,16 @@
  *
  * Fanout replicas must land on distinct servers: the fleet `exclude`s
  * each chosen server for the remainder of the request and
- * `clearExclusions` afterwards. Excluded servers are masked inside the
- * index (count parked at infinity), so picks stay O(log n) — the old
- * engine refilled an O(n) banned vector per fanout request.
+ * `clearExclusions` afterwards. Excluded and removed (Down) servers are
+ * masked inside the index (count parked at `MinIndex::kInf`), so the
+ * queue-depth policies never pick them and round-robin skips them.
  */
 
 #ifndef APC_FLEET_DISPATCH_H
 #define APC_FLEET_DISPATCH_H
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 namespace apc::fleet {
@@ -104,14 +105,17 @@ class MinIndex
 };
 
 /**
- * One dispatch decision maker. Implementations must be deterministic:
- * the same call sequence yields the same servers (fleet reproducibility
- * depends on it).
+ * The dispatch decision maker for all three policies, over one
+ * `MinIndex` view of the per-server outstanding counts. Deterministic:
+ * the same call sequence yields the same servers (fleet
+ * reproducibility depends on it).
  *
- * Call protocol per epoch: one `refresh` with the epoch-boundary
- * outstanding counts, then per replica `pick` + `onDispatch(picked)`;
- * fanout requests additionally `exclude(picked)` after each replica
- * and `clearExclusions` once the request is fully routed.
+ * Call protocol per epoch: `remove`/`reinsert` for servers that went
+ * down or came back, one `refresh` with the epoch-boundary outstanding
+ * counts, then per replica `pick` + `onDispatch(picked)`; fanout
+ * requests additionally `exclude(picked)` after each replica and
+ * `clearExclusions` once the request is fully routed. No exclusion
+ * spans a `refresh` or a `reinsert`.
  */
 class Dispatcher
 {
@@ -119,227 +123,53 @@ class Dispatcher
     /** pick() result when no server is currently pickable. */
     static constexpr std::size_t kNone = SIZE_MAX;
 
-    virtual ~Dispatcher() = default;
+    /** @p pack_budget: PowerAwarePacking's per-server outstanding
+     *  budget (unused by the other policies). */
+    Dispatcher(DispatchKind kind, std::size_t num_servers,
+               std::uint32_t pack_budget);
 
-    /** Load the epoch-boundary backend view. */
-    virtual void refresh(const std::vector<std::uint32_t> &outstanding)
-        = 0;
+    /** Load the epoch-boundary backend view (one count per server). */
+    void refresh(const std::vector<std::uint32_t> &outstanding);
 
     /**
      * Choose a server for the next request (or fanout replica). Never
-     * returns an excluded or removed server; returns kNone when every
-     * server is excluded or removed.
-     * @return server index in [0, fleet size), or kNone
+     * returns an excluded or removed server.
+     * @return server index in [0, fleet size), or kNone when every
+     *         server is excluded or removed
      */
-    virtual std::size_t pick() = 0;
+    std::size_t pick();
 
     /** Account one dispatch to @p srv in the in-epoch view. */
-    virtual void onDispatch(std::size_t srv) = 0;
+    void onDispatch(std::size_t srv);
 
     /** Hide @p srv from subsequent picks (replica already there). */
-    virtual void exclude(std::size_t srv) = 0;
+    void exclude(std::size_t srv);
 
     /** Drop all exclusions (start of the next request). */
-    virtual void clearExclusions() = 0;
+    void clearExclusions();
 
     /**
      * Take @p srv out of the pick set entirely (server Down or
      * Draining). Unlike exclude, a removal survives refresh() and
-     * clearExclusions() — only reinsert() undoes it. O(log n) for the
-     * indexed policies.
+     * clearExclusions(); only reinsert() undoes it.
      */
-    virtual void remove(std::size_t srv) = 0;
+    void remove(std::size_t srv);
 
-    /** Return @p srv to the pick set with @p outstanding live work. */
-    virtual void reinsert(std::size_t srv, std::uint32_t outstanding)
-        = 0;
-
-    /** Servers currently removed from the pick set. */
-    virtual std::size_t removedCount() const = 0;
-};
-
-/** Build the policy object for @p kind over @p num_servers servers. */
-std::unique_ptr<Dispatcher> makeDispatcher(DispatchKind kind,
-                                           std::size_t num_servers,
-                                           std::uint32_t pack_budget);
-
-/** Cycles through servers irrespective of load. */
-class RoundRobinDispatcher : public Dispatcher
-{
-  public:
-    explicit RoundRobinDispatcher(std::size_t num_servers)
-        : n_(num_servers)
-    {
-    }
-
-    void
-    refresh(const std::vector<std::uint32_t> &outstanding) override
-    {
-        n_ = outstanding.size();
-        removed_.resize(n_, 0);
-    }
-
-    std::size_t pick() override;
-    void onDispatch(std::size_t) override {}
-    void exclude(std::size_t srv) override { excluded_.push_back(srv); }
-    void clearExclusions() override { excluded_.clear(); }
-
-    void
-    remove(std::size_t srv) override
-    {
-        removed_.resize(std::max(n_, srv + 1), 0);
-        if (!removed_[srv]) {
-            removed_[srv] = 1;
-            ++removedCount_;
-        }
-    }
-
-    void
-    reinsert(std::size_t srv, std::uint32_t) override
-    {
-        removed_.resize(std::max(n_, srv + 1), 0);
-        if (removed_[srv]) {
-            removed_[srv] = 0;
-            --removedCount_;
-        }
-    }
-
-    std::size_t removedCount() const override { return removedCount_; }
+    /** Return a removed @p srv to the pick set with @p outstanding
+     *  live work (no-op for a server in the pick set). */
+    void reinsert(std::size_t srv, std::uint32_t outstanding);
 
   private:
-    std::size_t n_;
-    std::size_t next_ = 0;
-    std::vector<std::size_t> excluded_; ///< small: one per replica
-    std::vector<std::uint8_t> removed_;
-    std::size_t removedCount_ = 0;
-};
+    /** Leftmost least-loaded server; kNone when everything is masked. */
+    std::size_t shortestQueue() const;
 
-/** Shared machinery for the MinIndex-backed queue-depth policies. */
-class IndexedDispatcher : public Dispatcher
-{
-  public:
-    void
-    refresh(const std::vector<std::uint32_t> &outstanding) override
-    {
-        idx_.assign(outstanding);
-        // Removals survive the epoch-boundary view reload: a Down
-        // server's (possibly non-zero, still-draining) outstanding
-        // count must not bring it back into the pick set.
-        removed_.resize(outstanding.size(), 0);
-        for (std::size_t i = 0; i < removed_.size(); ++i)
-            if (removed_[i])
-                idx_.set(i, MinIndex::kInf);
-    }
-
-    void
-    onDispatch(std::size_t srv) override
-    {
-        // An excluded server's live count is parked in saved_.
-        for (auto &[s, v] : saved_)
-            if (s == srv) {
-                ++v;
-                return;
-            }
-        idx_.add(srv, 1);
-    }
-
-    void
-    exclude(std::size_t srv) override
-    {
-        saved_.emplace_back(srv, idx_.get(srv));
-        idx_.set(srv, MinIndex::kInf);
-    }
-
-    void
-    clearExclusions() override
-    {
-        for (const auto &[s, v] : saved_)
-            if (s >= removed_.size() || !removed_[s])
-                idx_.set(s, v);
-        saved_.clear();
-    }
-
-    void
-    remove(std::size_t srv) override
-    {
-        removed_.resize(std::max(removed_.size(), srv + 1), 0);
-        if (removed_[srv])
-            return;
-        removed_[srv] = 1;
-        ++removedCount_;
-        // If the server is also transiently excluded, its live count
-        // sits in saved_; clearExclusions() skips removed servers, so
-        // parking the leaf at infinity here is final either way.
-        idx_.set(srv, MinIndex::kInf);
-    }
-
-    void
-    reinsert(std::size_t srv, std::uint32_t outstanding) override
-    {
-        removed_.resize(std::max(removed_.size(), srv + 1), 0);
-        if (!removed_[srv])
-            return;
-        removed_[srv] = 0;
-        --removedCount_;
-        idx_.set(srv, outstanding);
-    }
-
-    std::size_t removedCount() const override { return removedCount_; }
-
-  protected:
-    /** Leftmost least-loaded server; kNone when everything is masked
-     *  (all excluded and/or removed). */
-    std::size_t
-    shortestQueue() const
-    {
-        const std::size_t i = idx_.argmin();
-        return i != MinIndex::npos && idx_.get(i) != MinIndex::kInf
-            ? i
-            : kNone;
-    }
-
+    DispatchKind kind_;
+    std::uint32_t packBudget_;
+    std::size_t next_ = 0; ///< round-robin cursor
     MinIndex idx_;
+    /** Excluded servers with their parked live counts. */
     std::vector<std::pair<std::size_t, std::uint32_t>> saved_;
     std::vector<std::uint8_t> removed_;
-    std::size_t removedCount_ = 0;
-};
-
-/** Join-the-shortest-queue on the (stale) outstanding counts. */
-class LeastOutstandingDispatcher : public IndexedDispatcher
-{
-  public:
-    explicit LeastOutstandingDispatcher(std::size_t num_servers)
-    {
-        refresh(std::vector<std::uint32_t>(num_servers, 0));
-    }
-
-    std::size_t pick() override { return shortestQueue(); }
-};
-
-/**
- * Consolidates load: first server (by fixed index order) whose
- * outstanding count is under the per-server budget wins; when all are
- * at budget, falls back to join-the-shortest-queue so overload degrades
- * into spreading instead of unbounded queueing.
- */
-class PackingDispatcher : public IndexedDispatcher
-{
-  public:
-    PackingDispatcher(std::size_t num_servers, std::uint32_t budget)
-        : budget_(budget)
-    {
-        refresh(std::vector<std::uint32_t>(num_servers, 0));
-    }
-
-    std::size_t
-    pick() override
-    {
-        const std::size_t i = idx_.firstUnder(budget_);
-        return i != MinIndex::npos ? i : shortestQueue();
-    }
-
-  private:
-    std::uint32_t budget_;
 };
 
 } // namespace apc::fleet

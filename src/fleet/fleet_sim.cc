@@ -29,6 +29,17 @@ mixSeed(std::uint64_t seed, std::uint64_t stream)
  *  every merged statistic — is identical for any parallelism. */
 constexpr std::size_t kReduceLeaf = 64;
 
+/** PowerAwarePacking's per-server outstanding budget: ~70% of the
+ *  cores keeps queueing (and therefore the p99) bounded while still
+ *  emptying the rest of the fleet. */
+std::uint32_t
+packBudget(soc::PackagePolicy policy)
+{
+    const int cores = soc::SkxConfig::forPolicy(policy).numCores;
+    return static_cast<std::uint32_t>(
+        std::max(1, static_cast<int>(0.7 * cores)));
+}
+
 /** @p cfg, or std::invalid_argument if the engine cannot run it. */
 FleetConfig
 checked(FleetConfig cfg)
@@ -68,6 +79,29 @@ checked(FleetConfig cfg)
         if (!(r.jitterFrac >= 0.0 && r.jitterFrac < 1.0))
             throw std::invalid_argument(
                 "FleetConfig: recovery.jitterFrac must be in [0, 1)");
+    }
+    if (cfg.faults.enabled) {
+        // applyFaults indexes servers_ by entity, and a flap or freeze
+        // without its device would only write a trace span.
+        const fault::FaultPlanConfig &f = cfg.faults;
+        bool flaps = f.flap.ratePerSec > 0.0;
+        bool freezes = f.freeze.ratePerSec > 0.0;
+        for (const fault::FaultEvent &ev : f.scripted) {
+            const bool flap = ev.kind == fault::FaultKind::LinkFlap;
+            if (ev.entity >= cfg.numServers &&
+                !(flap && ev.entity == fault::kCoreLinkEntity))
+                throw std::invalid_argument(
+                    "FleetConfig: faults.scripted entity must be a server "
+                    "index (or kCoreLinkEntity for a LinkFlap)");
+            flaps |= flap;
+            freezes |= ev.kind == fault::FaultKind::NicFreeze;
+        }
+        if (flaps && !cfg.fabric.enabled)
+            throw std::invalid_argument(
+                "FleetConfig: LinkFlap faults need fabric.enabled");
+        if (freezes && !cfg.nic.enabled)
+            throw std::invalid_argument(
+                "FleetConfig: NicFreeze faults need nic.enabled");
     }
     return cfg;
 }
@@ -155,6 +189,7 @@ FleetSim::FleetSim(FleetConfig cfg)
           cfg_.numServers, cfg_.shardSize,
           std::min<unsigned>(cfg_.threads,
                              static_cast<unsigned>(cfg_.numServers)))),
+      dispatcher_(cfg_.dispatch, cfg_.numServers, packBudget(cfg_.policy)),
       pool_(std::min<unsigned>(cfg_.threads,
                                static_cast<unsigned>(cfg_.numServers)))
 {
@@ -182,31 +217,15 @@ FleetSim::FleetSim(FleetConfig cfg)
             servers_[i]->enableAttribution(static_cast<std::uint32_t>(i + 1));
         ShardSlot *slot = &slots_[layout_.shardOf(i)];
         const auto srv = static_cast<std::uint32_t>(i);
-        // The hooks fire inside advanceTo(), i.e. on the worker that
+        // The hook fires inside advanceTo(), i.e. on the worker that
         // owns this slot for the phase — claim the writer role.
-        servers_[i]->onCompletion([slot, srv](std::uint64_t id,
-                                              sim::Tick done,
-                                              const obs::SegmentSums *segs) {
+        servers_[i]->onEnd([slot, srv](server::End how, std::uint64_t id,
+                                       sim::Tick at,
+                                       const obs::SegmentSums *segs) {
             sim::RoleGuard own(slot->writer);
-            slot->completions.push_back(
-                {done, srv, slot->stageSums(srv, segs), id});
+            slot->ended[static_cast<std::size_t>(how)].push_back(
+                {at, srv, slot->stageSums(srv, segs), id});
         });
-        if (cfg_.nic.enabled)
-            servers_[i]->onRxDrop([slot, srv](std::uint64_t id,
-                                              sim::Tick at,
-                                              const obs::SegmentSums *segs) {
-                sim::RoleGuard own(slot->writer);
-                slot->drops.push_back(
-                    {at, srv, slot->stageSums(srv, segs), id});
-            });
-        if (cfg_.faults.enabled)
-            servers_[i]->onAbort([slot, srv](std::uint64_t id,
-                                             sim::Tick at,
-                                             const obs::SegmentSums *segs) {
-                sim::RoleGuard own(slot->writer);
-                slot->aborts.push_back(
-                    {at, srv, slot->stageSums(srv, segs), id});
-            });
     }
     if (cfg_.faults.enabled)
         faultPlan_ = std::make_unique<fault::FaultPlan>(
@@ -242,18 +261,16 @@ FleetSim::FleetSim(FleetConfig cfg)
         }
         if (cfg_.budget.enabled)
             series_.rackBudgetW = metrics_->addSeries("rack.budget_w");
-        if (cfg_.metrics.perServer) {
-            const bool capped = cfg_.cap.enabled || cfg_.budget.enabled;
-            for (std::size_t i = 0; i < servers_.size(); ++i) {
-                const int e = static_cast<int>(i);
-                series_.srvPowerW.push_back(
-                    metrics_->addSeries("server.power_w", e));
-                series_.srvOutstanding.push_back(
-                    metrics_->addSeries("server.outstanding", e));
-                if (capped)
-                    series_.srvCapLimitW.push_back(
-                        metrics_->addSeries("server.cap_limit_w", e));
-            }
+        const bool capped = cfg_.cap.enabled || cfg_.budget.enabled;
+        for (std::size_t i = 0; i < servers_.size(); ++i) {
+            const int e = static_cast<int>(i);
+            series_.srvPowerW.push_back(
+                metrics_->addSeries("server.power_w", e));
+            series_.srvOutstanding.push_back(
+                metrics_->addSeries("server.outstanding", e));
+            if (capped)
+                series_.srvCapLimitW.push_back(
+                    metrics_->addSeries("server.cap_limit_w", e));
         }
     }
     // Audit-as-sanitizer: the environment can force the invariant
@@ -263,16 +280,13 @@ FleetSim::FleetSim(FleetConfig cfg)
     if (const char *env = std::getenv("APC_AUDIT_FAILFAST");
         env && *env && *env != '0') {
         cfg_.health.enabled = true;
-        cfg_.health.audit.enabled = true;
         cfg_.health.audit.failFast = true;
     }
     if (cfg_.health.enabled) {
-        health_ = std::make_unique<obs::HealthMonitor>(
-            cfg_.health, cfg_.sloUs, cfg_.epoch);
-        if (fleetTrace_)
-            health_->setTrace(fleetTrace_);
-    }
-    if (cfg_.health.enabled && cfg_.health.audit.enabled) {
+        slo_.emplace(cfg_.health.slo, cfg_.sloUs, cfg_.epoch);
+        auditor_.emplace(cfg_.health.audit);
+        slo_->setTrace(fleetTrace_);
+        auditor_->setTrace(fleetTrace_);
         // Size the reused snapshot and the auditor's baselines once,
         // so audits allocate nothing during the run.
         const std::size_t n = cfg_.numServers;
@@ -285,7 +299,7 @@ FleetSim::FleetSim(FleetConfig cfg)
             auditSnap_.serverLimitW.reserve(n);
             auditSnap_.grantActive.reserve(n);
         }
-        health_->auditor().reserve(n, planes);
+        auditor_->reserve(n, planes);
     }
     traffic_ = std::make_unique<TrafficSource>(
         cfg_.traffic, mixSeed(cfg_.seed, 0xF1EE7));
@@ -303,16 +317,8 @@ FleetSim::FleetSim(FleetConfig cfg)
         for (std::size_t i = 0; i < servers_.size(); ++i)
             servers_[i]->setPowerLimit(initial[i]);
         grantActive_.assign(cfg_.numServers, 1);
-        nextAllocAt_ = cfg_.budgetEpoch;
+        nextAllocAt_ = kBudgetEpoch;
     }
-
-    // Pack to ~70% of the cores: keeps queueing (and therefore the p99)
-    // bounded while still emptying the rest of the fleet.
-    const auto cores = servers_[0]->soc().numCores();
-    const auto budget = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(
-               std::floor(0.7 * static_cast<double>(cores))));
-    dispatcher_ = makeDispatcher(cfg_.dispatch, cfg_.numServers, budget);
     lbView_.assign(cfg_.numServers, 0);
 }
 
@@ -419,7 +425,7 @@ FleetSim::allocateBudgets(sim::Tick now)
         // Deadband damps allocation chatter so the per-server
         // controllers can settle; real cuts (breaker trips, big demand
         // shifts) exceed it by construction.
-        if (std::abs(alloc[i] - cur) > cfg_.budgetDeadbandW) {
+        if (std::abs(alloc[i] - cur) > kBudgetDeadbandW) {
             servers_[i]->setPowerLimit(alloc[i]);
             grantActive_[i] = allocator_->isActive(i) ? 1 : 0;
         }
@@ -448,7 +454,7 @@ FleetSim::applyFaults(sim::Tick from, sim::Tick to)
             // revives it later.
             if (servers_[srv]->lifecycle() != server::Lifecycle::Up)
                 continue;
-            dispatcher_->reinsert(
+            dispatcher_.reinsert(
                 srv, static_cast<std::uint32_t>(std::min<std::uint64_t>(
                          servers_[srv]->outstanding(), UINT32_MAX)));
             if (allocator_)
@@ -473,7 +479,7 @@ FleetSim::applyFaults(sim::Tick from, sim::Tick to)
             s.scheduleRestart(up_at, ready_at);
             // Removal takes effect for the whole epoch's dispatches:
             // faults apply before routing, at epoch granularity.
-            dispatcher_->remove(srv);
+            dispatcher_.remove(srv);
             if (allocator_)
                 allocator_->setActive(srv, false);
             pendingUp_.push_back({ready_at, srv});
@@ -491,13 +497,11 @@ FleetSim::applyFaults(sim::Tick from, sim::Tick to)
             break;
         }
         case fault::FaultKind::LinkFlap:
-            if (fabric_) {
-                if (ev.entity == fault::kCoreLinkEntity)
-                    fabric_->flapCore(ev.at, ev.at + ev.duration);
-                else
-                    fabric_->flapServer(ev.entity, ev.at,
-                                        ev.at + ev.duration);
-            }
+            // checked(): flaps only run with the fabric on.
+            if (ev.entity == fault::kCoreLinkEntity)
+                fabric_->flapCore(ev.at, ev.at + ev.duration);
+            else
+                fabric_->flapServer(ev.entity, ev.at, ev.at + ev.duration);
             if (fleetTrace_)
                 fleetTrace_->span(ev.at, ev.duration,
                                   obs::Name::LinkFlap,
@@ -526,7 +530,7 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
         lbView_[i] = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(servers_[i]->outstanding(),
                                     UINT32_MAX));
-    dispatcher_->refresh(lbView_);
+    dispatcher_.refresh(lbView_);
 
     traffic_->epoch(from, to, trafficScratch_);
     for (const TrafficEvent &ev : trafficScratch_) {
@@ -539,7 +543,7 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
         if (f.measured)
             ++dispatched_;
         if (ev.fanout <= 1) {
-            const std::size_t srv = dispatcher_->pick();
+            const std::size_t srv = dispatcher_.pick();
             if (srv == Dispatcher::kNone) {
                 // Every server is out of the pick set (mass outage):
                 // fail the zeroth attempt — recovery backs off and
@@ -559,14 +563,14 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
         const int replicas =
             std::min<int>(ev.fanout, static_cast<int>(servers_.size()));
         for (int k = 0; k < replicas; ++k) {
-            const std::size_t srv = dispatcher_->pick();
+            const std::size_t srv = dispatcher_.pick();
             if (srv == Dispatcher::kNone) {
                 f.lost = true;
                 f.crashLoss = true;
                 continue;
             }
-            dispatcher_->onDispatch(srv);
-            dispatcher_->exclude(srv);
+            dispatcher_.onDispatch(srv);
+            dispatcher_.exclude(srv);
             obs::ReplicaSums legs{static_cast<std::uint32_t>(srv), {}};
             // A replica lost on its way out measured no segment.
             if (routeReplica(id, f, ev.at, srv, attr_ ? &legs : nullptr))
@@ -574,7 +578,7 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
             else
                 f.lost = true;
         }
-        dispatcher_->clearExclusions();
+        dispatcher_.clearExclusions();
         if (f.remaining == 0)
             finishFlight(id, f); // nothing routed (fabric loss / outage)
     }
@@ -614,12 +618,8 @@ FleetSim::advanceShards(sim::Tick to)
                     servers_[i]->advanceTo(to);
                 // Pre-sort the shard's outputs so the single-threaded
                 // merge only pays O(m log shards), not a global sort.
-                std::sort(slot.completions.begin(),
-                          slot.completions.end(), stagedBefore);
-                std::sort(slot.drops.begin(), slot.drops.end(),
-                          stagedBefore);
-                std::sort(slot.aborts.begin(), slot.aborts.end(),
-                          stagedBefore);
+                for (std::vector<StagedEvent> &stream : slot.ended)
+                    std::sort(stream.begin(), stream.end(), stagedBefore);
                 profiler_.addShardTime(
                     sh, std::chrono::duration<double>(
                             obs::PhaseProfiler::Clock::now() - t0)
@@ -630,8 +630,7 @@ FleetSim::advanceShards(sim::Tick to)
 
 template <typename Apply>
 void
-FleetSim::mergeStaged(std::vector<StagedEvent> ShardSlot::*stream,
-                      Apply &&apply)
+FleetSim::mergeStaged(server::End how, Apply &&apply)
 {
     // K-way merge of the sorted shard streams into one time-ordered
     // stream: the shared fabric response links (and the flight table)
@@ -640,6 +639,7 @@ FleetSim::mergeStaged(std::vector<StagedEvent> ShardSlot::*stream,
     // globally sorting per-server buffers. The cursor heap is member
     // scratch: a quiet drain (e.g. drops with NIC off, every epoch)
     // costs no allocation at all.
+    const auto k = static_cast<std::size_t>(how);
     const auto later = [](const MergeCursor &a, const MergeCursor &b) {
         return stagedBefore((*b.first)[b.second], (*a.first)[a.second]);
     };
@@ -650,8 +650,8 @@ FleetSim::mergeStaged(std::vector<StagedEvent> ShardSlot::*stream,
         // Single-threaded merge: the workers have quiesced, so the
         // drain claims each slot's writer role in turn.
         sim::RoleGuard own(slot.writer);
-        if (!(slot.*stream).empty())
-            heap.push_back({&(slot.*stream), 0});
+        if (!slot.ended[k].empty())
+            heap.push_back({&slot.ended[k], 0});
     }
     if (heap.empty())
         return;
@@ -710,8 +710,8 @@ FleetSim::resolveFlight(std::uint64_t id, Flight &fl, sim::Tick done,
             else
                 ++lostRequests_;
             ++sloViolations_;
-            if (health_)
-                health_->slo().recordLost();
+            if (slo_)
+                slo_->recordLost();
         } else {
             const double us = sim::toMicros(e2e);
             ++completed_;
@@ -719,8 +719,8 @@ FleetSim::resolveFlight(std::uint64_t id, Flight &fl, sim::Tick done,
             latencyHistUs_.record(us);
             if (us > cfg_.sloUs)
                 ++sloViolations_;
-            if (health_)
-                health_->slo().recordLatency(us);
+            if (slo_)
+                slo_->recordLatency(us);
         }
     }
 }
@@ -809,7 +809,7 @@ void
 FleetSim::sendAttempt(std::uint64_t id, Flight &fl, std::size_t srv,
                       sim::Tick at, obs::ReplicaSums *legs)
 {
-    dispatcher_->onDispatch(srv);
+    dispatcher_.onDispatch(srv);
     fl.curSrv = static_cast<std::uint32_t>(srv);
     fl.attemptAt = at;
     ++fl.remaining;
@@ -894,7 +894,7 @@ FleetSim::replicaFailed(std::uint64_t id, Flight &fl, std::uint32_t srv,
 void
 FleetSim::drainAborts()
 {
-    mergeStaged(&ShardSlot::aborts, [this](const StagedEvent &ev) {
+    mergeStaged(server::End::Abort, [this](const StagedEvent &ev) {
         Flight *fl = inFlight_.find(ev.id);
         assert(fl);
         replicaFailed(ev.id, *fl, ev.srv, ev.at, true, false,
@@ -939,9 +939,9 @@ FleetSim::processRecovery(sim::Tick t1)
         const FlightExtras *ex = extrasIfAny(fl);
         if (ex)
             for (const std::uint32_t s : ex->failedSrv)
-                dispatcher_->exclude(s);
-        const std::size_t srv = dispatcher_->pick();
-        dispatcher_->clearExclusions();
+                dispatcher_.exclude(s);
+        const std::size_t srv = dispatcher_.pick();
+        dispatcher_.clearExclusions();
         if (srv == Dispatcher::kNone) {
             // No server this request hasn't already failed on.
             failAttempt(id, fl, at);
@@ -984,7 +984,7 @@ FleetSim::processRecovery(sim::Tick t1)
 void
 FleetSim::drainCompletions()
 {
-    mergeStaged(&ShardSlot::completions, [this](const StagedEvent &ev) {
+    mergeStaged(server::End::Completion, [this](const StagedEvent &ev) {
         Flight *found = inFlight_.find(ev.id);
         assert(found);
         Flight &fl = *found;
@@ -1027,8 +1027,8 @@ FleetSim::drainCompletions()
 void
 FleetSim::drainNicDrops(sim::Tick now_floor)
 {
-    mergeStaged(&ShardSlot::drops, [this,
-                                    now_floor](const StagedEvent &ev) {
+    mergeStaged(server::End::Drop, [this,
+                                     now_floor](const StagedEvent &ev) {
         Flight *found = inFlight_.find(ev.id);
         assert(found);
         Flight &fl = *found;
@@ -1126,7 +1126,7 @@ FleetSim::run()
             const auto sc = profiler_.scope(Phase::Route);
             if (allocator_ && t >= nextAllocAt_) {
                 allocateBudgets(t);
-                nextAllocAt_ = t + cfg_.budgetEpoch;
+                nextAllocAt_ = t + kBudgetEpoch;
             }
             dispatchEpoch(t, t1);
         }
@@ -1140,7 +1140,7 @@ FleetSim::run()
         }
         if (metrics_ && metrics_->due(t1))
             sampleMetrics(t1);
-        if (health_ && measuring_)
+        if (slo_ && measuring_)
             healthEpoch(t, t1);
         t = t1;
     }
@@ -1169,13 +1169,12 @@ FleetSim::run()
         for (auto &s : servers_)
             s->traceFlush();
 
-    if (health_) {
+    if (slo_) {
         // Resolve still-active alerts and audit the final quiescent
         // state (the drain may leave flights in the map; conservation
         // must account for them exactly).
-        health_->slo().finish(t);
-        if (health_->auditEnabled())
-            health_->auditor().audit(buildAuditSnapshot(t));
+        slo_->finish(t);
+        auditor_->audit(buildAuditSnapshot(t));
     }
 
     return aggregate();
@@ -1187,7 +1186,6 @@ FleetSim::sampleMetrics(sim::Tick t)
     metrics_->beginSample(t);
     double fleet_w = 0.0;
     std::uint64_t outstanding = 0;
-    const bool per_server = !series_.srvPowerW.empty();
     const bool capped = !series_.srvCapLimitW.empty();
     for (std::size_t i = 0; i < servers_.size(); ++i) {
         auto &s = *servers_[i];
@@ -1200,13 +1198,11 @@ FleetSim::sampleMetrics(sim::Tick t)
         // single-threaded spine; layout-invariant by construction
         fleet_w += w;
         outstanding += s.outstanding();
-        if (per_server) {
-            metrics_->set(series_.srvPowerW[i], w);
-            metrics_->set(series_.srvOutstanding[i],
-                          static_cast<double>(s.outstanding()));
-            if (capped)
-                metrics_->set(series_.srvCapLimitW[i], s.powerLimitW());
-        }
+        metrics_->set(series_.srvPowerW[i], w);
+        metrics_->set(series_.srvOutstanding[i],
+                      static_cast<double>(s.outstanding()));
+        if (capped)
+            metrics_->set(series_.srvCapLimitW[i], s.powerLimitW());
     }
     metrics_->set(series_.fleetPowerW, fleet_w);
     metrics_->set(series_.outstanding,
@@ -1233,7 +1229,6 @@ FleetSim::sampleMetrics(sim::Tick t)
 void
 FleetSim::healthEpoch(sim::Tick t0, sim::Tick t1)
 {
-    obs::SloMonitor &slo = health_->slo();
     if (cfg_.cap.enabled || cfg_.budget.enabled) {
         // Cumulative settled-sample counters; the monitor takes the
         // per-epoch delta for the power SLI.
@@ -1243,11 +1238,11 @@ FleetSim::healthEpoch(sim::Tick t0, sim::Tick t1)
                 cs += c->samples();
                 cv += c->violations();
             }
-        slo.setCapCounters(cs, cv);
+        slo_->setCapCounters(cs, cv);
     }
-    slo.onEpoch(t0, t1);
-    if (health_->auditEnabled() && health_->auditor().due(t1))
-        health_->auditor().audit(buildAuditSnapshot(t1));
+    slo_->onEpoch(t0, t1);
+    if (auditor_->due(t1))
+        auditor_->audit(buildAuditSnapshot(t1));
 }
 
 const obs::AuditSnapshot &
@@ -1317,7 +1312,7 @@ FleetSim::buildAuditSnapshot(sim::Tick now)
     if (allocator_) {
         snap.budgetEnabled = true;
         snap.floorW = cfg_.budget.minServerW;
-        snap.deadbandW = cfg_.budgetDeadbandW;
+        snap.deadbandW = kBudgetDeadbandW;
         snap.numServers = servers_.size();
         snap.anyEmergencyEver = allocator_->emergencyEpochs() > 0;
         const auto &log = allocator_->log();
@@ -1365,13 +1360,14 @@ FleetSim::writeMetricsCsv(const std::string &path) const
 bool
 FleetSim::writeAlertsCsv(const std::string &path) const
 {
-    return health_ && health_->report().writeAlertsCsv(path);
+    return slo_ && obs::healthReport(*slo_, *auditor_).writeAlertsCsv(path);
 }
 
 bool
 FleetSim::writeAlertsJson(const std::string &path) const
 {
-    return health_ && health_->report().writeAlertsJson(path);
+    return slo_ &&
+        obs::healthReport(*slo_, *auditor_).writeAlertsJson(path);
 }
 
 void
@@ -1500,8 +1496,8 @@ FleetSim::aggregate()
     if (attr_)
         rep.attribution = obs::LatencyAttribution::build(
             attribution_, cfg_.attribution.sampleLimit);
-    if (health_)
-        rep.health = health_->report();
+    if (slo_)
+        rep.health = obs::healthReport(*slo_, *auditor_);
     return rep;
 }
 

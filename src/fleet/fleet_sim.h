@@ -14,13 +14,14 @@
  *      injections into per-shard staging slots.
  *   2. *Advance* (parallel, one worker per shard): schedule the shard's
  *      staged injections into its servers' event queues, advance the
- *      shard's servers to the epoch end, and stage their completions
- *      and NIC drops — sorted — into the shard's slot. Slots are
- *      cache-line aligned and single-writer, so workers never contend.
- *   3. *Merge* (single-threaded): k-way-merge the sorted shard outputs
- *      into one (time, server, id)-ordered stream and apply it —
- *      response fabric transit, flight completion, client resends of
- *      NIC drops.
+ *      shard's servers to the epoch end, and stage how each request
+ *      ended (completion, NIC drop, abort) — sorted — into the shard's
+ *      slot. Slots are cache-line aligned and single-writer, so
+ *      workers never contend.
+ *   3. *Merge* (single-threaded): per kind of end, in that order,
+ *      k-way-merge the sorted shard outputs into one (time, server,
+ *      id)-ordered stream and apply it — response fabric transit,
+ *      flight completion, client resends of NIC drops, crash aborts.
  *
  * Because routing and merging are single-threaded and the merge order
  * is a total order independent of the partitioning, reports are
@@ -38,6 +39,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,14 +106,6 @@ struct FleetConfig
      * forces per-server capping on.
      */
     cap::BudgetConfig budget;
-
-    /** Allocation cadence (coarser than the fleet epoch so per-server
-     *  control loops can settle between retargets). */
-    sim::Tick budgetEpoch = 10 * sim::kMs;
-
-    /** Ignore allocation deltas smaller than this (keeps limits stable
-     *  under demand noise so violation accounting can settle). */
-    double budgetDeadbandW = 1.0;
 
     sim::Tick warmup = 20 * sim::kMs;
     sim::Tick duration = 300 * sim::kMs;
@@ -339,6 +333,14 @@ struct FleetReport
     void writeCsv(std::FILE *out, bool with_header = true) const;
 };
 
+/** Rack-budget allocation cadence: coarser than the fleet epoch so
+ *  the per-server control loops settle between retargets. */
+inline constexpr sim::Tick kBudgetEpoch = 10 * sim::kMs;
+
+/** Allocation deltas below this are ignored: limits stay stable under
+ *  demand noise, so violation accounting can settle. */
+inline constexpr double kBudgetDeadbandW = 1.0;
+
 /** The cluster simulator. */
 class FleetSim
 {
@@ -363,11 +365,6 @@ class FleetSim
      *  interval was rejected at setup). */
     obs::MetricsSampler *metrics() { return metrics_.get(); }
     const obs::MetricsSampler *metrics() const { return metrics_.get(); }
-
-    /** The health monitor; null unless cfg.health.enabled (or forced
-     *  via APC_AUDIT_FAILFAST). */
-    obs::HealthMonitor *health() { return health_.get(); }
-    const obs::HealthMonitor *health() const { return health_.get(); }
 
     /** Engine wall-clock profile of the last run(). */
     const obs::PhaseProfiler &profiler() const { return profiler_; }
@@ -511,11 +508,11 @@ class FleetSim
     /** Phase 2: per shard (parallel) — schedule staged injections,
      *  advance the shard's servers to @p to, sort staged outputs. */
     void advanceShards(sim::Tick to);
-    /** Phase 3 merges: apply one staged stream across all shards in
-     *  (time, server, id) order; consumed streams are cleared. */
+    /** Phase 3 merges: apply the staged @p how stream across all
+     *  shards in (time, server, id) order; consumed streams are
+     *  cleared. */
     template <typename Apply>
-    void mergeStaged(std::vector<StagedEvent> ShardSlot::*stream,
-                     Apply &&apply);
+    void mergeStaged(server::End how, Apply &&apply);
     void drainCompletions();
     /** Client-side retransmission of NIC ring drops. */
     void drainNicDrops(sim::Tick now_floor);
@@ -599,7 +596,7 @@ class FleetSim
     ShardLayout layout_;
     std::vector<std::unique_ptr<server::ServerSim>> servers_;
     std::unique_ptr<TrafficSource> traffic_;
-    std::unique_ptr<Dispatcher> dispatcher_;
+    Dispatcher dispatcher_;
     std::unique_ptr<net::Fabric> fabric_;
     std::unique_ptr<cap::BudgetAllocator> allocator_;
     sim::Tick nextAllocAt_ = 0;
@@ -686,8 +683,10 @@ class FleetSim
     /** Writer 0: fleet-spine events (request spans, budget counters). */
     obs::TraceWriter *fleetTrace_ = nullptr;
     std::unique_ptr<obs::MetricsSampler> metrics_;
-    /** SLO burn-rate monitor + invariant auditor (obs/health.h). */
-    std::unique_ptr<obs::HealthMonitor> health_;
+    /** Health on: SLO burn-rate monitor and invariant auditor
+     *  (obs/health.h). */
+    std::optional<obs::SloMonitor> slo_;
+    std::optional<obs::Auditor> auditor_;
     /** The auditor's view, rebuilt in place at every audit: its
      *  vectors are sized at construction and keep their capacity. */
     obs::AuditSnapshot auditSnap_;

@@ -5,9 +5,10 @@
  * A shard is a fixed contiguous range of server indices that one worker
  * owns for the duration of a parallel phase: it schedules the shard's
  * staged injections, advances the shard's servers, and stages their
- * completions/drops into the shard's slot. Because a slot has exactly
- * one writer per phase and slots are cache-line aligned, the staging
- * path is free of both data races and false sharing.
+ * outcomes (completions, drops, aborts) into the shard's slot. Because
+ * a slot has exactly one writer per phase and slots are cache-line
+ * aligned, the staging path is free of both data races and false
+ * sharing.
  *
  * Determinism contract: nothing observable may depend on the shard
  * size. Routing happens single-threaded before the parallel phase (so
@@ -22,11 +23,13 @@
 #define APC_FLEET_SHARD_H
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "obs/attribution.h"
+#include "server/server_sim.h"
 #include "sim/annotations.h"
 #include "sim/time.h"
 
@@ -115,10 +118,9 @@ struct PendingInject
 
 /**
  * Per-shard staging state. `injects` is filled by the single-threaded
- * router and consumed by the shard's worker; `completions`/`drops`/
- * `aborts` are appended by the shard's servers during an advance (via
- * their completion/drop/abort hooks) and drained by the single-threaded
- * merge.
+ * router and consumed by the shard's worker; the `ended` streams are
+ * appended by the shard's servers during an advance (via their end
+ * hook) and drained by the single-threaded merge.
  * Cache-line aligned so adjacent shards' slots never share a line
  * (the old per-server vector-of-vectors put buffers mutated by
  * different workers on the same line).
@@ -136,16 +138,15 @@ struct alignas(64) ShardSlot
     /** Phase-scoped single-writer capability for the staging vectors. */
     sim::Role writer;
     std::vector<PendingInject> injects APC_GUARDED_BY(writer);
-    std::vector<StagedEvent> completions APC_GUARDED_BY(writer);
-    std::vector<StagedEvent> drops APC_GUARDED_BY(writer);
-    /** Requests destroyed by a crash or refused by a non-Up server. */
-    std::vector<StagedEvent> aborts APC_GUARDED_BY(writer);
+    /** Staged server outcomes, one stream per server::End. */
+    std::array<std::vector<StagedEvent>, server::kNumEnds> ended
+        APC_GUARDED_BY(writer);
     /** Attribution on: request-leg sums of the staged injections
      *  (PendingInject::legs), consumed with them. */
     std::vector<obs::SegmentSums> legs APC_GUARDED_BY(writer);
-    /** Attribution on: replica sums of the staged completions, drops
-     *  and aborts (StagedEvent::sums); the next advance clears them
-     *  once the merge has consumed those streams. */
+    /** Attribution on: replica sums of the staged outcomes
+     *  (StagedEvent::sums); the next advance clears them once the
+     *  merge has consumed those streams. */
     std::vector<obs::ReplicaSums> sums APC_GUARDED_BY(writer);
 
     /** Stage server @p srv's @p segs; @return the index, or kNoSums

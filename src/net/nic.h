@@ -113,7 +113,7 @@ class Nic
         const NicConfig &cfg);
 
     void onDeliver(DeliverFn fn) { deliverFn_ = std::move(fn); }
-    void onRxDrop(DropFn fn) { dropFn_ = std::move(fn); }
+    void onDrop(DropFn fn) { dropFn_ = std::move(fn); }
 
     /**
      * A packet arrives from the wire into the RX ring. May raise the

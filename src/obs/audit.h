@@ -66,8 +66,6 @@ const char *auditCheckName(AuditCheck c);
 /** Auditor setup. */
 struct AuditConfig
 {
-    /** Run the auditor (when the owning HealthConfig is enabled). */
-    bool enabled = true;
     /** Abort with a diagnostic dump on the first violation. */
     bool failFast = false;
     /** Audit cadence in sim-time; 0 audits every fleet epoch. */

@@ -5,26 +5,24 @@
 namespace apc::obs {
 
 HealthReport
-HealthMonitor::report() const
+healthReport(const SloMonitor &slo, const Auditor &auditor)
 {
     HealthReport r;
     r.enabled = true;
-    r.alertsFired = slo_.alertsFired();
-    r.alertsResolved = slo_.alertsResolved();
-    r.worstBurn = slo_.worstBurn();
-    r.worstBurnSli = slo_.worstBurnSli();
-    r.timeInViolation = slo_.timeInViolation();
-    r.worstWindowP99Us = slo_.worstWindowP99Us();
-    r.latencySamplesDropped = slo_.latencySamplesDropped();
-    r.alerts = slo_.alerts();
-    r.slo = slo_.config();
-    if (cfg_.audit.enabled) {
-        r.audits = auditor_.audits();
-        r.auditChecks = auditor_.checksRun();
-        r.auditViolations = auditor_.violationCount();
-        r.auditByCheck = auditor_.byCheck();
-        r.auditLog = auditor_.log();
-    }
+    r.alertsFired = slo.alertsFired();
+    r.alertsResolved = slo.alertsResolved();
+    r.worstBurn = slo.worstBurn();
+    r.worstBurnSli = slo.worstBurnSli();
+    r.timeInViolation = slo.timeInViolation();
+    r.worstWindowP99Us = slo.worstWindowP99Us();
+    r.latencySamplesDropped = slo.latencySamplesDropped();
+    r.alerts = slo.alerts();
+    r.slo = slo.config();
+    r.audits = auditor.audits();
+    r.auditChecks = auditor.checksRun();
+    r.auditViolations = auditor.violationCount();
+    r.auditByCheck = auditor.byCheck();
+    r.auditLog = auditor.log();
     return r;
 }
 

@@ -1,15 +1,15 @@
 /**
  * @file
- * Fleet health monitoring: the live-observability facade combining the
- * SLO burn-rate monitor (obs/slo.h) and the epoch-boundary invariant
- * auditor (obs/audit.h), plus the report/exports the fleet surfaces.
+ * Fleet health monitoring: the setup, report and exports of the SLO
+ * burn-rate monitor (obs/slo.h) and the epoch-boundary invariant
+ * auditor (obs/audit.h).
  *
- * The fleet engine owns a HealthMonitor when `FleetConfig::health` is
- * enabled, feeds it from the single-threaded sections of the epoch
- * pipeline (flight completion during the merge, epoch boundaries), and
- * folds the resulting HealthReport into FleetReport. The report lives
- * *outside* FleetReport::csvRow() — the byte-identity reference — and
- * the monitor only reads simulation state, so the zero-footprint
+ * The fleet engine owns both when `FleetConfig::health` is enabled,
+ * feeds them from the single-threaded sections of the epoch pipeline
+ * (flight completion during the merge, epoch boundaries), and folds
+ * their `healthReport` into FleetReport. The report lives *outside*
+ * FleetReport::csvRow() — the byte-identity reference — and both
+ * only read simulation state, so the zero-footprint
  * contract holds: headline reports are byte-identical with health on
  * or off, at any thread count and shard layout, and the alert log is
  * itself invariant across thread counts.
@@ -82,43 +82,8 @@ struct HealthReport
     bool writeAlertsJson(const std::string &path) const;
 };
 
-/**
- * The health monitor the fleet engine drives. All entry points are
- * called from single-threaded engine sections only.
- */
-class HealthMonitor
-{
-  public:
-    /** @param default_latency_slo_us fleet `sloUs` (latency SLI
-     *  threshold default); @param epoch fleet epoch (one SLO bucket);
-     *  severity policies come from @p cfg. */
-    HealthMonitor(const HealthConfig &cfg, double default_latency_slo_us,
-                  sim::Tick epoch)
-        : cfg_(cfg), slo_(cfg.slo, default_latency_slo_us, epoch),
-          auditor_(cfg.audit)
-    {
-    }
-
-    /** Mirror alerts/burns/violations onto @p w's Health track. */
-    void
-    setTrace(TraceWriter *w)
-    {
-        slo_.setTrace(w);
-        auditor_.setTrace(w);
-    }
-
-    SloMonitor &slo() { return slo_; }
-    Auditor &auditor() { return auditor_; }
-    bool auditEnabled() const { return cfg_.audit.enabled; }
-
-    /** Assemble the post-run summary. */
-    HealthReport report() const;
-
-  private:
-    HealthConfig cfg_;
-    SloMonitor slo_;
-    Auditor auditor_;
-};
+/** The post-run summary of @p slo and @p auditor. */
+HealthReport healthReport(const SloMonitor &slo, const Auditor &auditor);
 
 } // namespace apc::obs
 

@@ -36,9 +36,6 @@ struct MetricsConfig
     bool enabled = false;
     /** Sampling interval in simulated time. */
     sim::Tick interval = 1 * sim::kMs;
-    /** Record per-server gauges (power, outstanding, cap limit) in
-     *  addition to the fleet/rack aggregates. */
-    bool perServer = true;
 };
 
 /** Index of a registered series. */

@@ -49,15 +49,16 @@ ServerSim::ServerSim(ServerConfig cfg)
         nic_->onDeliver(
             [this](std::vector<net::Nic::RxPacket> &batch,
                    sim::Tick irq_at) { deliverNicBatch(batch, irq_at); });
-        nic_->onRxDrop([this](std::uint64_t id, sim::Tick at) {
+        nic_->onDrop([this](std::uint64_t id, sim::Tick at) {
             if (id == kNoRequestId)
                 return;
             // The ring tail-dropped the request inject() just recorded
             // as live: it never entered the server, so a later crash
             // must not report it destroyed as well.
             assert(!liveIds_.empty() && liveIds_.back() == id);
-            if (rxDropFn_)
-                rxDropFn_(id, at, attr_ ? &liveSegs_.back() : nullptr);
+            if (endFn_)
+                endFn_(End::Drop, id, at,
+                       attr_ ? &liveSegs_.back() : nullptr);
             liveIds_.pop_back();
             if (attr_)
                 liveSegs_.pop_back();
@@ -125,13 +126,13 @@ ServerSim::inject(std::uint64_t id, sim::Tick service)
 {
     if (state_ != Lifecycle::Up) {
         // Admission refused: a Draining/Down/Restarting server
-        // destroys the request on arrival — the abort hook tells the
+        // destroys the request on arrival — an End::Abort tells the
         // owner so it can count the loss and fail the request over.
         if (id != kNoRequestId) {
             const obs::SegmentSums legs =
                 attr_ ? takeExpected(id) : obs::SegmentSums{};
-            if (abortFn_)
-                abortFn_(id, sim_.now(), attr_ ? &legs : nullptr);
+            if (endFn_)
+                endFn_(End::Abort, id, sim_.now(), attr_ ? &legs : nullptr);
         }
         return;
     }
@@ -155,8 +156,9 @@ ServerSim::completeInjected(std::uint64_t id)
     if (it == liveIds_.end())
         return; // destroyed by a crash while the response was in flight
     const auto i = it - liveIds_.begin();
-    if (completionFn_)
-        completionFn_(id, sim_.now(), attr_ ? &liveSegs_[i] : nullptr);
+    if (endFn_)
+        endFn_(End::Completion, id, sim_.now(),
+               attr_ ? &liveSegs_[i] : nullptr);
     liveIds_.erase(it);
     if (attr_)
         liveSegs_.erase(liveSegs_.begin() + i);
@@ -235,10 +237,10 @@ ServerSim::crashNow()
               [this](std::size_t a, std::size_t b) {
                   return liveIds_[a] < liveIds_[b];
               });
-    if (abortFn_)
+    if (endFn_)
         for (const std::size_t i : order)
-            abortFn_(liveIds_[i], sim_.now(),
-                     attr_ ? &liveSegs_[i] : nullptr);
+            endFn_(End::Abort, liveIds_[i], sim_.now(),
+                   attr_ ? &liveSegs_[i] : nullptr);
     liveSegs_.clear();
     liveIds_.clear();
 }

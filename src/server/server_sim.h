@@ -39,7 +39,7 @@ namespace apc::server {
  * the fault plan moves them `Up -> Down -> Restarting -> Up` (crash)
  * or `Up -> Draining -> Restarting -> Up` (graceful drain+restart).
  * Only an `Up` server admits new requests; a crash destroys every
- * in-flight request (reported through the abort hook — work is never
+ * in-flight request (reported as an `End::Abort` — work is never
  * silently vanished), while a drain lets outstanding work complete and
  * the package descend through its PC states as the queues empty.
  */
@@ -53,6 +53,18 @@ enum class Lifecycle : std::uint8_t
 
 /** Display name for a lifecycle state. */
 const char *lifecycleName(Lifecycle s);
+
+/** How an injected request left its server (ServerSim::EndFn). */
+enum class End : std::uint8_t
+{
+    Completion, ///< served; the response left the server
+    Drop,       ///< tail-dropped by the NIC RX ring on arrival
+    /** Destroyed by a crash, or refused on arrival by a non-Up
+     *  server: the fleet counts the loss and fails the request over. */
+    Abort,
+};
+
+inline constexpr std::size_t kNumEnds = 3;
 
 /**
  * Dual-socket (NUMA) extension: a second, otherwise-idle socket serves
@@ -238,41 +250,20 @@ class ServerSim
     static constexpr std::uint64_t kNoRequestId = UINT64_MAX;
 
     /**
-     * Called when an injected request completes, with the request id
-     * passed to inject(), the completion time on this server's clock,
-     * and — with attribution on (enableAttribution()), else null — the
-     * latency segments this server measured for the request, valid for
-     * the duration of the call. Runs inside this server's event loop:
-     * when a fleet advances servers on worker threads, the hook must
-     * only touch state owned by this server (e.g. its shard's staging
-     * slot). Inline callable: the hook fires once per completed
-     * request across the whole fleet, so it costs no heap allocation.
+     * Called once when an injected request leaves the server, with how
+     * it ended (@p how), the request id passed to inject(), the instant
+     * on this server's clock, and — with attribution on
+     * (enableAttribution()), else null — the latency segments this
+     * server measured for the request, valid for the duration of the
+     * call (for a refusal, the request leg it arrived with). Runs
+     * inside this server's event loop: when a fleet advances servers
+     * on worker threads, the hook must only touch state owned by this
+     * server (e.g. its shard's staging slot). Inline callable: the hook
+     * fires once per request across the whole fleet, so it costs no
+     * heap allocation.
      */
-    using CompletionFn =
-        sim::InplaceFunction<void(std::uint64_t id, sim::Tick done,
-                                  const obs::SegmentSums *segs),
-                             32>;
-
-    /**
-     * Called when the NIC RX ring tail-drops an injected request (NIC
-     * mode only); same threading rules and @p segs as CompletionFn.
-     * The fleet uses it to drive client retransmission.
-     */
-    using RxDropFn =
-        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at,
-                                  const obs::SegmentSums *segs),
-                             32>;
-
-    /**
-     * Called when a fault destroys an injected request: a crash tears
-     * down everything in flight, and a non-Up server refuses admission
-     * on arrival. Same threading rules and @p segs as CompletionFn
-     * (what the request measured up to the fault; for a refusal, the
-     * request leg it arrived with) — the fleet uses it to count the
-     * loss and fail the request over.
-     */
-    using AbortFn =
-        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at,
+    using EndFn =
+        sim::InplaceFunction<void(End how, std::uint64_t id, sim::Tick at,
                                   const obs::SegmentSums *segs),
                              32>;
 
@@ -308,19 +299,13 @@ class ServerSim
      * Hand the server one request at the current simulated time (the
      * caller schedules the arrival instant). @p service <= 0 samples
      * the workload's service distribution; a positive value is the
-     * dispatcher-determined service demand in ticks. The completion
-     * hook (if set) fires with @p id when the request finishes.
+     * dispatcher-determined service demand in ticks. The end hook (if
+     * set) fires with @p id when the request leaves the server.
      */
     void inject(std::uint64_t id, sim::Tick service);
 
-    /** Set the completion hook for injected requests. */
-    void onCompletion(CompletionFn fn) { completionFn_ = std::move(fn); }
-
-    /** Set the RX-ring drop hook for injected requests (NIC mode). */
-    void onRxDrop(RxDropFn fn) { rxDropFn_ = std::move(fn); }
-
-    /** Set the fault-abort hook for injected requests. */
-    void onAbort(AbortFn fn) { abortFn_ = std::move(fn); }
+    /** Set the end hook for injected requests. */
+    void onEnd(EndFn fn) { endFn_ = std::move(fn); }
 
     // --- fault injection (scheduled from the fleet's route stage) ---
 
@@ -330,8 +315,8 @@ class ServerSim
     /**
      * Schedule a crash at absolute time @p at: the server goes Down,
      * every in-flight request — RX ring, core queues, on-core work,
-     * responses in TX — is destroyed and reported through the abort
-     * hook, and admission is refused until a restart completes. The
+     * responses in TX — is destroyed and reported to the end hook as
+     * `End::Abort`, and admission is refused until a restart completes. The
      * event runs inside this server's own event loop, so mid-epoch
      * fault instants are honored exactly under parallel advance.
      */
@@ -339,7 +324,7 @@ class ServerSim
 
     /**
      * Schedule a graceful drain at @p at: admission stops (arrivals are
-     * refused through the abort hook, so the fleet fails them over) but
+     * refused as `End::Abort`, so the fleet fails them over) but
      * outstanding work runs to completion and the package descends
      * through its PC states as the queues empty.
      */
@@ -394,8 +379,8 @@ class ServerSim
     /**
      * Measure the latency-attribution segments (NIC ring and IRQ hold,
      * wake, queue, gate/DVFS stalls, serve, TX; see obs/attribution.h)
-     * of every injected request and hand them back through the
-     * completion, abort and RX-drop hooks. @p writer is the trace
+     * of every injected request and hand them back through the end
+     * hook. @p writer is the trace
      * writer this server records as (obs::OrderKey). With tracing on,
      * each segment is also written as a span. Pure observation, like
      * tracing.
@@ -496,7 +481,7 @@ class ServerSim
     void admit(Request r);
     /** Crash teardown at the current simulated time (see scheduleCrash). */
     void crashNow();
-    /** Fire the completion hook for @p id unless a crash destroyed it
+    /** End @p id as a completion unless a crash destroyed it
      *  while the response was still inside the server. */
     void completeInjected(std::uint64_t id);
     /** The expect()ed request leg of @p id, removed (empty if none). */
@@ -561,8 +546,7 @@ class ServerSim
     std::uint64_t requests_ = 0;
     std::uint64_t accepted_ = 0;
     std::uint64_t completed_ = 0;
-    CompletionFn completionFn_;
-    RxDropFn rxDropFn_;
+    EndFn endFn_;
     // Fault-injection state. All of it is inert (zero-footprint) until
     // a fault is actually scheduled: state_ stays Up, inc_ stays 0, and
     // crashAt_'s sentinel predates every enqueue.
@@ -580,7 +564,6 @@ class ServerSim
     std::vector<std::pair<std::uint64_t, obs::SegmentSums>> expected_;
     bool attr_ = false;
     std::uint32_t writer_ = 0; ///< trace writer index (attribution)
-    AbortFn abortFn_;
     stats::Summary nicWakeUs_;
     double nicEnergy0_ = 0.0; ///< Network-plane energy at measurement start
     // RAPL counters latched at beginMeasurement().

@@ -214,10 +214,13 @@ TEST(ServerLifecycle, CrashDestroysInFlightWorkLoudly)
     server::ServerSim srv = drivenServer();
     std::vector<std::uint64_t> aborted;
     std::uint64_t completions = 0;
-    srv.onCompletion([&](std::uint64_t, sim::Tick,
-                         const obs::SegmentSums *) { ++completions; });
-    srv.onAbort([&](std::uint64_t id, sim::Tick,
-                    const obs::SegmentSums *) { aborted.push_back(id); });
+    srv.onEnd([&](server::End how, std::uint64_t id, sim::Tick,
+                  const obs::SegmentSums *) {
+        if (how == server::End::Completion)
+            ++completions;
+        else if (how == server::End::Abort)
+            aborted.push_back(id);
+    });
     srv.start();
 
     srv.advanceTo(1 * kMs);
@@ -266,10 +269,13 @@ TEST(ServerLifecycle, DrainStopsAdmissionButFinishesWork)
     server::ServerSim srv = drivenServer();
     std::vector<std::uint64_t> aborted;
     std::uint64_t completions = 0;
-    srv.onCompletion([&](std::uint64_t, sim::Tick,
-                         const obs::SegmentSums *) { ++completions; });
-    srv.onAbort([&](std::uint64_t id, sim::Tick,
-                    const obs::SegmentSums *) { aborted.push_back(id); });
+    srv.onEnd([&](server::End how, std::uint64_t id, sim::Tick,
+                  const obs::SegmentSums *) {
+        if (how == server::End::Completion)
+            ++completions;
+        else if (how == server::End::Abort)
+            aborted.push_back(id);
+    });
     srv.start();
 
     srv.advanceTo(1 * kMs);
@@ -303,10 +309,13 @@ TEST(ServerLifecycle, CrashReportsOnlyRequestsTheRingAccepted)
     sc.nic.rxUsecs = 1 * kMs; // no interrupt before the crash
     server::ServerSim srv(std::move(sc));
     std::vector<std::uint64_t> dropped, aborted;
-    srv.onRxDrop([&](std::uint64_t id, sim::Tick,
-                     const obs::SegmentSums *) { dropped.push_back(id); });
-    srv.onAbort([&](std::uint64_t id, sim::Tick,
-                    const obs::SegmentSums *) { aborted.push_back(id); });
+    srv.onEnd([&](server::End how, std::uint64_t id, sim::Tick,
+                  const obs::SegmentSums *) {
+        if (how == server::End::Drop)
+            dropped.push_back(id);
+        else if (how == server::End::Abort)
+            aborted.push_back(id);
+    });
     srv.start();
 
     srv.advanceTo(1 * kMs);

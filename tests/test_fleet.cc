@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <random>
@@ -29,7 +30,7 @@ using sim::kUs;
 
 TEST(Dispatch, RoundRobinCycles)
 {
-    RoundRobinDispatcher rr(4);
+    Dispatcher rr(DispatchKind::RoundRobin, 4, 0);
     rr.refresh({5, 0, 9, 2}); // load is irrelevant to round-robin
     EXPECT_EQ(rr.pick(), 0u);
     EXPECT_EQ(rr.pick(), 1u);
@@ -40,7 +41,7 @@ TEST(Dispatch, RoundRobinCycles)
 
 TEST(Dispatch, RoundRobinSkipsExcluded)
 {
-    RoundRobinDispatcher rr(3);
+    Dispatcher rr(DispatchKind::RoundRobin, 3, 0);
     rr.exclude(0);
     EXPECT_EQ(rr.pick(), 1u); // cursor moved past the excluded 0
     rr.clearExclusions();
@@ -52,7 +53,7 @@ TEST(Dispatch, RoundRobinSkipsExcluded)
 
 TEST(Dispatch, LeastOutstandingPicksShortestQueue)
 {
-    LeastOutstandingDispatcher lo(3);
+    Dispatcher lo(DispatchKind::LeastOutstanding, 3, 0);
     lo.refresh({3, 1, 2});
     EXPECT_EQ(lo.pick(), 1u);
     // Ties break towards the lowest index.
@@ -66,7 +67,7 @@ TEST(Dispatch, LeastOutstandingPicksShortestQueue)
 
 TEST(Dispatch, LeastOutstandingSeesOwnDispatches)
 {
-    LeastOutstandingDispatcher lo(3);
+    Dispatcher lo(DispatchKind::LeastOutstanding, 3, 0);
     lo.refresh({1, 0, 2});
     EXPECT_EQ(lo.pick(), 1u);
     lo.onDispatch(1); // in-epoch dispatch: 1 now ties with 0 at 1
@@ -77,7 +78,7 @@ TEST(Dispatch, LeastOutstandingSeesOwnDispatches)
 
 TEST(Dispatch, ExclusionParksAndRestoresTheCount)
 {
-    LeastOutstandingDispatcher lo(3);
+    Dispatcher lo(DispatchKind::LeastOutstanding, 3, 0);
     lo.refresh({0, 5, 5});
     EXPECT_EQ(lo.pick(), 0u);
     lo.onDispatch(0);
@@ -92,7 +93,7 @@ TEST(Dispatch, ExclusionParksAndRestoresTheCount)
 
 TEST(Dispatch, PackingFillsInOrderThenSpills)
 {
-    PackingDispatcher pk(3, 2);
+    Dispatcher pk(DispatchKind::PowerAwarePacking, 3, 2);
     pk.refresh({0, 0, 0});
     EXPECT_EQ(pk.pick(), 0u);
     pk.refresh({1, 0, 0});
@@ -104,6 +105,156 @@ TEST(Dispatch, PackingFillsInOrderThenSpills)
     // Everyone at budget: joins the shortest queue instead.
     pk.refresh({4, 2, 3});
     EXPECT_EQ(pk.pick(), 1u);
+}
+
+/** The dispatcher's protocol over plain arrays: per-server counts,
+ *  removal flags and an exclusion list, scanned left to right. */
+struct LinearDispatcher
+{
+    DispatchKind kind;
+    std::uint32_t budget;
+    std::vector<std::uint32_t> count;
+    std::vector<bool> removed;
+    std::vector<std::size_t> excluded;
+    std::size_t next = 0;
+
+    bool
+    pickable(std::size_t i) const
+    {
+        return !removed[i] && std::find(excluded.begin(), excluded.end(),
+                                        i) == excluded.end();
+    }
+
+    std::size_t
+    shortestQueue() const
+    {
+        std::size_t best = Dispatcher::kNone;
+        for (std::size_t i = 0; i < count.size(); ++i)
+            if (pickable(i) &&
+                (best == Dispatcher::kNone || count[i] < count[best]))
+                best = i;
+        return best;
+    }
+
+    std::size_t
+    pick()
+    {
+        switch (kind) {
+          case DispatchKind::RoundRobin:
+            for (std::size_t tries = 0; tries < count.size(); ++tries) {
+                const std::size_t i = next;
+                next = (next + 1) % count.size();
+                if (pickable(i))
+                    return i;
+            }
+            return Dispatcher::kNone;
+          case DispatchKind::PowerAwarePacking:
+            for (std::size_t i = 0; i < count.size(); ++i)
+                if (pickable(i) && count[i] < budget)
+                    return i;
+            return shortestQueue();
+          case DispatchKind::LeastOutstanding:
+            break;
+        }
+        return shortestQueue();
+    }
+
+    void
+    reinsert(std::size_t srv, std::uint32_t outstanding)
+    {
+        if (removed[srv]) {
+            removed[srv] = false;
+            count[srv] = outstanding;
+        }
+    }
+};
+
+TEST(Dispatch, MatchesLinearReferenceUnderChurn)
+{
+    // Seeded protocol mixes: between requests, refreshes, removals and
+    // reinsertions; per request, picks with in-epoch dispatches,
+    // fanout exclusions (a dispatch may land before or after the
+    // exclusion), failover-style exclusions of arbitrary servers, and
+    // removals while servers are excluded.
+    std::mt19937_64 gen(2024);
+    const auto below = [&gen](std::size_t n) {
+        return static_cast<std::size_t>(gen() % n);
+    };
+    std::size_t picks = 0, nones = 0;
+    for (const DispatchKind kind :
+         {DispatchKind::RoundRobin, DispatchKind::LeastOutstanding,
+          DispatchKind::PowerAwarePacking}) {
+        for (const std::size_t n : {1ul, 2ul, 3ul, 7ul, 16ul, 33ul}) {
+            const auto budget = static_cast<std::uint32_t>(1 + below(4));
+            Dispatcher d(kind, n, budget);
+            LinearDispatcher ref{kind, budget,
+                                 std::vector<std::uint32_t>(n, 0),
+                                 std::vector<bool>(n, false), {}, 0};
+            for (int req = 0; req < 400; ++req) {
+                const std::size_t op = below(8);
+                if (op == 0) {
+                    std::vector<std::uint32_t> v(n);
+                    for (auto &x : v)
+                        x = static_cast<std::uint32_t>(below(6));
+                    d.refresh(v);
+                    ref.count = v;
+                } else if (op == 1) {
+                    const std::size_t s = below(n);
+                    d.remove(s);
+                    ref.removed[s] = true;
+                } else if (op == 2) {
+                    const std::size_t s = below(n);
+                    const auto o = static_cast<std::uint32_t>(below(6));
+                    d.reinsert(s, o);
+                    ref.reinsert(s, o);
+                }
+                if (below(4) == 0)
+                    // Failover: hide the servers already tried.
+                    for (std::size_t k = below(n + 1); k > 0; --k) {
+                        const std::size_t s = below(n);
+                        if (std::find(ref.excluded.begin(),
+                                      ref.excluded.end(),
+                                      s) != ref.excluded.end())
+                            continue;
+                        d.exclude(s);
+                        ref.excluded.push_back(s);
+                    }
+                const std::size_t fanout = 1 + below(n + 1);
+                for (std::size_t k = 0; k < fanout; ++k) {
+                    const std::size_t got = d.pick();
+                    ASSERT_EQ(got, ref.pick())
+                        << dispatchName(kind) << " n=" << n
+                        << " req=" << req;
+                    ++(got == Dispatcher::kNone ? nones : picks);
+                    if (got == Dispatcher::kNone)
+                        break;
+                    const bool dispatch_first = below(2) == 0;
+                    if (dispatch_first) {
+                        d.onDispatch(got);
+                        ++ref.count[got];
+                    }
+                    if (fanout > 1) {
+                        d.exclude(got);
+                        ref.excluded.push_back(got);
+                    }
+                    if (!dispatch_first) {
+                        d.onDispatch(got);
+                        ++ref.count[got];
+                    }
+                    if (below(16) == 0) {
+                        const std::size_t s = below(n);
+                        d.remove(s);
+                        ref.removed[s] = true;
+                    }
+                }
+                d.clearExclusions();
+                ref.excluded.clear();
+            }
+        }
+    }
+    // Both outcomes were exercised.
+    EXPECT_GT(picks, 10000u);
+    EXPECT_GT(nones, 100u);
 }
 
 // ---------------------------------------------------------------- MinIndex
@@ -557,6 +708,69 @@ TEST(Fleet, JitterOutsideUnitIntervalRejectedAtConstruction)
         fc.recovery.jitterFrac = good;
         EXPECT_EQ(rejection(fc), "") << good;
     }
+}
+
+/** smallFleet with fault injection on and @p ev as its only fault. */
+FleetConfig
+faultedFleet(fault::FaultEvent ev)
+{
+    auto fc = smallFleet(DispatchKind::LeastOutstanding, 0.2);
+    fc.faults.enabled = true;
+    fc.faults.scripted = {ev};
+    return fc;
+}
+
+TEST(Fleet, FaultEntityOutsideTheFleetRejectedAtConstruction)
+{
+    const std::string msg = "FleetConfig: faults.scripted entity must be "
+                            "a server index (or kCoreLinkEntity for a "
+                            "LinkFlap)";
+    // Entity 4 of a 4-server fleet used to index past servers_.
+    auto fc = faultedFleet(
+        {2 * kMs, 1 * kMs, fault::FaultKind::ServerCrash, 4});
+    EXPECT_EQ(rejection(fc), msg);
+    fc.faults.scripted[0].entity = 3;
+    EXPECT_EQ(rejection(fc), "");
+    // The core-link entity only addresses a flap.
+    fc.fabric.enabled = true;
+    fc.nic.enabled = true;
+    for (const fault::FaultKind k :
+         {fault::FaultKind::ServerCrash, fault::FaultKind::ServerDrain,
+          fault::FaultKind::NicFreeze}) {
+        fc.faults.scripted = {
+            {2 * kMs, 1 * kMs, k, fault::kCoreLinkEntity}};
+        EXPECT_EQ(rejection(fc), msg) << fault::faultKindName(k);
+    }
+    fc.faults.scripted = {{2 * kMs, 1 * kMs, fault::FaultKind::LinkFlap,
+                           fault::kCoreLinkEntity}};
+    EXPECT_EQ(rejection(fc), "");
+}
+
+TEST(Fleet, FlapWithoutFabricRejectedAtConstruction)
+{
+    const std::string msg =
+        "FleetConfig: LinkFlap faults need fabric.enabled";
+    auto fc =
+        faultedFleet({2 * kMs, 1 * kMs, fault::FaultKind::LinkFlap, 1});
+    EXPECT_EQ(rejection(fc), msg);
+    fc.faults.scripted = {};
+    fc.faults.flap.ratePerSec = 10.0;
+    EXPECT_EQ(rejection(fc), msg);
+    fc.fabric.enabled = true;
+    EXPECT_EQ(rejection(fc), "");
+}
+
+TEST(Fleet, FreezeWithoutNicRejectedAtConstruction)
+{
+    const std::string msg = "FleetConfig: NicFreeze faults need nic.enabled";
+    auto fc =
+        faultedFleet({2 * kMs, 1 * kMs, fault::FaultKind::NicFreeze, 1});
+    EXPECT_EQ(rejection(fc), msg);
+    fc.faults.scripted = {};
+    fc.faults.freeze.ratePerSec = 10.0;
+    EXPECT_EQ(rejection(fc), msg);
+    fc.nic.enabled = true;
+    EXPECT_EQ(rejection(fc), "");
 }
 
 TEST(Fleet, IdenticalSeedsIdenticalReports)

@@ -226,7 +226,7 @@ struct NicHarness
             batches.push_back(std::move(b));
             irqAts.push_back(irq_at);
         });
-        nic.onRxDrop([this](std::uint64_t id, sim::Tick) {
+        nic.onDrop([this](std::uint64_t id, sim::Tick) {
             drops.push_back(id);
         });
     }
