@@ -1405,7 +1405,6 @@ FleetSim::aggregate()
     rep.achievedQps = window_s > 0
         ? static_cast<double>(completed_) / window_s : 0.0;
 
-    rep.perServer = perServerResults_;
     const double n = static_cast<double>(servers_.size());
     rep.capEnabled = cfg_.cap.enabled || cfg_.budget.enabled;
     // Scalar folds stay sequential and in server order: they are O(1)
@@ -1450,6 +1449,9 @@ FleetSim::aggregate()
         [this](std::size_t m, auto &&fn) { pool_.parallelFor(m, fn); });
     rep.replicaLatencyUs = std::move(acc.replica);
     rep.idlePeriodsUs = std::move(acc.idle);
+    // Everything that reads the per-server results has run; aggregate()
+    // runs once, so hand the vector over instead of copying it.
+    rep.perServer = std::move(perServerResults_);
 
     if (fabric_) {
         rep.fabricStats = fabric_->stats();

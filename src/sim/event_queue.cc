@@ -93,20 +93,28 @@ EventQueue::allocSlot()
 {
     if (freeHead_ != kNoSlot) {
         const std::uint32_t slot = freeHead_;
-        freeHead_ = records_[slot].nextFree;
+        freeHead_ = record(slot).nextFree;
         return slot;
     }
-    records_.emplace_back();
-    return static_cast<std::uint32_t>(records_.size() - 1);
+    if ((slots_ & kChunkMask) == 0)
+        addChunk();
+    return slots_++;
 }
 
+// Out of line, so that allocSlot's fast path inlines into
+// prepareSchedule.
+void
+EventQueue::addChunk()
+{
+    chunks_.push_back(std::make_unique<Record[]>(kChunkMask + 1));
+}
+
+/** Return a fired or reaped record (callable already destroyed) to
+ *  the free list. */
 void
 EventQueue::freeSlot(std::uint32_t slot)
 {
-    Record &rec = records_[slot];
-    rec.fn = nullptr;
-    ++rec.gen; // invalidates outstanding handles
-    rec.scheduled = false;
+    Record &rec = record(slot);
     rec.cancelled = false;
     rec.nextFree = freeHead_;
     freeHead_ = slot;
@@ -120,25 +128,26 @@ EventQueue::prepareSchedule(Tick when)
         when = now_;
 
     const std::uint32_t slot = allocSlot();
-    Record &rec = records_[slot];
-    rec.seq = nextSeq_++;
-    rec.scheduled = true;
     ++live_;
 
-    const Ref ref{when, rec.seq, slot};
-    if (when - now_ < kNearHorizon &&
-        (run_.empty() || when >= run_.back().when)) {
-        // Drop the consumed prefix once it is at least half the run:
-        // amortised O(1), and a run that never drains stays bounded.
-        if (runPos_ != 0 && 2 * runPos_ >= run_.size()) {
-            run_.erase(run_.begin(),
-                       run_.begin() + static_cast<std::ptrdiff_t>(runPos_));
-            runPos_ = 0;
-        }
-        run_.push_back(ref);
+    const bool near = when - now_ < kNearHorizon &&
+        (run_.empty() || when >= run_.back().when);
+    // Drop the consumed prefix once it is at least half the run:
+    // amortised O(1), and a run that never drains stays bounded.
+    if (near && runPos_ != 0 && 2 * runPos_ >= run_.size()) {
+        run_.erase(run_.begin(),
+                   run_.begin() + static_cast<std::ptrdiff_t>(runPos_));
+        runPos_ = 0;
+    }
+    // Fill the ref where it lands: copying in a stack temporary stalls
+    // on store forwarding (three narrow stores, two wide loads).
+    Ref &ref = (near ? run_ : heap_).emplace_back();
+    ref.when = when;
+    ref.seq = nextSeq_++;
+    ref.slot = slot;
+    if (near) {
         ++wheelScheduled_;
     } else {
-        heap_.push_back(ref);
         std::push_heap(heap_.begin(), heap_.end(), RefLater{});
         ++heapScheduled_;
     }
@@ -148,11 +157,10 @@ EventQueue::prepareSchedule(Tick when)
 void
 EventQueue::cancelEvent(std::uint32_t slot, std::uint32_t gen)
 {
-    if (slot >= records_.size())
+    if (!eventPending(slot, gen))
         return;
-    Record &rec = records_[slot];
-    if (rec.gen != gen || !rec.scheduled || rec.cancelled)
-        return;
+    Record &rec = record(slot);
+    ++rec.gen; // invalidates outstanding handles
     rec.cancelled = true;
     rec.fn = nullptr; // release captured state immediately
     --live_;
@@ -160,80 +168,71 @@ EventQueue::cancelEvent(std::uint32_t slot, std::uint32_t gen)
     maybeCompact();
 }
 
-/**
- * Reap tombstones off the run cursor and the heap top, so both heads
- * are live. @return true if any event is pending.
- */
-bool
-EventQueue::prepareNext()
+void
+EventQueue::reapHeads()
 {
-    if (dead_ > 0) {
-        while (runPos_ < run_.size() && refDead(run_[runPos_])) {
-            --dead_;
-            freeSlot(run_[runPos_].slot);
-            ++runPos_;
-        }
-        while (!heap_.empty() && refDead(heap_.front())) {
-            --dead_;
-            freeSlot(heap_.front().slot);
-            std::pop_heap(heap_.begin(), heap_.end(), RefLater{});
-            heap_.pop_back();
-        }
+    while (runPos_ < run_.size() && refDead(run_[runPos_])) {
+        --dead_;
+        freeSlot(run_[runPos_].slot);
+        ++runPos_;
     }
-    return runPos_ < run_.size() || !heap_.empty();
-}
-
-bool
-EventQueue::takeNext(Ref &out)
-{
-    if (!prepareNext())
-        return false;
-    const bool haveRun = runPos_ < run_.size();
-    bool fromRun = haveRun;
-    if (haveRun && !heap_.empty()) {
-        const Ref &r = run_[runPos_];
-        const Ref &h = heap_.front();
-        fromRun = r.when != h.when ? r.when < h.when : r.seq < h.seq;
-    }
-    if (fromRun) {
-        out = run_[runPos_++];
-    } else {
-        out = heap_.front();
+    while (!heap_.empty() && refDead(heap_.front())) {
+        --dead_;
+        freeSlot(heap_.front().slot);
         std::pop_heap(heap_.begin(), heap_.end(), RefLater{});
         heap_.pop_back();
     }
-    return true;
 }
 
-bool
-EventQueue::peekWhen(Tick &when)
+std::uint32_t
+EventQueue::pop(Tick until)
 {
-    if (!prepareNext())
-        return false;
-    const bool haveRun = runPos_ < run_.size();
-    if (haveRun && !heap_.empty())
-        when = std::min(run_[runPos_].when, heap_.front().when);
-    else
-        when = haveRun ? run_[runPos_].when : heap_.front().when;
-    return true;
+    if (dead_ > 0)
+        reapHeads();
+    const bool haveHeap = !heap_.empty();
+    if (runPos_ < run_.size() &&
+        (!haveHeap || RefLater{}(heap_.front(), run_[runPos_]))) {
+        const Ref &r = run_[runPos_];
+        if (r.when > until)
+            return kNoSlot;
+        ++runPos_;
+        assert(r.when >= now_);
+        now_ = r.when;
+        return r.slot;
+    }
+    if (!haveHeap || heap_.front().when > until)
+        return kNoSlot;
+    const Ref h = heap_.front();
+    std::pop_heap(heap_.begin(), heap_.end(), RefLater{});
+    heap_.pop_back();
+    assert(h.when >= now_);
+    now_ = h.when;
+    return h.slot;
+}
+
+void
+EventQueue::fire(std::uint32_t slot)
+{
+    // The record's chunk never moves, so the callable runs where it
+    // lies even if it schedules more events. Bumping gen first makes
+    // the event's own handles read not-pending (and cancel() a no-op)
+    // while it runs; the slot joins the free list only afterwards.
+    Record &rec = record(slot);
+    ++rec.gen;
+    --live_;
+    rec.fn();
+    rec.fn = nullptr;
+    freeSlot(slot);
 }
 
 bool
 EventQueue::step()
 {
-    Ref ref;
-    if (!takeNext(ref))
+    const std::uint32_t slot = pop(kTickNever);
+    if (slot == kNoSlot)
         return false;
-    assert(ref.when >= now_);
-    now_ = ref.when;
-    Record &rec = records_[ref.slot];
-    EventFn fn = std::move(rec.fn);
-    // Free the slot before invoking: the callback may schedule (growing
-    // the pool and invalidating `rec`) or cancel its own stale handle.
-    freeSlot(ref.slot);
-    --live_;
+    fire(slot);
     ++executed_;
-    fn();
     return true;
 }
 
@@ -241,11 +240,12 @@ std::uint64_t
 EventQueue::runUntil(Tick until)
 {
     std::uint64_t n = 0;
-    Tick when;
-    while (peekWhen(when) && when <= until) {
-        step();
-        ++n;
-    }
+    for (std::uint32_t slot; (slot = pop(until)) != kNoSlot; ++n)
+        fire(slot);
+    // Counted once per call: a per-event increment beside --live_ was
+    // merged into one 16-byte update that stalls on store forwarding
+    // whenever the callback schedules (prepareSchedule's ++live_).
+    executed_ += n;
     if (now_ < until)
         now_ = until;
     return n;

@@ -12,12 +12,16 @@
  * The implementation is built for the fleet-sweep hot path (millions of
  * short-horizon timers per run):
  *
- *  - **Slab-pooled event records.** Callbacks live in a pooled
- *    `EventRecord` with an inline small-buffer callable
+ *  - **Chunked event records that never move.** Callbacks live in a
+ *    pooled `Record` with an inline small-buffer callable
  *    (`InplaceFunction`), so scheduling performs no `std::function` or
- *    `shared_ptr` heap allocation. Slots are recycled through a free
- *    list; `EventHandle`s carry a generation counter and go stale (not
- *    dangling) when their slot is reused.
+ *    `shared_ptr` heap allocation. Records sit in fixed-size chunks
+ *    that are never reallocated, so each callable runs in place in its
+ *    record: a callback may schedule (growing the pool by a chunk)
+ *    without moving itself. Slots are recycled through a free list;
+ *    `EventHandle`s carry a generation counter that is bumped when the
+ *    event fires or is cancelled, so a handle goes stale (not
+ *    dangling) the moment its event stops being pending.
  *
  *  - **Near run plus heap.** Almost every event a server schedules is
  *    due within a microsecond and no earlier than the last one
@@ -28,6 +32,10 @@
  *    the earlier of the two heads. A server's queue peaks at a few
  *    dozen to a couple of hundred pending events, too few for a timer
  *    wheel's bucket array to pay for its memory.
+ *
+ *  - **One pop per event.** `runUntil`, `step` and `runAll` share one
+ *    pop that reaps tombstones off both heads, compares the heads once
+ *    and takes the earlier if it is due.
  *
  *  - **Tombstone reaping.** `EventHandle::cancel()` is O(1) (flag +
  *    immediate callback destruction); dead entries are dropped lazily
@@ -42,6 +50,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/inline_function.h"
@@ -158,7 +167,7 @@ class EventQueue
     scheduleAt(Tick when, F &&fn)
     {
         const std::uint32_t slot = prepareSchedule(when);
-        Record &rec = records_[slot];
+        Record &rec = record(slot);
         rec.fn = std::forward<F>(fn);
         return EventHandle(this, epoch_, slot, rec.gen);
     }
@@ -192,7 +201,8 @@ class EventQueue
     /** Number of live (scheduled, not cancelled) events. */
     std::size_t pendingEvents() const { return live_; }
 
-    /** Total events executed since construction. */
+    /** Events executed since construction, as of the last return
+     *  from runUntil(), runAll() or step(). */
     std::uint64_t executedEvents() const { return executed_; }
 
     /**
@@ -205,8 +215,11 @@ class EventQueue
     /** Cancelled entries awaiting reaping. */
     std::size_t deadEntries() const { return dead_; }
 
-    /** Allocated record-pool slots (high-water mark of internalEntries). */
-    std::size_t poolCapacity() const { return records_.size(); }
+    /**
+     * Record-pool slots handed out so far: the high-water mark of
+     * internalEntries() plus the records of callbacks still running.
+     */
+    std::size_t poolCapacity() const { return slots_; }
 
     /** Eager tombstone compaction passes run so far. */
     std::uint64_t compactions() const { return compactions_; }
@@ -225,17 +238,33 @@ class EventQueue
     friend class EventHandle;
 
     static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+    /** Records per chunk (2^5 × 96 bytes): about a server's working set. */
+    static constexpr std::uint32_t kChunkShift = 5;
+    static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
 
-    /** Pooled event record; the callable lives inline here. */
+    /**
+     * Pooled event record; the callable lives inline here. `gen` is
+     * bumped when the event fires or is cancelled, so a handle matches
+     * its record's generation exactly while the event is pending.
+     */
     struct Record
     {
         EventFn fn;
-        std::uint64_t seq = 0;
         std::uint32_t gen = 0;
         std::uint32_t nextFree = kNoSlot;
-        bool scheduled = false;
         bool cancelled = false;
     };
+
+    Record &
+    record(std::uint32_t slot)
+    {
+        return chunks_[slot >> kChunkShift][slot & kChunkMask];
+    }
+    const Record &
+    record(std::uint32_t slot) const
+    {
+        return chunks_[slot >> kChunkShift][slot & kChunkMask];
+    }
 
     /** Lightweight entry stored in the near run and the heap. */
     struct Ref
@@ -257,7 +286,7 @@ class EventQueue
         }
     };
 
-    bool refDead(const Ref &r) const { return records_[r.slot].cancelled; }
+    bool refDead(const Ref &r) const { return record(r.slot).cancelled; }
 
     /**
      * Allocate a record, assign its sequence number, and place the
@@ -267,10 +296,18 @@ class EventQueue
     std::uint32_t prepareSchedule(Tick when);
 
     std::uint32_t allocSlot();
+    void addChunk();
     void freeSlot(std::uint32_t slot);
-    bool prepareNext();
-    bool takeNext(Ref &out);
-    bool peekWhen(Tick &when);
+    /** Free the tombstones at the run cursor and the heap top. */
+    void reapHeads();
+    /**
+     * Reap tombstones off both heads and take the earliest live event
+     * if it is due no later than @p until, advancing now() to it.
+     * @return its slot, or kNoSlot.
+     */
+    std::uint32_t pop(Tick until);
+    /** Run the popped event's callable in place, then free its slot. */
+    void fire(std::uint32_t slot);
     void maybeCompact();
     void compact();
 
@@ -279,14 +316,15 @@ class EventQueue
     bool
     eventPending(std::uint32_t slot, std::uint32_t gen) const
     {
-        return slot < records_.size() && records_[slot].gen == gen &&
-            records_[slot].scheduled && !records_[slot].cancelled;
+        return slot < slots_ && record(slot).gen == gen;
     }
 
     /** See debugEpoch(). Assigned in the constructor, debug builds only. */
     std::uint64_t epoch_ = 0;
 
-    std::vector<Record> records_;
+    /** Record chunks; a chunk never moves once allocated. */
+    std::vector<std::unique_ptr<Record[]>> chunks_;
+    std::uint32_t slots_ = 0;
     std::uint32_t freeHead_ = kNoSlot;
 
     /** Events that could not join the run, min-heap by (when, seq). */

@@ -1,6 +1,7 @@
 #include "sim/signal.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace apc::sim {
 
@@ -48,7 +49,7 @@ void
 Signal::write(bool v)
 {
     // Any direct write supersedes an in-flight delayed write.
-    pendingWrite_.cancel();
+    std::exchange(pendingWrite_, {}).cancel();
     applyEdge(v);
 }
 
@@ -59,9 +60,12 @@ Signal::writeAfter(Tick delay, bool v)
         write(v);
         return;
     }
-    pendingWrite_.cancel();
+    std::exchange(pendingWrite_, {}).cancel();
     if (v != value_)
-        pendingWrite_ = sim_.after(delay, [this, v] { applyEdge(v); });
+        pendingWrite_ = sim_.after(delay, [this, v] {
+            pendingWrite_ = {};
+            applyEdge(v);
+        });
 }
 
 std::uint64_t
@@ -102,25 +106,22 @@ Signal::unsubscribe(std::uint64_t id)
 }
 
 AndTree::AndTree(Simulation &sim, const std::string &name, Tick prop_delay)
-    : sim_(sim), propDelay_(prop_delay), out_(sim, name, false)
+    : propDelay_(prop_delay), out_(sim, name, false)
 {}
 
 void
 AndTree::addInput(Signal &in)
 {
-    inputs_.push_back(&in);
-    in.subscribe([this](bool) { onInputEdge(); });
+    ++inputs_;
+    if (in.read())
+        ++high_;
+    // Observers run only on real edges, so the count stays exact.
+    in.subscribe([this](bool v) {
+        v ? ++high_ : --high_;
+        onInputEdge();
+    });
     // Reflect the (possibly already-true) combinational value.
     onInputEdge();
-}
-
-bool
-AndTree::combinational() const
-{
-    if (inputs_.empty())
-        return false;
-    return std::all_of(inputs_.begin(), inputs_.end(),
-                       [](const Signal *s) { return s->read(); });
 }
 
 void

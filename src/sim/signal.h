@@ -119,7 +119,7 @@ class Signal
     std::string name_;
     bool value_;
     std::uint64_t nextSub_ = 1;
-    /** The scheduled write in flight, if any. */
+    /** The scheduled write in flight, if any; reset when it lands. */
     EventHandle pendingWrite_;
     std::uint64_t rising_ = 0;
     std::uint64_t falling_ = 0;
@@ -132,8 +132,9 @@ class Signal
 
 /**
  * AND-aggregation of input signals into an output signal, with a
- * propagation delay. The output level is recomputed on every input edge;
- * output updates are scheduled after the delay, last-change-wins.
+ * propagation delay. The tree counts its high inputs, so each input
+ * edge updates the output level in O(1); output updates are scheduled
+ * after the delay, last-change-wins.
  */
 class AndTree
 {
@@ -153,15 +154,20 @@ class AndTree
     const Signal &output() const { return out_; }
 
     /** Combinational value of the AND over inputs right now (pre-delay). */
-    bool combinational() const;
+    bool
+    combinational() const
+    {
+        return inputs_ != 0 && high_ == inputs_;
+    }
 
   private:
     void onInputEdge();
 
-    Simulation &sim_;
     Tick propDelay_;
     Signal out_;
-    std::vector<Signal *> inputs_;
+    /** Inputs attached, and how many of them are high. */
+    std::uint32_t inputs_ = 0;
+    std::uint32_t high_ = 0;
 };
 
 } // namespace apc::sim

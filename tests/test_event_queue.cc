@@ -306,6 +306,91 @@ TEST(EventQueue, HandleInvalidationAfterGenerationReuse)
     EXPECT_EQ(second, 1);
 }
 
+TEST(EventQueue, CallbackGrowsPoolThenReadsItsCaptures)
+{
+    // The callable runs in place in its pooled record. Scheduling more
+    // events than one record chunk holds grows the pool while it runs;
+    // its captures must be intact afterwards (ASan catches a record
+    // that moved out from under the running callable).
+    EventQueue q;
+    constexpr int kChildren = 1000;
+    int children = 0;
+    std::vector<std::uint64_t> seen;
+    const std::uint64_t tag = 0xC0FFEE;
+    const double scale = 2.5;
+    q.scheduleAt(1, [&q, &children, &seen, tag, scale, n = kChildren] {
+        const std::size_t before = q.poolCapacity();
+        for (int i = 0; i < n; ++i)
+            q.scheduleAfter(i, [&children] { ++children; });
+        EXPECT_GE(q.poolCapacity(), before + static_cast<std::size_t>(n));
+        seen = {tag, static_cast<std::uint64_t>(scale * 2),
+                static_cast<std::uint64_t>(n)};
+    });
+    q.runAll();
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{0xC0FFEE, 5, kChildren}));
+    EXPECT_EQ(children, kChildren);
+    EXPECT_EQ(q.executedEvents(), static_cast<std::uint64_t>(kChildren) + 1);
+}
+
+TEST(EventQueue, OwnHandleIsNotPendingInsideItsCallback)
+{
+    EventQueue q;
+    EventHandle self;
+    bool pendingInside = true;
+    int later = 0;
+    EventHandle child;
+    self = q.scheduleAt(5, [&] {
+        pendingInside = self.pending();
+        self.cancel(); // a no-op: the event is already running
+        EXPECT_EQ(q.deadEntries(), 0u);
+        EXPECT_EQ(q.pendingEvents(), 1u); // the sibling below
+        child = q.scheduleAt(7, [&] { ++later; });
+        self.cancel(); // must not reach the child either
+        EXPECT_TRUE(child.pending());
+    });
+    q.scheduleAt(6, [&] { ++later; });
+    q.runAll();
+    EXPECT_FALSE(pendingInside);
+    EXPECT_EQ(later, 2);
+    EXPECT_EQ(q.executedEvents(), 3u);
+    EXPECT_EQ(q.deadEntries(), 0u);
+}
+
+TEST(EventQueue, CallbackCancelsSameTickSiblings)
+{
+    // Siblings due at the same tick as the canceller and after it in
+    // FIFO order, one in each container: one pushed to the heap long
+    // before, one appended to the near run just before. Cancelling
+    // releases each sibling's captures at once, while the canceller is
+    // still running, and neither sibling ever runs.
+    EventQueue q;
+    const Tick t = 10 * EventQueue::kNearHorizon;
+    auto heapToken = std::make_shared<int>(1);
+    auto runToken = std::make_shared<int>(2);
+    int siblingsRan = 0;
+    EventHandle inHeap, inRun;
+    long heapUses = 0, runUses = 0;
+    q.scheduleAt(t, [&] {
+        inHeap.cancel();
+        inRun.cancel();
+        heapUses = heapToken.use_count();
+        runUses = runToken.use_count();
+        EXPECT_EQ(q.pendingEvents(), 0u);
+    });
+    inHeap = q.scheduleAt(t, [&siblingsRan, heapToken] { ++siblingsRan; });
+    ASSERT_EQ(q.heapScheduled(), 2u);
+    q.runUntil(t - 1);
+    inRun = q.scheduleAt(t, [&siblingsRan, runToken] { ++siblingsRan; });
+    ASSERT_EQ(q.wheelScheduled(), 1u);
+    EXPECT_EQ(heapToken.use_count(), 2);
+    q.runAll();
+    EXPECT_EQ(siblingsRan, 0);
+    EXPECT_EQ(heapUses, 1);
+    EXPECT_EQ(runUses, 1);
+    EXPECT_EQ(q.executedEvents(), 1u);
+    EXPECT_EQ(q.internalEntries(), 0u);
+}
+
 TEST(EventQueue, DebugLivenessRegistryMatchesOnEpoch)
 {
     // (After-destroy detection end-to-end is the death test below;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/signal.h"
@@ -314,6 +318,130 @@ TEST(AndTree, AlreadyHighInputsReflectedAtAttach)
     t.addInput(b);
     s.runAll();
     EXPECT_TRUE(t.output().read());
+}
+
+/** The AND tree as specified: recompute all_of over the inputs on
+ *  every input edge, and drive the output after the delay. */
+class ReferenceAndTree
+{
+  public:
+    ReferenceAndTree(Simulation &sim, Tick prop_delay)
+        : propDelay_(prop_delay), out_(sim, "ref", false)
+    {}
+
+    void
+    addInput(Signal &in)
+    {
+        inputs_.push_back(&in);
+        in.subscribe([this](bool) { update(); });
+        update();
+    }
+
+    const Signal &output() const { return out_; }
+
+  private:
+    void
+    update()
+    {
+        out_.writeAfter(propDelay_,
+                        std::all_of(inputs_.begin(), inputs_.end(),
+                                    [](const Signal *s) { return s->read(); }));
+    }
+
+    Tick propDelay_;
+    Signal out_;
+    std::vector<Signal *> inputs_;
+};
+
+TEST(AndTree, CountingTreeMatchesRecomputingReference)
+{
+    // Two identical simulations take the same seeded toggle stream:
+    // one drives the counting AndTree, the other the reference. After
+    // every step the output levels, edge counts and the queues'
+    // pending counts must agree.
+    const Tick delay = 2 * kNs;
+    std::uint64_t state = 0x5EED;
+    auto next = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state >> 33;
+    };
+    for (const std::size_t n : {1u, 2u, 10u, 16u}) {
+        Simulation simA, simB;
+        std::vector<std::unique_ptr<Signal>> inA, inB;
+        AndTree tree(simA, "and", delay);
+        ReferenceAndTree ref(simB, delay);
+        for (std::size_t i = 0; i < n; ++i) {
+            // Most inputs start high, so the output actually toggles.
+            const bool high = next() % 4 != 0;
+            inA.push_back(std::make_unique<Signal>(simA, "a", high));
+            inB.push_back(std::make_unique<Signal>(simB, "b", high));
+            tree.addInput(*inA.back());
+            ref.addInput(*inB.back());
+        }
+        for (int step = 0; step < 4000; ++step) {
+            const std::uint64_t r = next();
+            const std::size_t i = r % n;
+            // Bias toward high levels: an AND of 16 inputs otherwise
+            // almost never rises.
+            const bool v = (r >> 8) % 8 != 0;
+            switch ((r >> 12) % 4) {
+              case 0:
+                inA[i]->write(v);
+                inB[i]->write(v);
+                break;
+              case 1:
+              case 2: {
+                const Tick d = static_cast<Tick>((r >> 16) % 6) * kNs;
+                inA[i]->writeAfter(d, v);
+                inB[i]->writeAfter(d, v);
+                break;
+              }
+              default: {
+                const Tick until =
+                    simA.now() + static_cast<Tick>((r >> 16) % 5) * kNs;
+                simA.runUntil(until);
+                simB.runUntil(until);
+                break;
+              }
+            }
+            const std::string where =
+                "n=" + std::to_string(n) + " step " + std::to_string(step);
+            ASSERT_EQ(tree.output().read(), ref.output().read()) << where;
+            ASSERT_EQ(tree.output().risingEdges(),
+                      ref.output().risingEdges()) << where;
+            ASSERT_EQ(tree.output().fallingEdges(),
+                      ref.output().fallingEdges()) << where;
+            ASSERT_EQ(simA.events().pendingEvents(),
+                      simB.events().pendingEvents()) << where;
+        }
+        simA.runAll();
+        simB.runAll();
+        EXPECT_EQ(tree.output().read(), ref.output().read());
+        EXPECT_GT(ref.output().risingEdges(), 0u) << "n=" << n;
+        EXPECT_EQ(tree.output().risingEdges(), ref.output().risingEdges());
+        EXPECT_EQ(tree.output().fallingEdges(), ref.output().fallingEdges());
+    }
+}
+
+TEST(Signal, WriteAfterLandedEdgeSparesTheSlotsNextEvent)
+{
+    // Once a delayed edge lands, its pooled slot is recycled for the
+    // next event scheduled. A later write or writeAfter on the wire
+    // must not cancel that unrelated event.
+    Simulation s;
+    Signal w(s, "w");
+    w.writeAfter(10, true);
+    s.runUntil(10);
+    ASSERT_TRUE(w.read());
+    int fired = 0;
+    EventHandle other = s.after(5, [&] { ++fired; });
+    w.write(false);
+    EXPECT_TRUE(other.pending());
+    w.writeAfter(3, true);
+    EXPECT_TRUE(other.pending());
+    s.runAll();
+    EXPECT_EQ(fired, 1);
+    EXPECT_TRUE(w.read());
 }
 
 } // namespace
