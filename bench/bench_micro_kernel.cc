@@ -51,7 +51,7 @@ void
 BM_SignalEdgeWithObserver(benchmark::State &state)
 {
     sim::Simulation s;
-    sim::Signal w(s, "w");
+    sim::Signal w(s);
     std::uint64_t sink = 0;
     w.subscribe([&sink](bool) { ++sink; });
     bool v = false;
@@ -68,10 +68,9 @@ BM_AndTree10Inputs(benchmark::State &state)
 {
     sim::Simulation s;
     std::vector<std::unique_ptr<sim::Signal>> inputs;
-    sim::AndTree tree(s, "t", 2 * sim::kNs);
+    sim::AndTree tree(s, 2 * sim::kNs);
     for (int i = 0; i < 10; ++i) {
-        inputs.push_back(std::make_unique<sim::Signal>(
-            s, "i" + std::to_string(i), true));
+        inputs.push_back(std::make_unique<sim::Signal>(s, true));
         tree.addInput(*inputs.back());
     }
     s.runAll();

@@ -24,6 +24,7 @@
 #include <cstdlib>
 
 #include "fleet/fleet_sim.h"
+#include "obs/fmt.h"
 
 using namespace apc;
 
@@ -150,7 +151,9 @@ main()
         }
         if (fc.attribution.enabled) {
             const obs::LatencyAttribution &la = reports[i].attribution;
-            if (la.writeJson(attr_out))
+            if (obs::writeFile(attr_out, [&la](std::FILE *f) {
+                    return la.writeJson(f);
+                }))
                 std::printf("Wrote blame report: %s (%llu requests "
                             "attributed, %llu fanout, tail blame: %s)\n",
                             attr_out,

@@ -11,18 +11,16 @@ Apmu::Apmu(sim::Simulation &sim, const ApcConfig &cfg,
            uncore::PllFarm *plls, sim::Signal *gpmu_wake)
     : sim_(sim), cfg_(cfg), cores_(std::move(cores)),
       links_(std::move(links)), mcs_(std::move(mcs)), clm_(clm),
-      plls_(plls), inPc1a_(sim, "apmu.InPC1A", false)
+      plls_(plls), inPc1a_(sim, false)
 {
     // InCC1 of neighbouring cores is combined with AND gates and routed
     // to the APMU (paper Sec. 5.3); likewise InL0s (Sec. 5.1).
-    allCc1_ = std::make_unique<sim::AndTree>(sim, "apmu.AllInCC1",
-                                             cfg_.signalProp);
+    allCc1_ = std::make_unique<sim::AndTree>(sim, cfg_.signalProp);
     for (auto *c : cores_)
         allCc1_->addInput(c->inCc1());
     allCc1_->output().subscribe([this](bool v) { onAllCc1Edge(v); });
 
-    allL0s_ = std::make_unique<sim::AndTree>(sim, "apmu.AllInL0s",
-                                             cfg_.signalProp);
+    allL0s_ = std::make_unique<sim::AndTree>(sim, cfg_.signalProp);
     for (auto *l : links_)
         allL0s_->addInput(l->inL0s());
     allL0s_->output().subscribe([this](bool v) { onAllL0sEdge(v); });

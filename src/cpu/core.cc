@@ -26,8 +26,8 @@ CoreConfig::skxDefaults()
 Core::Core(sim::Simulation &sim, power::EnergyMeter &meter, int id,
            const CoreConfig &cfg, std::unique_ptr<IdleGovernor> governor)
     : sim_(sim), cfg_(cfg), id_(id), governor_(std::move(governor)),
-      inCc1_(sim, "core" + std::to_string(id) + ".InCC1", false),
-      inCc6_(sim, "core" + std::to_string(id) + ".InCC6", false),
+      inCc1_(sim, false),
+      inCc6_(sim, false),
       load_(meter, "core" + std::to_string(id), power::Plane::Package,
             cfg.cstates[0].powerWatts),
       residency_(static_cast<std::size_t>(CState::CC0), sim.now()),

@@ -9,8 +9,8 @@ MemoryController::MemoryController(sim::Simulation &sim,
                                    power::EnergyMeter &meter,
                                    const MemoryControllerConfig &cfg)
     : sim_(sim), cfg_(cfg),
-      allowCkeOff_(sim, cfg.name + ".Allow_CKE_OFF", false),
-      active_(sim, cfg.name + ".active", true),
+      allowCkeOff_(sim, false),
+      active_(sim, true),
       mcLoad_(meter, cfg.name, power::Plane::Package, cfg.mcActiveWatts),
       dramLoad_(meter, cfg.name + ".dram", power::Plane::Dram,
                 cfg.dramIdleWatts),

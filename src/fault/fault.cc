@@ -5,24 +5,6 @@
 
 namespace apc::fault {
 
-const char *
-faultKindName(FaultKind k)
-{
-    switch (k) {
-    case FaultKind::ServerCrash:
-        return "crash";
-    case FaultKind::ServerDrain:
-        return "drain";
-    case FaultKind::LinkFlap:
-        return "link_flap";
-    case FaultKind::NicFreeze:
-        return "nic_freeze";
-    case FaultKind::kCount:
-        break;
-    }
-    return "?";
-}
-
 // SplitMix64 finalizer over a keyed accumulator. The three keys are
 // spread with odd constants so adjacent (entity, kind, counter) tuples
 // land in unrelated regions of the state space.

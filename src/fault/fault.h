@@ -44,8 +44,6 @@ enum class FaultKind : std::uint8_t
     kCount
 };
 
-const char *faultKindName(FaultKind k);
-
 /** LinkFlap entity addressing the core (ToR uplink) pair: a blackout
  *  that severs every server instead of one edge. */
 inline constexpr std::uint32_t kCoreLinkEntity = 0xFFFFFFFFu;

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "obs/fmt.h"
 #include "stats/reduce.h"
 
 namespace apc::fleet {
@@ -173,14 +174,6 @@ FleetReport::csvRow() const
         static_cast<unsigned long long>(lostToCrash),
         static_cast<unsigned long long>(failovers));
     return buf;
-}
-
-void
-FleetReport::writeCsv(std::FILE *out, bool with_header) const
-{
-    if (with_header)
-        std::fprintf(out, "%s\n", csvHeader().c_str());
-    std::fprintf(out, "%s\n", csvRow().c_str());
 }
 
 FleetSim::FleetSim(FleetConfig cfg)
@@ -1354,20 +1347,17 @@ FleetSim::writeTrace(const std::string &path) const
 bool
 FleetSim::writeMetricsCsv(const std::string &path) const
 {
-    return metrics_ && metrics_->writeCsv(path);
-}
-
-bool
-FleetSim::writeAlertsCsv(const std::string &path) const
-{
-    return slo_ && obs::healthReport(*slo_, *auditor_).writeAlertsCsv(path);
+    return metrics_ && obs::writeFile(path, [this](std::FILE *f) {
+               return metrics_->writeCsv(f);
+           });
 }
 
 bool
 FleetSim::writeAlertsJson(const std::string &path) const
 {
-    return slo_ &&
-        obs::healthReport(*slo_, *auditor_).writeAlertsJson(path);
+    return slo_ && obs::writeFile(path, [this](std::FILE *f) {
+               return obs::healthReport(*slo_, *auditor_).writeAlertsJson(f);
+           });
 }
 
 void

@@ -328,9 +328,6 @@ struct FleetReport
 
     /** One comma-separated record of the report's headline metrics. */
     std::string csvRow() const;
-
-    /** Write csvHeader (optionally) + csvRow to @p out. */
-    void writeCsv(std::FILE *out, bool with_header = true) const;
 };
 
 /** Rack-budget allocation cadence: coarser than the fleet epoch so
@@ -378,9 +375,8 @@ class FleetSim
      *  are off or on IO failure. */
     bool writeMetricsCsv(const std::string &path) const;
 
-    /** Export the health alert log. @return false when health is off
-     *  or on IO failure. */
-    bool writeAlertsCsv(const std::string &path) const;
+    /** Export the health alert log as JSON. @return false when health
+     *  is off or on IO failure. */
     bool writeAlertsJson(const std::string &path) const;
 
   private:

@@ -59,14 +59,6 @@ TrafficSource::TrafficSource(TrafficConfig cfg, std::uint64_t seed)
 }
 
 sim::Tick
-TrafficSource::meanServiceTicks() const
-{
-    if (!cfg_.serviceCdf.valid())
-        return 0;
-    return static_cast<sim::Tick>(cfg_.serviceCdf.mean() * cfg_.cdfUnit);
-}
-
-sim::Tick
 TrafficSource::nextArrivalAfter(sim::Tick t)
 {
     if (cfg_.qps <= 0)
@@ -79,14 +71,6 @@ TrafficSource::nextArrivalAfter(sim::Tick t)
     const auto gap = static_cast<sim::Tick>(
         static_cast<double>(base_->nextGap(rng_)) / m);
     return t + std::max<sim::Tick>(gap, 1);
-}
-
-std::vector<TrafficEvent>
-TrafficSource::epoch(sim::Tick from, sim::Tick to)
-{
-    std::vector<TrafficEvent> out;
-    epoch(from, to, out);
-    return out;
 }
 
 void

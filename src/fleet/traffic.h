@@ -96,22 +96,13 @@ class TrafficSource
     TrafficSource(TrafficConfig cfg, std::uint64_t seed);
 
     /**
-     * All arrivals with time in [from, to), in order. The diurnal
-     * multiplier stretches/compresses the base process's gaps around
-     * each arrival instant.
-     */
-    std::vector<TrafficEvent> epoch(sim::Tick from, sim::Tick to);
-
-    /**
-     * Same, appended into @p out (cleared first). The fleet loop calls
-     * this thousands of times per run with a reused scratch vector, so
-     * the per-epoch allocation of the return-by-value flavor matters.
+     * All arrivals with time in [from, to), in order, appended into
+     * @p out (cleared first; the fleet loop reuses one scratch vector).
+     * The diurnal multiplier stretches/compresses the base process's
+     * gaps around each arrival instant.
      */
     void epoch(sim::Tick from, sim::Tick to,
                std::vector<TrafficEvent> &out);
-
-    /** Mean service demand in ticks (CDF table or 0 if server-sampled). */
-    sim::Tick meanServiceTicks() const;
 
     const TrafficConfig &config() const { return cfg_; }
 

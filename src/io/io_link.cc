@@ -49,8 +49,8 @@ IoLinkConfig::upi(int index)
 IoLink::IoLink(sim::Simulation &sim, power::EnergyMeter &meter,
                const IoLinkConfig &cfg)
     : sim_(sim), cfg_(cfg),
-      allowL0s_(sim, cfg.name + ".AllowL0s", false),
-      inL0s_(sim, cfg.name + ".InL0s", false),
+      allowL0s_(sim, false),
+      inL0s_(sim, false),
       load_(meter, cfg.name, power::Plane::Package, cfg.powerL0),
       residency_(static_cast<std::size_t>(LState::L0), sim.now())
 {

@@ -179,42 +179,6 @@ LatencyAttribution::tailDominant() const
 }
 
 bool
-LatencyAttribution::writeCsv(std::FILE *out) const
-{
-    bool ok = true;
-    const auto put = [out, &ok](const char *fmt, auto... args) {
-        if (std::fprintf(out, fmt, args...) < 0)
-            ok = false;
-    };
-    put("band,count,e2e_mean_us");
-    for (std::size_t s = 0; s < kNumSegments; ++s)
-        put(",%s_us", segmentName(static_cast<Segment>(s)));
-    put(",dominant\n");
-    for (std::size_t b = 0; b < kNumBands; ++b) {
-        const BlameBand &band = bands[b];
-        put("%s,%llu,%s", bandLabel(b),
-            static_cast<unsigned long long>(band.count),
-            fmtDouble(band.e2eMeanUs).c_str());
-        for (std::size_t s = 0; s < kNumSegments; ++s)
-            put(",%s", fmtDouble(band.segMeanUs[s]).c_str());
-        put(",%s\n", segmentName(band.dominant()));
-    }
-    if (std::fflush(out) != 0)
-        ok = false;
-    return ok && !std::ferror(out);
-}
-
-bool
-LatencyAttribution::writeCsv(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const bool ok = writeCsv(f);
-    return std::fclose(f) == 0 && ok;
-}
-
-bool
 LatencyAttribution::writeJson(std::FILE *out) const
 {
     bool ok = true;
@@ -274,16 +238,6 @@ LatencyAttribution::writeJson(std::FILE *out) const
     if (std::fflush(out) != 0)
         ok = false;
     return ok && !std::ferror(out);
-}
-
-bool
-LatencyAttribution::writeJson(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const bool ok = writeJson(f);
-    return std::fclose(f) == 0 && ok;
 }
 
 } // namespace apc::obs

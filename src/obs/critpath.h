@@ -89,14 +89,9 @@ struct LatencyAttribution
     /** The segment carrying the largest above-p99 mean share. */
     Segment tailDominant() const;
 
-    /** Band table as CSV. @return false on IO failure. */
-    bool writeCsv(std::FILE *out) const;
-    bool writeCsv(const std::string &path) const;
-
     /** Full report (bands + samples) as JSON. @return false on IO
      *  failure. */
     bool writeJson(std::FILE *out) const;
-    bool writeJson(const std::string &path) const;
 };
 
 } // namespace apc::obs

@@ -7,14 +7,17 @@
  * six significant digits, so digests over re-parsed files drift.
  * These helpers wrap `std::to_chars`, which is locale-independent by
  * specification and — in the shortest form — round-trip exact: the
- * printed string parses back to the identical double.
+ * printed string parses back to the identical double. `writeFile`
+ * gives every report's `FILE*` writer its one path form.
  */
 
 #ifndef APC_OBS_FMT_H
 #define APC_OBS_FMT_H
 
 #include <charconv>
+#include <cstdio>
 #include <cstring>
+#include <string>
 
 namespace apc::obs {
 
@@ -47,6 +50,20 @@ fmtFixed(double v, int precision)
                                  std::chars_format::fixed, precision);
     *r.ptr = '\0';
     return b;
+}
+
+/** Open @p path for writing and hand it to @p write, a report's
+ *  `bool(std::FILE *)` writer. @return false if the file cannot be
+ *  opened, written or closed. */
+template <class Write>
+bool
+writeFile(const std::string &path, Write &&write)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    const bool ok = write(f);
+    return std::fclose(f) == 0 && ok;
 }
 
 } // namespace apc::obs

@@ -43,39 +43,6 @@ policySeverity(const SloConfig &cfg, std::uint8_t p)
 } // namespace
 
 bool
-HealthReport::writeAlertsCsv(std::FILE *out) const
-{
-    bool ok = true;
-    const auto put = [out, &ok](const char *fmt, auto... args) {
-        if (std::fprintf(out, fmt, args...) < 0)
-            ok = false;
-    };
-    put("t_us,sli,policy,severity,kind,burn_long,burn_short,"
-        "window_p99_us\n");
-    for (const AlertEvent &ev : alerts)
-        put("%s,%s,%s,%s,%s,%s,%s,%s\n",
-            fmtFixed(sim::toMicros(ev.at), 3).c_str(), sliName(ev.sli),
-            policyName(ev.policy), policySeverity(slo, ev.policy),
-            ev.fire ? "fire" : "resolve",
-            fmtDouble(ev.burnLong).c_str(),
-            fmtDouble(ev.burnShort).c_str(),
-            fmtDouble(ev.windowP99Us).c_str());
-    if (std::fflush(out) != 0)
-        ok = false;
-    return ok && !std::ferror(out);
-}
-
-bool
-HealthReport::writeAlertsCsv(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const bool ok = writeAlertsCsv(f);
-    return std::fclose(f) == 0 && ok;
-}
-
-bool
 HealthReport::writeAlertsJson(std::FILE *out) const
 {
     bool ok = true;
@@ -140,16 +107,6 @@ HealthReport::writeAlertsJson(std::FILE *out) const
     if (std::fflush(out) != 0)
         ok = false;
     return ok && !std::ferror(out);
-}
-
-bool
-HealthReport::writeAlertsJson(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const bool ok = writeAlertsJson(f);
-    return std::fclose(f) == 0 && ok;
 }
 
 } // namespace apc::obs

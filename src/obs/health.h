@@ -70,16 +70,9 @@ struct HealthReport
         return sim::toMicros(timeInViolation);
     }
 
-    /** Alert log as CSV
-     *  (`t_us,sli,policy,severity,kind,burn_long,burn_short,
-     *  window_p99_us`). @return false on IO failure. */
-    bool writeAlertsCsv(std::FILE *out) const;
-    bool writeAlertsCsv(const std::string &path) const;
-
     /** Alert log + counters as schema_versioned JSON. @return false on
      *  IO failure. */
     bool writeAlertsJson(std::FILE *out) const;
-    bool writeAlertsJson(const std::string &path) const;
 };
 
 /** The post-run summary of @p slo and @p auditor. */

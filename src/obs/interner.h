@@ -67,15 +67,6 @@ class StringInterner
         return id;
     }
 
-    /** Id for @p s if already interned, else kNoStr. */
-    StrId
-    find(std::string_view s) const
-    {
-        sim::SharedRoleGuard own(table_);
-        const auto it = ids_.find(std::string(s));
-        return it == ids_.end() ? kNoStr : it->second;
-    }
-
     /** The string behind @p id (must be a valid id). */
     const std::string &
     str(StrId id) const

@@ -44,57 +44,4 @@ MetricsSampler::writeCsv(std::FILE *out) const
     return ok && !std::ferror(out);
 }
 
-bool
-MetricsSampler::writeCsv(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const bool ok = writeCsv(f);
-    return std::fclose(f) == 0 && ok;
-}
-
-bool
-MetricsSampler::writeJson(std::FILE *out) const
-{
-    sim::SharedRoleGuard own(sampleRole_);
-    bool ok = true;
-    const auto put = [out, &ok](const char *fmt, auto... args) {
-        if (std::fprintf(out, fmt, args...) < 0)
-            ok = false;
-    };
-    put("{\n  \"interval_us\": %s,\n  \"times_us\": [",
-        fmtFixed(sim::toMicros(cfg_.interval), 3).c_str());
-    for (std::size_t s = 0; s < times_.size(); ++s)
-        put("%s%s", s ? ", " : "",
-            fmtFixed(sim::toMicros(times_[s]), 3).c_str());
-    put("],\n  \"series\": [\n");
-    for (std::size_t i = 0; i < names_.size(); ++i) {
-        put("    {\"name\": \"%s\", \"entity\": %d, \"values\": [",
-            names_[i].c_str(), entities_[i]);
-        for (std::size_t s = 0; s < values_[i].size(); ++s) {
-            const double v = values_[i][s];
-            if (std::isnan(v))
-                put("%snull", s ? ", " : "");
-            else
-                put("%s%s", s ? ", " : "", fmtDouble(v).c_str());
-        }
-        put("]}%s\n", i + 1 < names_.size() ? "," : "");
-    }
-    put("  ]\n}\n");
-    if (std::fflush(out) != 0)
-        ok = false;
-    return ok && !std::ferror(out);
-}
-
-bool
-MetricsSampler::writeJson(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const bool ok = writeJson(f);
-    return std::fclose(f) == 0 && ok;
-}
-
 } // namespace apc::obs

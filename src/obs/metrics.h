@@ -134,13 +134,6 @@ class MetricsSampler
      * @return false on any IO failure.
      */
     bool writeCsv(std::FILE *out) const;
-    bool writeCsv(const std::string &path) const;
-
-    /** JSON object: `{"interval_us":..., "times_us":[...],
-     *  "series":[{"name","entity","values":[...]}]}` with nulls for
-     *  unset slots. @return false on any IO failure. */
-    bool writeJson(std::FILE *out) const;
-    bool writeJson(const std::string &path) const;
 
   private:
     /**

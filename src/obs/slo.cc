@@ -145,20 +145,6 @@ SloMonitor::burnRate(std::size_t sli, sim::Tick t1,
 }
 
 double
-SloMonitor::windowGoodFraction(Sli sli, sim::Tick window) const
-{
-    if (numSealed_ == 0)
-        return 1.0; // nothing sealed yet: vacuously healthy
-    std::uint64_t good = 0, bad = 0;
-    windowCounts(static_cast<std::size_t>(sli),
-                 sealed(numSealed_ - 1).t1 - window, good, bad);
-    const std::uint64_t total = good + bad;
-    if (total == 0)
-        return 1.0; // zero traffic in the window: 100% available
-    return static_cast<double>(good) / static_cast<double>(total);
-}
-
-double
 SloMonitor::windowP99()
 {
     p99Runs_.clear();

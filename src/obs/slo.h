@@ -147,14 +147,6 @@ class SloMonitor
      *  and resolve accounting; logged as resolves at @p end). */
     void finish(sim::Tick end);
 
-    /**
-     * Good fraction of @p sli over the trailing @p window ending at the
-     * last sealed epoch. An empty window — an idle fleet that saw no
-     * traffic — is a *healthy* 1.0, never NaN and never alert fuel:
-     * zero requests means zero requests failed.
-     */
-    double windowGoodFraction(Sli sli, sim::Tick window) const;
-
     std::uint64_t alertsFired() const { return fired_; }
     std::uint64_t alertsResolved() const { return resolved_; }
     /** Any (SLI, policy) alert currently active. */

@@ -283,11 +283,9 @@ Tracer::writePerfettoJson(const std::string &path,
                           const PhaseProfiler *engine,
                           const std::vector<FlowEvent> *flows) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const bool ok = writePerfettoJson(f, engine, flows);
-    return std::fclose(f) == 0 && ok;
+    return writeFile(path, [&](std::FILE *f) {
+        return writePerfettoJson(f, engine, flows);
+    });
 }
 
 } // namespace apc::obs

@@ -2,9 +2,8 @@
 
 namespace apc::power {
 
-ClockTree::ClockTree(sim::Simulation &sim, std::string name,
-                     const ClockTreeConfig &cfg)
-    : sim_(sim), cfg_(cfg), running_(sim, name + ".running", true)
+ClockTree::ClockTree(sim::Simulation &sim, const ClockTreeConfig &cfg)
+    : sim_(sim), cfg_(cfg), running_(sim, true)
 {}
 
 void

@@ -28,8 +28,7 @@ struct ClockTreeConfig
 class ClockTree
 {
   public:
-    ClockTree(sim::Simulation &sim, std::string name,
-              const ClockTreeConfig &cfg);
+    ClockTree(sim::Simulation &sim, const ClockTreeConfig &cfg);
 
     /** Request gating; `running` drops after the gate latency. */
     void gate();

@@ -5,10 +5,10 @@
 
 namespace apc::power {
 
-Fivr::Fivr(sim::Simulation &sim, std::string name, const FivrConfig &cfg)
-    : sim_(sim), name_(std::move(name)), cfg_(cfg),
+Fivr::Fivr(sim::Simulation &sim, const FivrConfig &cfg)
+    : sim_(sim), cfg_(cfg),
       v0_(cfg.nominalVolts), target_(cfg.nominalVolts),
-      pwrOk_(sim, name_ + ".PwrOk", true)
+      pwrOk_(sim, true)
 {
     rampStart_ = rampEnd_ = sim_.now();
 }

@@ -17,8 +17,6 @@
 #ifndef APC_POWER_FIVR_H
 #define APC_POWER_FIVR_H
 
-#include <string>
-
 #include "sim/signal.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
@@ -37,7 +35,7 @@ struct FivrConfig
 class Fivr
 {
   public:
-    Fivr(sim::Simulation &sim, std::string name, const FivrConfig &cfg);
+    Fivr(sim::Simulation &sim, const FivrConfig &cfg);
 
     /**
      * Command a new target voltage. Preemptive: if a ramp is in flight
@@ -70,14 +68,12 @@ class Fivr
     const sim::Signal &pwrOk() const { return pwrOk_; }
 
     const FivrConfig &config() const { return cfg_; }
-    const std::string &name() const { return name_; }
 
   private:
     /** Voltage at absolute time @p t given the active ramp. */
     double voltageAt(sim::Tick t) const;
 
     sim::Simulation &sim_;
-    std::string name_;
     FivrConfig cfg_;
     // Active ramp: from (rampStart_, v0_) to (rampEnd_, target_),
     // linear in between; settled when now >= rampEnd_.

@@ -5,7 +5,7 @@ namespace apc::power {
 Pll::Pll(sim::Simulation &sim, EnergyMeter &meter, std::string name,
          const PllConfig &cfg, Plane plane)
     : sim_(sim), cfg_(cfg), name_(std::move(name)),
-      locked_(sim, name_ + ".locked", true),
+      locked_(sim, true),
       load_(meter, name_, plane, cfg.powerWatts)
 {}
 

@@ -6,22 +6,6 @@
 
 namespace apc::server {
 
-const char *
-lifecycleName(Lifecycle s)
-{
-    switch (s) {
-      case Lifecycle::Up:
-        return "up";
-      case Lifecycle::Draining:
-        return "draining";
-      case Lifecycle::Down:
-        return "down";
-      case Lifecycle::Restarting:
-        return "restarting";
-    }
-    return "?";
-}
-
 double
 ServerResult::idlePeriodFraction(double lo_us, double hi_us) const
 {

@@ -51,9 +51,6 @@ enum class Lifecycle : std::uint8_t
     Restarting,
 };
 
-/** Display name for a lifecycle state. */
-const char *lifecycleName(Lifecycle s);
-
 /** How an injected request left its server (ServerSim::EndFn). */
 enum class End : std::uint8_t
 {

@@ -82,9 +82,6 @@ class Rng
         return std::normal_distribution<double>(mean, stddev)(gen_);
     }
 
-    /** Bounded Pareto (heavy tail) with shape @p alpha on [lo, hi]. */
-    double boundedPareto(double alpha, double lo, double hi);
-
     /** Access the raw engine (for std distributions not wrapped here). */
     std::mt19937_64 &engine() { return gen_; }
 

@@ -1,6 +1,6 @@
 #include "sim/signal.h"
 
-#include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace apc::sim {
@@ -11,38 +11,11 @@ Signal::applyEdge(bool v)
     if (v == value_)
         return;
     value_ = v;
-    if (v)
-        ++rising_;
-    else
-        ++falling_;
-    // Dispatch in place over a snapshot of the current length — no
-    // per-edge copy of the observer list. subs_ must not reallocate
-    // while a callable stored inline in it is executing, so both list
-    // mutations are deferred mid-dispatch: observers subscribed during
-    // dispatch are parked in pendingAdds_ (they miss every edge
-    // delivered before the outermost dispatch unwinds), and observers
-    // unsubscribed during dispatch are tombstoned (id 0) and skipped,
-    // so a self-unsubscribing callback is never destroyed mid-call.
-    const std::size_t n = subs_.size();
-    ++dispatchDepth_;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (subs_[i].id != 0)
-            subs_[i].fn(v);
-    }
-    if (--dispatchDepth_ == 0) {
-        if (pendingRemoval_) {
-            subs_.erase(std::remove_if(subs_.begin(), subs_.end(),
-                                       [](const Sub &s) { return s.id == 0; }),
-                        subs_.end());
-            pendingRemoval_ = false;
-        }
-        if (!pendingAdds_.empty()) {
-            subs_.insert(subs_.end(),
-                         std::make_move_iterator(pendingAdds_.begin()),
-                         std::make_move_iterator(pendingAdds_.end()));
-            pendingAdds_.clear();
-        }
-    }
+    // The count is read once: an observer subscribed by one of these
+    // callbacks lands in a slot past n and first sees the next edge.
+    const std::uint8_t n = numObservers_;
+    for (std::uint8_t i = 0; i < n; ++i)
+        observers_[i](v);
 }
 
 void
@@ -68,45 +41,17 @@ Signal::writeAfter(Tick delay, bool v)
         });
 }
 
-std::uint64_t
+void
 Signal::subscribe(SignalObserver fn)
 {
-    const std::uint64_t id = nextSub_++;
-    // A push_back during dispatch could reallocate subs_ out from under
-    // the inline callable currently executing; park the new observer
-    // until the outermost dispatch unwinds.
-    auto &dst = dispatchDepth_ > 0 ? pendingAdds_ : subs_;
-    dst.push_back(Sub{id, std::move(fn)});
-    return id;
+    if (numObservers_ == kMaxObservers)
+        throw std::logic_error("sim::Signal: a wire carries at most two "
+                               "observers");
+    observers_[numObservers_++] = std::move(fn);
 }
 
-void
-Signal::unsubscribe(std::uint64_t id)
-{
-    if (id == 0)
-        return;
-    auto it = std::find_if(subs_.begin(), subs_.end(),
-                           [id](const Sub &s) { return s.id == id; });
-    if (it == subs_.end()) {
-        // Not yet merged: subscribed and unsubscribed within the same
-        // dispatch. pendingAdds_ is never iterated mid-dispatch, so a
-        // direct erase is safe.
-        auto pit = std::find_if(pendingAdds_.begin(), pendingAdds_.end(),
-                                [id](const Sub &s) { return s.id == id; });
-        if (pit != pendingAdds_.end())
-            pendingAdds_.erase(pit);
-        return;
-    }
-    if (dispatchDepth_ > 0) {
-        it->id = 0;
-        pendingRemoval_ = true;
-    } else {
-        subs_.erase(it);
-    }
-}
-
-AndTree::AndTree(Simulation &sim, const std::string &name, Tick prop_delay)
-    : propDelay_(prop_delay), out_(sim, name, false)
+AndTree::AndTree(Simulation &sim, Tick prop_delay)
+    : propDelay_(prop_delay), out_(sim, false)
 {}
 
 void

@@ -6,8 +6,9 @@
  * and status wires between the APMU and the rest of the SoC: `InCC1`,
  * `InL0s`, `AllowL0s`, `Allow_CKE_OFF`, `Ret`, `PwrOk`, `ClkGate`,
  * `InPC1A`, `WakeUp`. `Signal` models one such wire: a boolean level with
- * edge-notification to subscribers, with optional scheduled (delayed)
- * writes for modeling wire/aggregation propagation delay.
+ * edge-notification to at most two observers (no wire in the fabric has
+ * more consumers), with optional scheduled (delayed) writes for modeling
+ * wire/aggregation propagation delay.
  *
  * `AndTree` models the AND-gate aggregation networks used for `InCC1` and
  * `InL0s` (Sec. 5.1/5.3): N input signals combined into one output signal
@@ -17,9 +18,8 @@
 #ifndef APC_SIM_SIGNAL_H
 #define APC_SIM_SIGNAL_H
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "sim/inline_function.h"
 #include "sim/simulation.h"
@@ -34,12 +34,15 @@ namespace apc::sim {
  */
 using SignalObserver = InplaceFunction<void(bool), 32>;
 
-/** A named boolean wire with edge notification. */
+/** A boolean wire with edge notification to up to two observers. */
 class Signal
 {
   public:
-    Signal(Simulation &sim, std::string name, bool initial = false)
-        : sim_(sim), name_(std::move(name)), value_(initial)
+    /** Observers one wire can carry. */
+    static constexpr std::size_t kMaxObservers = 2;
+
+    explicit Signal(Simulation &sim, bool initial = false)
+        : sim_(sim), value_(initial)
     {}
 
     Signal(const Signal &) = delete;
@@ -47,9 +50,6 @@ class Signal
 
     /** Current level. */
     bool read() const { return value_; }
-
-    /** Wire name (for logs and debugging). */
-    const std::string &name() const { return name_; }
 
     /**
      * Drive the wire immediately. Observers run synchronously, in
@@ -74,61 +74,36 @@ class Signal
     void clear() { write(false); }
 
     /**
-     * Subscribe to edges. @return a subscription id for unsubscribe().
+     * Subscribe to edges; observers run in subscription order.
      * Observers must not destroy the signal from inside the callback.
-     * Safe to call from inside an observer callback: because the
-     * observer list must not reallocate while one of its inline
-     * callables is executing, a mid-dispatch subscription is parked and
-     * merged only after the outermost dispatch unwinds — the new
-     * observer sees no edge dispatched before then (including nested
-     * edges raised by other observers of the one being dispatched).
+     * The slots never move, so an observer may subscribe another one:
+     * the newcomer misses the edge being dispatched and sees every
+     * later edge. @throws std::logic_error on a third subscription.
      */
-    std::uint64_t subscribe(SignalObserver fn);
-
-    /**
-     * Remove a subscription. Safe against already-removed ids, and safe
-     * to call from inside an observer callback (including
-     * self-unsubscription): the entry stops receiving edges immediately
-     * but is physically erased only after the dispatch unwinds.
-     *
-     * "Immediately" includes the edge currently being dispatched: an
-     * observer unsubscribed by a peer observer that runs earlier in the
-     * same dispatch does NOT receive the in-flight edge. (The pre-pool
-     * copy-based dispatch still delivered that edge; no in-tree
-     * component unsubscribes a peer mid-dispatch — pll_farm's
-     * self-unsubscribe is unaffected either way.)
-     */
-    void unsubscribe(std::uint64_t id);
-
-    /** Number of rising edges seen so far (for stats/tests). */
-    std::uint64_t risingEdges() const { return rising_; }
-    /** Number of falling edges seen so far. */
-    std::uint64_t fallingEdges() const { return falling_; }
+    void subscribe(SignalObserver fn);
 
   private:
-    struct Sub
-    {
-        std::uint64_t id; ///< 0 marks an entry unsubscribed mid-dispatch
-        SignalObserver fn;
-    };
-
     /** Apply an edge and notify observers. */
     void applyEdge(bool v);
 
     Simulation &sim_;
-    std::string name_;
-    bool value_;
-    std::uint64_t nextSub_ = 1;
     /** The scheduled write in flight, if any; reset when it lands. */
     EventHandle pendingWrite_;
-    std::uint64_t rising_ = 0;
-    std::uint64_t falling_ = 0;
-    std::vector<Sub> subs_;
-    /** Observers subscribed mid-dispatch, merged when dispatch unwinds. */
-    std::vector<Sub> pendingAdds_;
-    int dispatchDepth_ = 0;
-    bool pendingRemoval_ = false;
+    std::uint8_t numObservers_ = 0;
+    bool value_;
+    SignalObserver observers_[kMaxObservers];
 };
+
+// Every member is inline, so a wire's observers sit in the same cache
+// lines as its level. The bound leaves no room for a std::vector or
+// std::string member; a lone pointer could still hide in the padding
+// before the observer slots, which a size bound cannot see.
+static_assert(sizeof(Signal) <=
+                  Signal::kMaxObservers * sizeof(SignalObserver) +
+                      sizeof(Simulation *) + sizeof(EventHandle) +
+                      alignof(SignalObserver),
+              "Signal holds only its level, one pending write and its "
+              "inline observer slots");
 
 /**
  * AND-aggregation of input signals into an output signal, with a
@@ -141,10 +116,9 @@ class AndTree
   public:
     /**
      * @param sim        owning simulation
-     * @param name       name for the output wire
      * @param prop_delay gate + routing propagation delay
      */
-    AndTree(Simulation &sim, const std::string &name, Tick prop_delay);
+    AndTree(Simulation &sim, Tick prop_delay);
 
     /** Attach an input. All inputs must be attached before use. */
     void addInput(Signal &in);

@@ -65,7 +65,7 @@ Soc::Soc(sim::Simulation &sim, const SkxConfig &cfg, PackagePolicy policy)
     }
 
     // Fully-idle interval tracking (all cores in CC1 or deeper).
-    allIdle_ = std::make_unique<sim::AndTree>(sim, "soc.AllIdle", 0);
+    allIdle_ = std::make_unique<sim::AndTree>(sim, 0);
     for (auto &c : cores_)
         allIdle_->addInput(c->inCc1());
     allIdle_->output().subscribe([this](bool idle) {

@@ -5,11 +5,11 @@ namespace apc::uncore {
 Clm::Clm(sim::Simulation &sim, power::EnergyMeter &meter,
          const ClmConfig &cfg)
     : sim_(sim), cfg_(cfg),
-      fivr0_(std::make_unique<power::Fivr>(sim, "clm.fivr0", cfg.fivr)),
-      fivr1_(std::make_unique<power::Fivr>(sim, "clm.fivr1", cfg.fivr)),
-      clockTree_(sim, "clm.clk", cfg.clockTree),
-      pwrOk_(sim, "clm.PwrOk", true),
-      available_(sim, "clm.available", true),
+      fivr0_(std::make_unique<power::Fivr>(sim, cfg.fivr)),
+      fivr1_(std::make_unique<power::Fivr>(sim, cfg.fivr)),
+      clockTree_(sim, cfg.clockTree),
+      pwrOk_(sim, true),
+      available_(sim, true),
       load_(meter, "clm", power::Plane::Package,
             cfg.dynWatts + cfg.leakWattsNominal)
 {

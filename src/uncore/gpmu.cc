@@ -10,12 +10,11 @@ Gpmu::Gpmu(sim::Simulation &sim, const GpmuConfig &cfg,
            PllFarm *plls)
     : sim_(sim), cfg_(cfg), cores_(std::move(cores)),
       links_(std::move(links)), mcs_(std::move(mcs)), clm_(clm),
-      plls_(plls), wakeUp_(sim, "gpmu.WakeUp", false)
+      plls_(plls), wakeUp_(sim, false)
 {
     if (!cfg_.pc6Enabled)
         return;
-    allCc6_ = std::make_unique<sim::AndTree>(sim, "gpmu.AllCC6",
-                                             2 * sim::kNs);
+    allCc6_ = std::make_unique<sim::AndTree>(sim, 2 * sim::kNs);
     for (auto *c : cores_)
         allCc6_->addInput(c->inCc6());
     allCc6_->output().subscribe([this](bool v) { onAllCc6(v); });

@@ -35,16 +35,6 @@ CdfTable::finalize()
     if (top != 1.0)
         for (Point &p : points_)
             p.cdf /= top;
-
-    // Analytic mean of the piecewise-linear CDF: each segment carries
-    // probability (c_i - c_{i-1}) uniformly over [v_{i-1}, v_i]; the
-    // leading segment interpolates from (0, 0) as sample() does.
-    double mean = points_.front().cdf *
-        (0.0 + points_.front().value) / 2.0;
-    for (std::size_t i = 1; i < points_.size(); ++i)
-        mean += (points_[i].cdf - points_[i - 1].cdf) *
-            (points_[i].value + points_[i - 1].value) / 2.0;
-    mean_ = mean;
 }
 
 CdfTable
@@ -94,12 +84,6 @@ CdfTable::sample(sim::Rng &rng) const
         lo_c = p.cdf;
     }
     return points_.back().value;
-}
-
-double
-CdfTable::maxValue() const
-{
-    return points_.empty() ? 0.0 : points_.back().value;
 }
 
 } // namespace apc::workload

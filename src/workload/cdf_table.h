@@ -7,9 +7,7 @@
  * line, values ascending, cdf non-decreasing up to 1 (or 100 — percent
  * tables are auto-normalized). `CdfTable` loads such a file and samples
  * it by inverse transform with linear interpolation between the table
- * points, matching HKUST-SING/TrafficGenerator's `gen_random_cdf`. The
- * table's analytic mean is exposed so load targets ("run the cluster at
- * 30% utilization") can be converted to request rates without sampling.
+ * points, matching HKUST-SING/TrafficGenerator's `gen_random_cdf`.
  */
 
 #ifndef APC_WORKLOAD_CDF_TABLE_H
@@ -19,8 +17,6 @@
 #include <vector>
 
 #include "sim/rng.h"
-#include "sim/time.h"
-#include "workload/service.h"
 
 namespace apc::workload {
 
@@ -66,49 +62,10 @@ class CdfTable
      */
     double sample(sim::Rng &rng) const;
 
-    /** Analytic mean of the piecewise-linear distribution. */
-    double mean() const { return mean_; }
-
-    /** Largest table value (the distribution's upper bound). */
-    double maxValue() const;
-
   private:
     void finalize();
 
     std::vector<Point> points_; ///< normalized: cdf in [0,1], last == 1
-    double mean_ = 0.0;
-};
-
-/**
- * Service-time distribution backed by a CDF table. Table values are
- * unit-less (bytes, KB, µs — whatever the trace recorded); @p unit
- * converts one table unit into simulator ticks, e.g. `sim::kUs` for a
- * table in microseconds or a per-KB service cost for a size table.
- */
-class CdfService : public ServiceDist
-{
-  public:
-    CdfService(CdfTable table, double unit_ticks)
-        : table_(std::move(table)), unit_(unit_ticks)
-    {}
-
-    sim::Tick
-    sample(sim::Rng &rng) override
-    {
-        return static_cast<sim::Tick>(table_.sample(rng) * unit_);
-    }
-
-    sim::Tick
-    mean() const override
-    {
-        return static_cast<sim::Tick>(table_.mean() * unit_);
-    }
-
-    const CdfTable &table() const { return table_; }
-
-  private:
-    CdfTable table_;
-    double unit_;
 };
 
 } // namespace apc::workload

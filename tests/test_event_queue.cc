@@ -1010,16 +1010,6 @@ TEST(Rng, LognormalWithMeanHitsMean)
     EXPECT_NEAR(sum / n, 20.0, 0.5);
 }
 
-TEST(Rng, BoundedParetoStaysInBounds)
-{
-    Rng rng(9);
-    for (int i = 0; i < 10000; ++i) {
-        const double v = rng.boundedPareto(1.2, 1.0, 100.0);
-        EXPECT_GE(v, 1.0);
-        EXPECT_LE(v, 100.0);
-    }
-}
-
 TEST(Rng, UniformIntInclusiveBounds)
 {
     Rng rng(11);

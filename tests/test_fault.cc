@@ -333,12 +333,12 @@ TEST(ServerLifecycle, CrashReportsOnlyRequestsTheRingAccepted)
 // ------------------------------------------------- fleet churn grid
 
 std::string
-alertsCsv(const obs::HealthReport &r)
+alertsJson(const obs::HealthReport &r)
 {
     char *buf = nullptr;
     std::size_t len = 0;
     std::FILE *f = open_memstream(&buf, &len);
-    EXPECT_TRUE(r.writeAlertsCsv(f));
+    EXPECT_TRUE(r.writeAlertsJson(f));
     std::fclose(f);
     std::string out(buf, len);
     free(buf);
@@ -433,7 +433,7 @@ TEST(FleetChurn, ReportAndAlertLogBytesAreLayoutInvariant)
         ASSERT_TRUE(rep.health.enabled);
         EXPECT_EQ(rep.health.auditViolations, 0u);
         const std::string row = rep.csvRow();
-        const std::string alerts = alertsCsv(rep.health);
+        const std::string alerts = alertsJson(rep.health);
         if (first) {
             ref_row = row;
             ref_alerts = alerts;

@@ -317,8 +317,11 @@ TEST(Traffic, EpochArrivalsMatchConfiguredRate)
     TrafficSource src(tc, 7);
     std::uint64_t n = 0;
     const sim::Tick epoch = 1 * kMs;
-    for (sim::Tick t = 0; t < 2 * sim::kSec; t += epoch)
-        n += src.epoch(t, t + epoch).size();
+    std::vector<TrafficEvent> evs;
+    for (sim::Tick t = 0; t < 2 * sim::kSec; t += epoch) {
+        src.epoch(t, t + epoch, evs);
+        n += evs.size();
+    }
     EXPECT_NEAR(static_cast<double>(n) / 2.0, 50000.0, 1500.0);
 }
 
@@ -330,8 +333,9 @@ TEST(Traffic, DiurnalModulatesRate)
     TrafficSource src(tc, 11);
     // Count arrivals in the trough vs the peak quarter of one period.
     std::uint64_t trough = 0, peak = 0;
+    std::vector<TrafficEvent> evs;
     for (sim::Tick t = 0; t < 200 * kMs; t += kMs) {
-        const auto evs = src.epoch(t, t + kMs);
+        src.epoch(t, t + kMs, evs);
         if (t < 50 * kMs)
             trough += evs.size();
         else if (t >= 75 * kMs && t < 125 * kMs)
@@ -348,11 +352,12 @@ TEST(Traffic, CdfServiceDemandsAndFanoutFlags)
     tc.serviceCdf = workload::CdfTable({{0, 0}, {20, 1}}); // µs, mean 10
     tc.fanout = {0.5, 4};
     TrafficSource src(tc, 13);
-    EXPECT_EQ(src.meanServiceTicks(), 10 * kUs);
     std::uint64_t fanned = 0, total = 0;
     double service_sum = 0;
-    for (sim::Tick t = 0; t < 500 * kMs; t += kMs)
-        for (const auto &ev : src.epoch(t, t + kMs)) {
+    std::vector<TrafficEvent> evs;
+    for (sim::Tick t = 0; t < 500 * kMs; t += kMs) {
+        src.epoch(t, t + kMs, evs);
+        for (const auto &ev : evs) {
             ++total;
             service_sum += sim::toMicros(ev.service);
             EXPECT_GE(ev.service, 0);
@@ -362,6 +367,7 @@ TEST(Traffic, CdfServiceDemandsAndFanoutFlags)
                 ++fanned;
             }
         }
+    }
     ASSERT_GT(total, 0u);
     EXPECT_NEAR(service_sum / static_cast<double>(total), 10.0, 0.5);
     EXPECT_NEAR(static_cast<double>(fanned) / static_cast<double>(total),
@@ -734,12 +740,13 @@ TEST(Fleet, FaultEntityOutsideTheFleetRejectedAtConstruction)
     // The core-link entity only addresses a flap.
     fc.fabric.enabled = true;
     fc.nic.enabled = true;
-    for (const fault::FaultKind k :
-         {fault::FaultKind::ServerCrash, fault::FaultKind::ServerDrain,
-          fault::FaultKind::NicFreeze}) {
+    const fault::FaultKind kinds[] = {fault::FaultKind::ServerCrash,
+                                      fault::FaultKind::ServerDrain,
+                                      fault::FaultKind::NicFreeze};
+    for (std::size_t i = 0; i < std::size(kinds); ++i) {
         fc.faults.scripted = {
-            {2 * kMs, 1 * kMs, k, fault::kCoreLinkEntity}};
-        EXPECT_EQ(rejection(fc), msg) << fault::faultKindName(k);
+            {2 * kMs, 1 * kMs, kinds[i], fault::kCoreLinkEntity}};
+        EXPECT_EQ(rejection(fc), msg) << "kind #" << i;
     }
     fc.faults.scripted = {{2 * kMs, 1 * kMs, fault::FaultKind::LinkFlap,
                            fault::kCoreLinkEntity}};

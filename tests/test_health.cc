@@ -171,29 +171,19 @@ TEST(SloMonitor, IdleFleetIsFullyAvailableNotNaN)
 {
     obs::SloMonitor m(scriptedSlo(), 0.0, kMs);
 
-    // Before any epoch is sealed the window is empty: availability is
-    // a healthy 1.0, never 0/0.
-    EXPECT_DOUBLE_EQ(
-        m.windowGoodFraction(obs::Sli::Availability, 8 * kMs), 1.0);
-
-    // Zero-traffic epochs: zero requests means zero requests failed.
+    // Zero-traffic epochs: zero requests means zero requests failed,
+    // so an empty window burns nothing (never 0/0).
     for (int k = 1; k <= 4; ++k)
         m.onEpoch((k - 1) * kMs, k * kMs);
-    const double f =
-        m.windowGoodFraction(obs::Sli::Availability, 8 * kMs);
-    EXPECT_FALSE(std::isnan(f));
-    EXPECT_DOUBLE_EQ(f, 1.0);
-    EXPECT_DOUBLE_EQ(
-        m.windowGoodFraction(obs::Sli::Latency, 2 * kMs), 1.0);
-    EXPECT_EQ(m.alertsFired(), 0u);
+    EXPECT_FALSE(std::isnan(m.worstBurn()));
     EXPECT_DOUBLE_EQ(m.worstBurn(), 0.0);
+    EXPECT_EQ(m.alertsFired(), 0u);
 
     // The guard never masks real damage: one lost request in an
     // otherwise-idle window burns it.
     m.recordLost();
     m.onEpoch(4 * kMs, 5 * kMs);
-    EXPECT_LT(m.windowGoodFraction(obs::Sli::Availability, 2 * kMs),
-              1.0);
+    EXPECT_GT(m.worstBurn(), 0.0);
 }
 
 TEST(SloMonitor, EpochSizingIsOnlyACapacityHint)
@@ -227,8 +217,6 @@ TEST(SloMonitor, EpochSizingIsOnlyACapacityHint)
         EXPECT_EQ(ms[j].worstWindowP99Us(), ms[0].worstWindowP99Us());
         EXPECT_EQ(ms[j].worstBurn(), ms[0].worstBurn());
         EXPECT_EQ(ms[j].timeInViolation(), ms[0].timeInViolation());
-        EXPECT_EQ(ms[j].windowGoodFraction(obs::Sli::Latency, 12 * kMs),
-                  ms[0].windowGoodFraction(obs::Sli::Latency, 12 * kMs));
         ASSERT_EQ(ms[j].alerts().size(), ms[0].alerts().size());
         for (std::size_t i = 0; i < ms[0].alerts().size(); ++i) {
             const obs::AlertEvent &a = ms[j].alerts()[i];
@@ -422,19 +410,6 @@ TEST(AuditorDeathTest, FailFastAbortsWithDiagnosticDump)
 // ------------------------------------------- fleet-in-the-loop health
 
 std::string
-alertsCsv(const obs::HealthReport &r)
-{
-    char *buf = nullptr;
-    std::size_t len = 0;
-    std::FILE *f = open_memstream(&buf, &len);
-    EXPECT_TRUE(r.writeAlertsCsv(f));
-    std::fclose(f);
-    std::string out(buf, len);
-    free(buf);
-    return out;
-}
-
-std::string
 alertsJson(const obs::HealthReport &r)
 {
     char *buf = nullptr;
@@ -523,7 +498,7 @@ TEST(HealthFleet, ZeroFootprintAndThreadInvariantAlertLog)
         unsigned threads;
         std::size_t shardSize;
     };
-    std::string ref_csv, ref_json;
+    std::string ref_json;
     bool first = true;
     for (const Point &p :
          std::vector<Point>{{1, 0}, {2, 7}, {8, 64}}) {
@@ -540,16 +515,13 @@ TEST(HealthFleet, ZeroFootprintAndThreadInvariantAlertLog)
         EXPECT_GT(rep.health.auditChecks, rep.health.audits);
         EXPECT_EQ(rep.health.auditViolations, 0u);
 
-        // The alert log (and its exports) are invariant across thread
+        // The alert log (and its export) is invariant across thread
         // counts and shard layouts.
-        const std::string csv = alertsCsv(rep.health);
         const std::string json = alertsJson(rep.health);
         if (first) {
-            ref_csv = csv;
             ref_json = json;
             first = false;
         } else {
-            EXPECT_EQ(csv, ref_csv) << "threads=" << p.threads;
             EXPECT_EQ(json, ref_json) << "threads=" << p.threads;
         }
     }
@@ -624,19 +596,9 @@ TEST(HealthFleet, BreakerTripFiresBurnRateAlert)
     // The alert log is thread-count invariant even through the trip.
     const fleet::FleetReport rep4 =
         fleet::FleetSim(trippedFleet(4, true)).run();
-    EXPECT_EQ(alertsCsv(rep4.health), alertsCsv(rep.health));
+    EXPECT_EQ(alertsJson(rep4.health), alertsJson(rep.health));
 
-    // Export shape: CSV header and schema_versioned JSON.
-    const std::string csv = alertsCsv(rep.health);
-    EXPECT_EQ(csv.compare(0,
-                          std::string("t_us,sli,policy,severity,kind,"
-                                      "burn_long,burn_short,"
-                                      "window_p99_us")
-                              .size(),
-                          "t_us,sli,policy,severity,kind,burn_long,"
-                          "burn_short,window_p99_us"),
-              0);
-    EXPECT_NE(csv.find(",fire,"), std::string::npos);
+    // Export shape: schema_versioned JSON.
     const std::string json = alertsJson(rep.health);
     EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"policies\": ["), std::string::npos);

@@ -38,8 +38,6 @@ TEST(StringInterner, IdsAreStableAndDeduplicated)
     EXPECT_EQ(in.intern("alpha"), a); // dedup
     EXPECT_EQ(in.str(a), "alpha");
     EXPECT_EQ(in.str(b), "beta");
-    EXPECT_EQ(in.find("beta"), b);
-    EXPECT_EQ(in.find("gamma"), obs::kNoStr);
     EXPECT_EQ(in.size(), 2u);
 }
 
@@ -57,7 +55,6 @@ TEST(StringInterner, BoundedTableRejectsOverflowButNeverForgets)
     EXPECT_EQ(in.intern("delta"), obs::kNoStr);
     EXPECT_EQ(in.rejected(), 2u);
     EXPECT_EQ(in.size(), 2u);
-    EXPECT_EQ(in.find("gamma"), obs::kNoStr);
 
     // Re-interning what the table already holds still succeeds, with
     // the same id as the first registration.
@@ -286,15 +283,6 @@ TEST(MetricsSampler, SamplesOnIntervalAndSkipsUnset)
     EXPECT_NE(csv.find("server.outstanding,3,4"), std::string::npos);
     // The NaN slot produced no row: budget appears exactly once.
     EXPECT_EQ(csv.find("rack.budget_w"), csv.rfind("rack.budget_w"));
-
-    f = open_memstream(&buf, &len);
-    ASSERT_TRUE(m.writeJson(f));
-    std::fclose(f);
-    std::string json(buf, len);
-    free(buf);
-    EXPECT_NE(json.find("\"interval_us\""), std::string::npos);
-    EXPECT_NE(json.find("null"), std::string::npos); // NaN -> JSON null
-    EXPECT_FALSE(m.writeCsv("/nonexistent/dir/metrics.csv"));
 }
 
 TEST(MetricsSampler, NonPositiveIntervalClampsInsteadOfSpinning)
@@ -323,7 +311,7 @@ TEST(MetricsSampler, SetBeforeFirstSampleIsDropped)
     EXPECT_TRUE(std::isnan(m.series(id)[0]));
 }
 
-TEST(MetricsSampler, PartialRowConsistentAcrossCsvAndJson)
+TEST(MetricsSampler, PartialRowPaddedAndSkippedInCsv)
 {
     obs::MetricsConfig mc;
     mc.enabled = true;
@@ -337,12 +325,16 @@ TEST(MetricsSampler, PartialRowConsistentAcrossCsvAndJson)
     m.beginSample(1 * kMs); // final row left partial
     m.set(a, 3.0);
 
-    // Every series spans every row (the partial row is padded, never
-    // ragged), and both exports agree on which slots are unset: CSV
-    // rows (set values) + JSON nulls (unset) = series * samples.
+    // Every series spans every row (the partial row is padded with
+    // NaN, never ragged), and the CSV skips exactly the unset slots:
+    // CSV rows (set values) + NaN slots (unset) = series * samples.
     ASSERT_EQ(m.numSamples(), 2u);
-    for (obs::SeriesId id : {a, b})
+    std::size_t nans = 0;
+    for (obs::SeriesId id : {a, b}) {
         EXPECT_EQ(m.series(id).size(), m.numSamples());
+        for (double v : m.series(id))
+            nans += std::isnan(v) ? 1 : 0;
+    }
 
     char *buf = nullptr;
     std::size_t len = 0;
@@ -357,19 +349,9 @@ TEST(MetricsSampler, PartialRowConsistentAcrossCsvAndJson)
             ++csv_rows;
     --csv_rows; // header
 
-    f = open_memstream(&buf, &len);
-    ASSERT_TRUE(m.writeJson(f));
-    std::fclose(f);
-    std::string json(buf, len);
-    free(buf);
-    std::size_t nulls = 0;
-    for (std::size_t pos = json.find("null"); pos != std::string::npos;
-         pos = json.find("null", pos + 4))
-        ++nulls;
-
     EXPECT_EQ(csv_rows, 3u);
-    EXPECT_EQ(nulls, 1u);
-    EXPECT_EQ(csv_rows + nulls, m.numSeries() * m.numSamples());
+    EXPECT_EQ(nans, 1u);
+    EXPECT_EQ(csv_rows + nans, m.numSeries() * m.numSamples());
 }
 
 // -------------------------------------------------------------- profiler

@@ -128,7 +128,7 @@ TEST(Rapl, ZeroWindowIsZeroPower)
 TEST(Fivr, StartsSettledAtNominal)
 {
     sim::Simulation s;
-    Fivr f(s, "f", FivrConfig{});
+    Fivr f(s, FivrConfig{});
     EXPECT_DOUBLE_EQ(f.voltage(), 0.8);
     EXPECT_TRUE(f.pwrOk().read());
     EXPECT_FALSE(f.ramping());
@@ -138,7 +138,7 @@ TEST(Fivr, RetentionRampTakes150ns)
 {
     // 0.8 V -> 0.5 V at 2 mV/ns = 150 ns (paper Sec. 5.5).
     sim::Simulation s;
-    Fivr f(s, "f", FivrConfig{});
+    Fivr f(s, FivrConfig{});
     f.toRetention();
     EXPECT_FALSE(f.pwrOk().read());
     EXPECT_EQ(f.settleTimeRemaining(), 150 * kNs);
@@ -150,7 +150,7 @@ TEST(Fivr, RetentionRampTakes150ns)
 TEST(Fivr, VoltageIsLinearDuringRamp)
 {
     sim::Simulation s;
-    Fivr f(s, "f", FivrConfig{});
+    Fivr f(s, FivrConfig{});
     f.toRetention();
     s.runUntil(75 * kNs);
     EXPECT_NEAR(f.voltage(), 0.65, 1e-9);
@@ -161,7 +161,7 @@ TEST(Fivr, PreemptiveCommandReversesMidRamp)
     // A wake mid-entry reverses the ramp from the partial voltage —
     // this is what bounds PC1A's worst-case exit (paper footnote 11).
     sim::Simulation s;
-    Fivr f(s, "f", FivrConfig{});
+    Fivr f(s, FivrConfig{});
     f.toRetention();
     s.runUntil(50 * kNs); // at 0.7 V
     f.toNominal();
@@ -175,7 +175,7 @@ TEST(Fivr, PreemptiveCommandReversesMidRamp)
 TEST(Fivr, PwrOkEdgeFiresOnceAtSettle)
 {
     sim::Simulation s;
-    Fivr f(s, "f", FivrConfig{});
+    Fivr f(s, FivrConfig{});
     int rises = 0;
     f.pwrOk().subscribe([&](bool v) {
         if (v)
@@ -189,7 +189,7 @@ TEST(Fivr, PwrOkEdgeFiresOnceAtSettle)
 TEST(Fivr, RedundantCommandIsNoop)
 {
     sim::Simulation s;
-    Fivr f(s, "f", FivrConfig{});
+    Fivr f(s, FivrConfig{});
     f.toNominal(); // already there
     EXPECT_TRUE(f.pwrOk().read());
     EXPECT_FALSE(f.ramping());
@@ -265,7 +265,7 @@ TEST(ClockTree, GateAfterLatency)
     sim::Simulation s;
     ClockTreeConfig cfg;
     cfg.gateLatency = 4 * kNs; // 2 cycles @ 500 MHz
-    ClockTree t(s, "clk", cfg);
+    ClockTree t(s, cfg);
     EXPECT_TRUE(t.running());
     t.gate();
     EXPECT_TRUE(t.running()); // not yet
@@ -279,7 +279,7 @@ TEST(ClockTree, GateAfterLatency)
 TEST(ClockTree, RapidGateUngateLastWins)
 {
     sim::Simulation s;
-    ClockTree t(s, "clk", ClockTreeConfig{});
+    ClockTree t(s, ClockTreeConfig{});
     t.gate();
     t.ungate(); // supersedes before the gate applies
     s.runAll();

@@ -35,7 +35,7 @@ TEST_P(FivrFuzz, VoltageStaysInRangeAndSettles)
 {
     sim::Simulation s(GetParam());
     power::FivrConfig cfg;
-    power::Fivr f(s, "f", cfg);
+    power::Fivr f(s, cfg);
     for (int i = 0; i < 300; ++i) {
         // Random command at a random time, often mid-ramp.
         const bool ret = s.rng().bernoulli(0.5);

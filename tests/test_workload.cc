@@ -93,17 +93,7 @@ TEST(CdfTable, LoadsPercentTableAndNormalizes)
     ASSERT_TRUE(t.valid());
     EXPECT_EQ(t.size(), 4u);
     EXPECT_DOUBLE_EQ(t.points().back().cdf, 1.0);
-    EXPECT_DOUBLE_EQ(t.maxValue(), 1000.0);
-}
-
-TEST(CdfTable, AnalyticMeanMatchesPiecewiseLinear)
-{
-    // Uniform on [0, 10]: mean 5.
-    const CdfTable u({{0, 0}, {10, 1}});
-    EXPECT_DOUBLE_EQ(u.mean(), 5.0);
-    // 50% uniform [0,10], 50% uniform [10,30]: 0.5*5 + 0.5*20 = 12.5.
-    const CdfTable m({{0, 0}, {10, 0.5}, {30, 1}});
-    EXPECT_DOUBLE_EQ(m.mean(), 12.5);
+    EXPECT_DOUBLE_EQ(t.points().back().value, 1000.0);
 }
 
 TEST(CdfTable, SamplingReproducesTableMean)
@@ -122,8 +112,10 @@ TEST(CdfTable, SamplingReproducesTableMean)
         ASSERT_LE(v, 1000.0);
         total += v;
     }
-    // Sample mean within 2% of the analytic mean.
-    EXPECT_NEAR(total / n, t.mean(), 0.02 * t.mean());
+    // Sample mean within 2% of the piecewise-linear mean: each segment
+    // carries its probability uniformly, so 0.5*5.5 + 0.4*55 + 0.1*550.
+    const double mean = 79.75;
+    EXPECT_NEAR(total / n, mean, 0.02 * mean);
 }
 
 TEST(CdfTable, PointMassStep)
@@ -136,7 +128,7 @@ TEST(CdfTable, PointMassStep)
         total += t.sample(rng);
     // Leading segment interpolates from 0 per TrafficGenerator; mean
     // is 21 for a single-point table.
-    EXPECT_NEAR(total / 1000, t.mean(), 0.05 * t.mean());
+    EXPECT_NEAR(total / 1000, 21.0, 0.05 * 21.0);
 }
 
 TEST(CdfTable, RejectsMalformedTables)
@@ -146,16 +138,6 @@ TEST(CdfTable, RejectsMalformedTables)
     EXPECT_FALSE(CdfTable::fromString("1 60\n2 40\n").valid());   // desc cdf
     EXPECT_FALSE(CdfTable::fromString("1 0\n2 0\n").valid());     // no mass
     EXPECT_FALSE(CdfTable::fromFile("/nonexistent/cdf.txt").valid());
-}
-
-TEST(CdfTable, CdfServiceScalesToTicks)
-{
-    const CdfTable t({{0, 0}, {10, 1}}); // mean 5 table units
-    CdfService svc(t, static_cast<double>(sim::kUs)); // 1 unit = 1 µs
-    EXPECT_EQ(svc.mean(), 5 * sim::kUs);
-    sim::Rng rng(3);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_LE(svc.sample(rng), 10 * sim::kUs);
 }
 
 TEST(Service, FixedAndMean)
