@@ -29,8 +29,7 @@ main()
     tc.enabled = true;
     obs::Tracer tracer(tc, 1);
     sim.enableTracing(tracer.writer(0));
-    const auto res = sim.run();
-    sim.traceFlush(); // close the span still open at the end
+    const auto res = sim.run(); // closes the last span too
 
     std::printf("start_us,dur_us,state\n");
     std::size_t spans = 0;

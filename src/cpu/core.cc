@@ -25,13 +25,13 @@ CoreConfig::skxDefaults()
 
 Core::Core(sim::Simulation &sim, power::EnergyMeter &meter, int id,
            const CoreConfig &cfg, std::unique_ptr<IdleGovernor> governor)
-    : sim_(sim), cfg_(cfg), id_(id), governor_(std::move(governor)),
+    : sim_(sim), cfg_(cfg), governor_(std::move(governor)),
       inCc1_(sim, false),
       inCc6_(sim, false),
-      load_(meter, "core" + std::to_string(id), power::Plane::Package,
+      load_(meter, "core", power::Plane::Package,
             cfg.cstates[0].powerWatts),
       residency_(static_cast<std::size_t>(CState::CC0), sim.now()),
-      activePowerWatts_(cfg.cstates[0].powerWatts)
+      id_(id), activePowerWatts_(cfg.cstates[0].powerWatts)
 {
     assert(governor_ && "core requires an idle governor");
 }

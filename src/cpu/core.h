@@ -16,7 +16,6 @@
 
 #include <array>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cpu/cstate.h"
@@ -53,12 +52,16 @@ class Core
     /**
      * @param sim      simulation context
      * @param meter    energy meter for the package plane
-     * @param id       core number (names wires and loads)
-     * @param cfg      latency/power table
+     * @param id       core number
+     * @param cfg      latency/power table, referenced rather than
+     *                 copied: it must outlive the core (a SoC's cores
+     *                 share the SoC's config)
      * @param governor idle-state selection policy (owned)
      */
     Core(sim::Simulation &sim, power::EnergyMeter &meter, int id,
          const CoreConfig &cfg, std::unique_ptr<IdleGovernor> governor);
+    Core(sim::Simulation &, power::EnergyMeter &, int, CoreConfig &&,
+         std::unique_ptr<IdleGovernor>) = delete;
 
     /**
      * The core finished its work and goes idle: the governor picks an
@@ -138,8 +141,7 @@ class Core
     void finishExit();
 
     sim::Simulation &sim_;
-    CoreConfig cfg_;
-    int id_;
+    const CoreConfig &cfg_;
     std::unique_ptr<IdleGovernor> governor_;
     Phase phase_ = Phase::Active;
     CState state_ = CState::CC0; ///< idle target / resident state
@@ -151,6 +153,7 @@ class Core
     sim::EventHandle promotionEvent_;
     sim::WaitList wakeCallbacks_;
     bool wakePending_ = false;
+    int id_;
     sim::Tick idleStart_ = 0;
     std::uint64_t wakeups_ = 0;
     double activePowerWatts_;

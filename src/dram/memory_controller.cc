@@ -11,8 +11,8 @@ MemoryController::MemoryController(sim::Simulation &sim,
     : sim_(sim), cfg_(cfg),
       allowCkeOff_(sim, false),
       active_(sim, true),
-      mcLoad_(meter, cfg.name, power::Plane::Package, cfg.mcActiveWatts),
-      dramLoad_(meter, cfg.name + ".dram", power::Plane::Dram,
+      mcLoad_(meter, "mc", power::Plane::Package, cfg.mcActiveWatts),
+      dramLoad_(meter, "mc.dram", power::Plane::Dram,
                 cfg.dramIdleWatts),
       residency_(static_cast<std::size_t>(McState::Active), sim.now())
 {

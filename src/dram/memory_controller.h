@@ -20,7 +20,6 @@
 #define APC_DRAM_MEMORY_CONTROLLER_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "power/energy_meter.h"
@@ -59,7 +58,6 @@ mcStateName(McState s)
 /** Per-controller configuration (calibration in DESIGN.md Sec. 3). */
 struct MemoryControllerConfig
 {
-    std::string name = "mc";
     sim::Tick ckeOffEntry = 10 * sim::kNs;
     sim::Tick ckeOffExit = 24 * sim::kNs;
     sim::Tick selfRefreshEntry = 1 * sim::kUs;
@@ -85,8 +83,12 @@ class MemoryController
      *  event, so it takes a small capture. */
     using SmallDone = sim::InplaceFunction<void(), 16>;
 
+    /** @p cfg is referenced rather than copied: it must outlive the
+     *  controller (a SoC's controllers share the SoC's config). */
     MemoryController(sim::Simulation &sim, power::EnergyMeter &meter,
                      const MemoryControllerConfig &cfg);
+    MemoryController(sim::Simulation &, power::EnergyMeter &,
+                     MemoryControllerConfig &&) = delete;
 
     /**
      * Issue a memory access. Wakes the DRAM as needed; @p on_ready fires
@@ -142,7 +144,7 @@ class MemoryController
     void beginWake();
 
     sim::Simulation &sim_;
-    MemoryControllerConfig cfg_;
+    const MemoryControllerConfig &cfg_;
     McState state_ = McState::Active;
     int transactions_ = 0;
     bool transitioning_ = false;

@@ -1365,8 +1365,9 @@ FleetSim::collectServers()
 {
     // collect() only touches its own server's state, so shards can
     // gather in parallel — at 10k servers the sequential gather
-    // (histogram copies, residency walks) serialized the end of every
-    // sweep.
+    // (residency walks) serialized the end of every sweep. A default
+    // ServerResult holds unbinned histograms, so the placeholders cost
+    // no heap block; collect() hands each server's histograms over.
     perServerResults_.resize(servers_.size());
     pool_.parallelForRanges(
         layout_.numShards, [this](std::size_t b, std::size_t e) {

@@ -51,7 +51,7 @@ IoLink::IoLink(sim::Simulation &sim, power::EnergyMeter &meter,
     : sim_(sim), cfg_(cfg),
       allowL0s_(sim, false),
       inL0s_(sim, false),
-      load_(meter, cfg.name, power::Plane::Package, cfg.powerL0),
+      load_(meter, cfg.name.c_str(), power::Plane::Package, cfg.powerL0),
       residency_(static_cast<std::size_t>(LState::L0), sim.now())
 {
     allowL0s_.subscribe([this](bool allowed) {

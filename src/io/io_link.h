@@ -69,8 +69,12 @@ class IoLink
     /** Completion of an L1 entry; it rides inside the entry event. */
     using EntryDone = sim::InplaceFunction<void(), 16>;
 
+    /** @p cfg is referenced rather than copied: it must outlive the
+     *  link (a SoC's links reference the SoC's config). */
     IoLink(sim::Simulation &sim, power::EnergyMeter &meter,
            const IoLinkConfig &cfg);
+    IoLink(sim::Simulation &, power::EnergyMeter &, IoLinkConfig &&) =
+        delete;
 
     /**
      * Transfer @p payload_time worth of traffic across the link. Wakes
@@ -130,7 +134,7 @@ class IoLink
     void setState(LState s);
 
     sim::Simulation &sim_;
-    IoLinkConfig cfg_;
+    const IoLinkConfig &cfg_;
     LState state_ = LState::L0;
     int transactions_ = 0;
     bool exiting_ = false; ///< wake in flight

@@ -5,9 +5,9 @@
 
 namespace apc::power {
 
-PowerLoad::PowerLoad(EnergyMeter &meter, std::string name, Plane plane,
+PowerLoad::PowerLoad(EnergyMeter &meter, const char *name, Plane plane,
                      double watts)
-    : meter_(meter), name_(std::move(name)), plane_(plane)
+    : meter_(meter), name_(name), plane_(plane)
 {
     segStart_ = segEnd_ = meter_.sim().now();
     p0_ = p1_ = watts;

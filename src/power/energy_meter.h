@@ -13,7 +13,7 @@
 #ifndef APC_POWER_ENERGY_METER_H
 #define APC_POWER_ENERGY_METER_H
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "power/plane.h"
@@ -35,11 +35,13 @@ class PowerLoad
   public:
     /**
      * @param meter meter to register with
-     * @param name  component name for breakdown reports
+     * @param name  component kind for breakdown reports ("core", "mc",
+     *              ...): a string literal, or storage that outlives the
+     *              load; the load keeps only the pointer
      * @param plane RAPL plane this load belongs to
      * @param watts initial power draw
      */
-    PowerLoad(EnergyMeter &meter, std::string name, Plane plane,
+    PowerLoad(EnergyMeter &meter, const char *name, Plane plane,
               double watts = 0.0);
     ~PowerLoad();
 
@@ -63,7 +65,7 @@ class PowerLoad
     /** Energy consumed by this load so far, in joules. */
     double energyJoules() const;
 
-    const std::string &name() const { return name_; }
+    std::string_view name() const { return name_; }
     Plane plane() const { return plane_; }
 
   private:
@@ -77,7 +79,7 @@ class PowerLoad
     void closeSegment();
 
     EnergyMeter &meter_;
-    std::string name_;
+    const char *name_;
     Plane plane_;
     double accumulatedJ_ = 0.0;
     // Active segment: from segStart_ power goes linearly from p0_ to p1_

@@ -2,11 +2,10 @@
 
 namespace apc::power {
 
-Pll::Pll(sim::Simulation &sim, EnergyMeter &meter, std::string name,
+Pll::Pll(sim::Simulation &sim, EnergyMeter &meter, const char *name,
          const PllConfig &cfg, Plane plane)
-    : sim_(sim), cfg_(cfg), name_(std::move(name)),
-      locked_(sim, true),
-      load_(meter, name_, plane, cfg.powerWatts)
+    : sim_(sim), cfg_(cfg), locked_(sim, true),
+      load_(meter, name, plane, cfg.powerWatts)
 {}
 
 void

@@ -12,8 +12,6 @@
 #ifndef APC_POWER_PLL_H
 #define APC_POWER_PLL_H
 
-#include <string>
-
 #include "power/energy_meter.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
@@ -33,7 +31,9 @@ class Pll
   public:
     enum class State { Off, Locking, Locked };
 
-    Pll(sim::Simulation &sim, EnergyMeter &meter, std::string name,
+    /** @p name is the power load's name (a string literal; see
+     *  PowerLoad). */
+    Pll(sim::Simulation &sim, EnergyMeter &meter, const char *name,
         const PllConfig &cfg, Plane plane = Plane::Package);
 
     /**
@@ -51,8 +51,6 @@ class Pll
     sim::Signal &locked() { return locked_; }
     const sim::Signal &locked() const { return locked_; }
 
-    const std::string &name() const { return name_; }
-
     /** Present draw (config power when locking/locked, 0 when off). */
     double currentPowerWatts() const { return load_.currentPower(); }
 
@@ -61,7 +59,6 @@ class Pll
   private:
     sim::Simulation &sim_;
     PllConfig cfg_;
-    std::string name_;
     State state_ = State::Locked;
     sim::Signal locked_;
     PowerLoad load_;

@@ -3,8 +3,37 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
 
 namespace apc::server {
+
+namespace {
+
+/** @p cfg, or std::invalid_argument naming the first field that makes
+ *  no sense (a silently clamped config would run a different model). */
+ServerConfig
+checked(ServerConfig cfg)
+{
+    if (cfg.warmup < 0)
+        throw std::invalid_argument("ServerConfig: warmup must be >= 0");
+    if (cfg.duration <= 0)
+        // An empty window divides every rate by zero.
+        throw std::invalid_argument("ServerConfig: duration must be > 0");
+    if (cfg.networkLatency < 0)
+        throw std::invalid_argument(
+            "ServerConfig: networkLatency must be >= 0");
+    if (cfg.dvfs.enabled && cfg.dvfsInterval <= 0)
+        // The governor re-arms itself every interval: zero would loop
+        // at one instant forever.
+        throw std::invalid_argument(
+            "ServerConfig: dvfsInterval must be > 0 with DVFS on");
+    if (!(cfg.numa.remoteFraction >= 0.0 && cfg.numa.remoteFraction <= 1.0))
+        throw std::invalid_argument(
+            "ServerConfig: numa.remoteFraction must be in [0, 1]");
+    return cfg;
+}
+
+} // namespace
 
 double
 ServerResult::idlePeriodFraction(double lo_us, double hi_us) const
@@ -13,7 +42,7 @@ ServerResult::idlePeriodFraction(double lo_us, double hi_us) const
 }
 
 ServerSim::ServerSim(ServerConfig cfg)
-    : cfg_(std::move(cfg)), sim_(cfg_.seed)
+    : cfg_(checked(std::move(cfg))), sim_(cfg_.seed)
 {
     const soc::SkxConfig skx = cfg_.skxOverride
         ? *cfg_.skxOverride
@@ -786,12 +815,14 @@ ServerSim::run()
 
     const sim::Tick end = measureStart_ + cfg_.duration;
     sim_.runUntil(end);
+    traceFlush();
     return collect();
 }
 
 ServerResult
 ServerSim::collect()
 {
+    assert(latencyHistUs_.binned() && "ServerSim::collect() is final");
     const auto pkg1 = soc_->rapl().readCounter(power::Plane::Package);
     const auto dram1 = soc_->rapl().readCounter(power::Plane::Dram);
     const double window_s = sim::toSeconds(sim_.now() - measureBegan_);
@@ -824,8 +855,8 @@ ServerSim::collect()
         sim::toSeconds(soc_->fullIdleTime()) / window;
     res.socWatchIdleFraction =
         sim::toSeconds(soc_->socWatchIdleTime()) / window;
-    res.idlePeriodsUs = soc_->idlePeriodsUs();
-    res.latencyHistUs = latencyHistUs_;
+    res.idlePeriodsUs = soc_->takeIdlePeriodsUs();
+    res.latencyHistUs = std::move(latencyHistUs_);
     res.latencySummary = latencyUs_;
 
     if (auto *apmu = soc_->apmu()) {

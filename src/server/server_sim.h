@@ -225,12 +225,14 @@ struct ServerResult
         return loss < 1.0 ? loss : 1.0;
     }
 
-    /** Copy of the idle-period length distribution (µs). */
-    stats::Histogram idlePeriodsUs{0.01, 1e7, 32};
+    /** Idle-period length distribution (µs), handed over from the SoC
+     *  by ServerSim::collect(); unbinned in a default result. */
+    stats::Histogram idlePeriodsUs = stats::Histogram::unbinned();
 
     /** Full end-to-end latency distribution and running summary (µs) —
-     *  mergeable across servers for fleet-level aggregation. */
-    stats::Histogram latencyHistUs{0.1, 1e7, 64};
+     *  mergeable across servers for fleet-level aggregation. The
+     *  histogram is handed over like idlePeriodsUs. */
+    stats::Histogram latencyHistUs = stats::Histogram::unbinned();
     stats::Summary latencySummary;
 
     double pc1aResidency() const
@@ -264,10 +266,17 @@ class ServerSim
                                   const obs::SegmentSums *segs),
                              32>;
 
+    /**
+     * @throws std::invalid_argument for a negative warmup or network
+     *         latency, a non-positive duration, a non-positive DVFS
+     *         interval with DVFS on, or a NUMA remote fraction outside
+     *         [0, 1].
+     */
     explicit ServerSim(ServerConfig cfg);
     ~ServerSim();
 
-    /** Run warmup + measurement; collect metrics. */
+    /** Run warmup + measurement; collect metrics. With tracing on, the
+     *  package-state span open at the end is closed first. */
     ServerResult run();
 
     // --- phased API (external drivers: fleet load balancers, REPLs) ---
@@ -289,7 +298,13 @@ class ServerSim
     /** Advance this server's event loop to absolute time @p t. */
     void advanceTo(sim::Tick t) { sim_.runUntil(t); }
 
-    /** Gather metrics for [beginMeasurement(), now]. */
+    /**
+     * Gather metrics for [beginMeasurement(), now]. Final: the latency
+     * and idle-period histograms are handed over to the result, not
+     * copied. The server may keep advancing afterwards (a fleet drains
+     * its in-flight work), but its histograms record nothing more and
+     * the result does not change. Call it once.
+     */
     ServerResult collect();
 
     /**
@@ -409,7 +424,8 @@ class ServerSim
             fn(liveIds_[i], liveSegs_[i]);
     }
 
-    /** Close the open package-state span (end of run). */
+    /** Close the open package-state span (end of run; run() does it
+     *  itself, a phased driver calls it). */
     void traceFlush();
 
     /** Requests handed to the server (injected or internal arrivals). */

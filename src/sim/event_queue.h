@@ -86,11 +86,11 @@ bool queueAlive(const EventQueue *q, std::uint64_t epoch);
  * Cancellable reference to a scheduled event.
  *
  * Default-constructed handles are inert. Handles are cheap to copy
- * (four words, no ownership); all copies refer to the same underlying
- * event. A handle whose event has fired — or whose pooled slot has been
- * recycled for a newer event — compares the stored generation against
- * the slot's and degrades to a no-op, so stale handles can never cancel
- * somebody else's event.
+ * (two words in release builds, three in debug ones; no ownership);
+ * all copies refer to the same underlying event. A handle whose event
+ * has fired — or whose pooled slot has been recycled for a newer event
+ * — compares the stored generation against the slot's and degrades to
+ * a no-op, so stale handles can never cancel somebody else's event.
  *
  * Handles reference their EventQueue without owning it (unlike the
  * previous shared_ptr-based design): cancel()/pending() must not be
@@ -117,14 +117,22 @@ class EventHandle
   private:
     friend class EventQueue;
 
-    EventHandle(EventQueue *queue, std::uint64_t queue_epoch,
+    EventHandle(EventQueue *queue,
+                [[maybe_unused]] std::uint64_t queue_epoch,
                 std::uint32_t slot, std::uint32_t gen)
-        : queue_(queue), queueEpoch_(queue_epoch), slot_(slot), gen_(gen)
+        : queue_(queue),
+#ifndef NDEBUG
+          queueEpoch_(queue_epoch),
+#endif
+          slot_(slot), gen_(gen)
     {}
 
     EventQueue *queue_ = nullptr;
-    /** The queue's debugEpoch(), for the use-after-destroy assert. */
+#ifndef NDEBUG
+    /** The queue's debugEpoch(), for the use-after-destroy assert;
+     *  only debug builds carry it, so a release handle is two words. */
     std::uint64_t queueEpoch_ = 0;
+#endif
     std::uint32_t slot_ = 0;
     std::uint32_t gen_ = 0;
 };
@@ -238,8 +246,10 @@ class EventQueue
     friend class EventHandle;
 
     static constexpr std::uint32_t kNoSlot = UINT32_MAX;
-    /** Records per chunk (2^5 × 96 bytes): about a server's working set. */
-    static constexpr std::uint32_t kChunkShift = 5;
+    /** Records per chunk (2^4 × 88 bytes): a C_PC1A server at low load
+     *  keeps 16–18 records, so about half the servers of a fleet need
+     *  one chunk, and the rest a second. */
+    static constexpr std::uint32_t kChunkShift = 4;
     static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
 
     /**

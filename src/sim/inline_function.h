@@ -4,7 +4,8 @@
  *
  * `InplaceFunction<R(Args...), Capacity>` stores its callable inside
  * its own `Capacity`-byte buffer and never allocates. A callable that
- * does not fit (or whose move may throw) is rejected at compile time,
+ * does not fit (or whose move may throw, or that needs more than
+ * pointer alignment) is rejected at compile time,
  * so each site sizes its capacity to the captures it carries: a `this`
  * pointer plus a few scalars for event callbacks. Like C++23's
  * `std::move_only_function`, it is move-only, so move-only captures
@@ -142,8 +143,7 @@ class InplaceFunction<R(Args...), Capacity>
     {
         using Fn = std::decay_t<F>;
         detail::checkInplaceCapacity<sizeof(Fn), Capacity>();
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "over-aligned callable");
+        static_assert(alignof(Fn) <= kAlign, "over-aligned callable");
         static_assert(std::is_nothrow_move_constructible_v<Fn>,
                       "callable must be nothrow move-constructible");
         ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
@@ -187,8 +187,13 @@ class InplaceFunction<R(Args...), Capacity>
         /* trivialDestroy */ std::is_trivially_destructible_v<Fn>,
     };
 
+    /** Pointer alignment: captures are pointers and scalars, and a
+     *  wider alignment would pad every slot (an event record, two
+     *  observers per wire) by up to 8 bytes. */
+    static constexpr std::size_t kAlign = alignof(void *);
+
     const Ops *ops_ = nullptr;
-    alignas(std::max_align_t) unsigned char buf_[Capacity];
+    alignas(kAlign) unsigned char buf_[Capacity];
 };
 
 } // namespace apc::sim

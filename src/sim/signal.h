@@ -29,10 +29,10 @@ namespace apc::sim {
 
 /**
  * Edge callback: invoked with the new level after a change. Stored
- * inline in 32 bytes — every observer in the control fabric is a
- * `this` pointer plus a scalar or two.
+ * inline in 16 bytes — every observer in the control fabric is a
+ * `this` pointer, at most plus one more pointer or scalar.
  */
-using SignalObserver = InplaceFunction<void(bool), 32>;
+using SignalObserver = InplaceFunction<void(bool), 16>;
 
 /** A boolean wire with edge notification to up to two observers. */
 class Signal
@@ -89,19 +89,19 @@ class Signal
     Simulation &sim_;
     /** The scheduled write in flight, if any; reset when it lands. */
     EventHandle pendingWrite_;
+    SignalObserver observers_[kMaxObservers];
     std::uint8_t numObservers_ = 0;
     bool value_;
-    SignalObserver observers_[kMaxObservers];
 };
 
 // Every member is inline, so a wire's observers sit in the same cache
-// lines as its level. The bound leaves no room for a std::vector or
-// std::string member; a lone pointer could still hide in the padding
-// before the observer slots, which a size bound cannot see.
+// lines as its level. A server holds about fifty wires, so the bound
+// is on bytes: the level and observer count share the trailing word,
+// and a std::vector or std::string member does not fit.
 static_assert(sizeof(Signal) <=
                   Signal::kMaxObservers * sizeof(SignalObserver) +
                       sizeof(Simulation *) + sizeof(EventHandle) +
-                      alignof(SignalObserver),
+                      sizeof(void *),
               "Signal holds only its level, one pending write and its "
               "inline observer slots");
 

@@ -23,12 +23,9 @@ Soc::Soc(sim::Simulation &sim, const SkxConfig &cfg, PackagePolicy policy)
     for (const auto &lc : cfg_.links)
         links_.push_back(std::make_unique<io::IoLink>(sim, meter_, lc));
 
-    for (int i = 0; i < cfg_.numMemCtrls; ++i) {
-        auto mc_cfg = cfg_.mc;
-        mc_cfg.name = "mc" + std::to_string(i);
+    for (int i = 0; i < cfg_.numMemCtrls; ++i)
         mcs_.push_back(std::make_unique<dram::MemoryController>(
-            sim, meter_, mc_cfg));
-    }
+            sim, meter_, cfg_.mc));
 
     clm_ = std::make_unique<uncore::Clm>(sim, meter_, cfg_.clm);
     plls_ = std::make_unique<uncore::PllFarm>(sim, meter_, cfg_.pll);

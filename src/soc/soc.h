@@ -15,6 +15,7 @@
 #define APC_SOC_SOC_H
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/apmu.h"
@@ -114,8 +115,16 @@ class Soc
     /** All-cores-idle (CC1 or deeper) aggregated wire. */
     sim::Signal &allIdle() { return allIdle_->output(); }
 
-    /** Distribution of fully-idle period lengths, microseconds. */
-    const stats::Histogram &idlePeriodsUs() const { return idlePeriodsUs_; }
+    /**
+     * Hand over the distribution of fully-idle period lengths,
+     * microseconds. The SoC's own histogram is left unbinned: periods
+     * that end later are no longer recorded (stats::Histogram).
+     */
+    stats::Histogram
+    takeIdlePeriodsUs()
+    {
+        return std::move(idlePeriodsUs_);
+    }
 
     /** Total fully-idle time, including the currently open interval. */
     sim::Tick fullIdleTime() const;

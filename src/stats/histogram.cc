@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace apc::stats {
 
@@ -17,6 +18,34 @@ Histogram::Histogram(double min_value, double max_value, int bins_per_decade)
     // +2 edge bins for underflow and overflow.
     bins_.assign(static_cast<std::size_t>(
                      std::ceil(decades * binsPerDecade_)) + 2, 0);
+}
+
+Histogram::Histogram(Histogram &&other) noexcept
+{
+    takeFrom(other);
+}
+
+Histogram &
+Histogram::operator=(Histogram &&other) noexcept
+{
+    if (this != &other)
+        takeFrom(other);
+    return *this;
+}
+
+void
+Histogram::takeFrom(Histogram &other) noexcept
+{
+    minValue_ = other.minValue_;
+    maxValue_ = other.maxValue_;
+    logMin_ = other.logMin_;
+    binsPerDecade_ = other.binsPerDecade_;
+    bins_ = std::exchange(other.bins_, {});
+    count_ = std::exchange(other.count_, 0);
+    nanCount_ = std::exchange(other.nanCount_, 0);
+    sum_ = std::exchange(other.sum_, 0.0);
+    min_ = std::exchange(other.min_, 0.0);
+    max_ = std::exchange(other.max_, 0.0);
 }
 
 std::size_t
@@ -34,7 +63,7 @@ Histogram::indexOf(double v) const
 void
 Histogram::record(double v, std::uint64_t weight)
 {
-    if (weight == 0)
+    if (weight == 0 || bins_.empty())
         return;
     if (!std::isfinite(v)) {
         // Every ordered comparison on NaN is false, so it would land in

@@ -32,10 +32,26 @@ class Histogram
                        int bins_per_decade = 32);
 
     /**
+     * A histogram with no bins: it costs no heap block, records
+     * nothing, and merges with nothing. Moving a histogram leaves the
+     * source unbinned, so a histogram handed over keeps no storage and
+     * silently drops any later sample.
+     */
+    static Histogram unbinned() noexcept { return Histogram(Unbinned{}); }
+
+    Histogram(const Histogram &) = default;
+    Histogram &operator=(const Histogram &) = default;
+    Histogram(Histogram &&other) noexcept;
+    Histogram &operator=(Histogram &&other) noexcept;
+
+    /** False for an unbinned (or moved-from) histogram. */
+    bool binned() const { return !bins_.empty(); }
+
+    /**
      * Record one sample. Non-positive samples count into the underflow;
      * non-finite samples (NaN, ±inf — either would poison
      * sum/mean/min/max) are rejected (tracked in nanCount(), excluded
-     * from count/sum/quantiles).
+     * from count/sum/quantiles). An unbinned histogram ignores it.
      */
     void record(double v) { record(v, 1); }
 
@@ -83,13 +99,15 @@ class Histogram
      */
     bool merge(const Histogram &other);
 
-    /** @return true if @p other uses the same binning grid. */
+    /** @return true if @p other uses the same binning grid (never
+     *  for an unbinned histogram and a binned one). */
     bool
     sameBinning(const Histogram &other) const
     {
         return minValue_ == other.minValue_ &&
             maxValue_ == other.maxValue_ &&
-            binsPerDecade_ == other.binsPerDecade_;
+            binsPerDecade_ == other.binsPerDecade_ &&
+            bins_.size() == other.bins_.size();
     }
 
     /** Reset to empty, keeping the binning. */
@@ -112,12 +130,19 @@ class Histogram
     double binLowerEdge(std::size_t i) const;
 
   private:
-    std::size_t indexOf(double v) const;
+    struct Unbinned
+    {
+    };
+    explicit Histogram(Unbinned) noexcept {}
 
-    double minValue_;
-    double maxValue_;
-    double logMin_;
-    double binsPerDecade_;
+    std::size_t indexOf(double v) const;
+    /** Take @p other's state, leaving it unbinned. */
+    void takeFrom(Histogram &other) noexcept;
+
+    double minValue_ = 0.0;
+    double maxValue_ = 0.0;
+    double logMin_ = 0.0;
+    double binsPerDecade_ = 0.0;
     std::vector<std::uint64_t> bins_;
     std::uint64_t count_ = 0;
     std::uint64_t nanCount_ = 0;

@@ -16,6 +16,9 @@ namespace {
 
 using sim::kUs;
 
+/** A core references its config, so the tests' cores share this one. */
+const CoreConfig kSkxCore = CoreConfig::skxDefaults();
+
 std::unique_ptr<Core>
 makeCore(sim::Simulation &s, power::EnergyMeter &m,
          CStateMask mask = CStateMask::shallowOnly(),
@@ -25,7 +28,7 @@ makeCore(sim::Simulation &s, power::EnergyMeter &m,
     g.mask = mask;
     g.cc1ToCc1e = promote1;
     g.cc1eToCc6 = promote2;
-    return std::make_unique<Core>(s, m, 0, CoreConfig::skxDefaults(),
+    return std::make_unique<Core>(s, m, 0, kSkxCore,
                                   std::make_unique<LadderGovernor>(g));
 }
 

@@ -19,10 +19,11 @@ struct LinkFixture
 {
     sim::Simulation s;
     power::EnergyMeter m{s};
+    IoLinkConfig cfg; ///< the link references it
     IoLink link;
 
-    explicit LinkFixture(IoLinkConfig cfg = IoLinkConfig::pcie(0))
-        : link(s, m, cfg)
+    explicit LinkFixture(IoLinkConfig c = IoLinkConfig::pcie(0))
+        : cfg(std::move(c)), link(s, m, cfg)
     {}
 };
 

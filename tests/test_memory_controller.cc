@@ -20,9 +20,8 @@ struct McFixture
 {
     sim::Simulation s;
     power::EnergyMeter m{s};
-    MemoryController mc;
-
-    McFixture() : mc(s, m, MemoryControllerConfig{}) {}
+    MemoryControllerConfig cfg; ///< the controller references it
+    MemoryController mc{s, m, cfg};
 
     double pkgW() { return m.planePower(power::Plane::Package); }
     double dramW() { return m.planePower(power::Plane::Dram); }

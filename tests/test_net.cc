@@ -210,6 +210,7 @@ struct NicHarness
 {
     sim::Simulation sim{1};
     power::EnergyMeter meter{sim};
+    io::IoLinkConfig linkCfg = io::IoLinkConfig::pcie(0);
     io::IoLink link;
     Nic nic;
 
@@ -218,7 +219,7 @@ struct NicHarness
     std::vector<std::uint64_t> drops;
 
     explicit NicHarness(NicConfig cfg)
-        : link(sim, meter, io::IoLinkConfig::pcie(0)),
+        : link(sim, meter, linkCfg),
           nic(sim, meter, link, cfg)
     {
         nic.onDeliver([this](std::vector<Nic::RxPacket> b,

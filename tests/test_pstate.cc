@@ -126,8 +126,8 @@ TEST(CoreActivePower, SetterAffectsLoadWhenActive)
     sim::Simulation s;
     power::EnergyMeter m(s);
     LadderGovernor::Config g;
-    Core core(s, m, 0, CoreConfig::skxDefaults(),
-              std::make_unique<LadderGovernor>(g));
+    const CoreConfig cfg = CoreConfig::skxDefaults();
+    Core core(s, m, 0, cfg, std::make_unique<LadderGovernor>(g));
     EXPECT_NEAR(m.planePower(power::Plane::Package), 5.30, 1e-9);
     core.setActivePower(2.0);
     EXPECT_NEAR(m.planePower(power::Plane::Package), 2.0, 1e-9);

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "analysis/paper_reference.h"
+#include "obs/tracer.h"
 #include "server/server_sim.h"
 
 namespace apc::server {
@@ -175,6 +181,148 @@ TEST(ServerSim, SeedChangesRun)
     const auto b = runMemcached(soc::PackagePolicy::Cpc1a, 10000,
                                 100 * kMs, 8);
     EXPECT_NE(a.requests, b.requests);
+}
+
+TEST(ServerSim, TracedRunPowerSpansTileTheWholeRun)
+{
+    // run() closes the package-state span still open at the end: the
+    // power track covers [0, warmup + duration] with no gap, overlap
+    // or missing tail, and no caller has to flush.
+    ServerConfig cfg;
+    cfg.policy = soc::PackagePolicy::Cpc1a;
+    cfg.workload = workload::WorkloadConfig::memcachedEtc(20000);
+    cfg.warmup = 1 * kMs;
+    cfg.duration = 2 * kMs;
+    const sim::Tick end = cfg.warmup + cfg.duration;
+    ServerSim sim(std::move(cfg));
+    obs::TraceConfig tc;
+    tc.enabled = true;
+    obs::Tracer tracer(tc, 1);
+    sim.enableTracing(tracer.writer(0));
+    sim.run();
+
+    std::vector<const obs::TraceRecord *> spans;
+    for (const obs::Tracer::MergedRecord &m : tracer.merged()) {
+        const obs::TraceRecord &r = *m.rec;
+        if (r.kind == static_cast<std::uint8_t>(obs::TraceKind::Span) &&
+            r.track == static_cast<std::uint8_t>(obs::Track::Power))
+            spans.push_back(&r);
+    }
+    ASSERT_GT(spans.size(), 10u);
+    EXPECT_EQ(spans.front()->ts, 0);
+    for (std::size_t i = 1; i < spans.size(); ++i)
+        ASSERT_EQ(spans[i]->ts, spans[i - 1]->ts + spans[i - 1]->dur)
+            << "span " << i;
+    EXPECT_EQ(spans.back()->ts + spans.back()->dur, end);
+}
+
+TEST(ServerSim, AdvancingAfterCollectLeavesTheResultAlone)
+{
+    // A fleet collects every server at the end of the window, then
+    // keeps advancing them while in-flight work drains. collect() has
+    // handed its histograms over, so the drain's completions and idle
+    // periods must record nothing and change nothing in the result.
+    ServerConfig cfg;
+    cfg.policy = soc::PackagePolicy::Cpc1a;
+    cfg.workload = workload::WorkloadConfig::memcachedEtc(20000);
+    ServerSim sim(std::move(cfg));
+    sim.start();
+    sim.advanceTo(2 * kMs);
+    sim.beginMeasurement();
+    sim.advanceTo(12 * kMs);
+    const ServerResult res = sim.collect();
+    ASSERT_GT(res.latencyHistUs.count(), 100u);
+    ASSERT_GT(res.idlePeriodsUs.count(), 50u);
+    const ServerResult before = res;
+    const std::uint64_t completed = sim.completed();
+
+    sim.advanceTo(20 * kMs);
+    EXPECT_GT(sim.completed(), completed); // the server kept serving
+    EXPECT_EQ(res.latencyHistUs.count(), before.latencyHistUs.count());
+    EXPECT_EQ(res.latencyHistUs.p99(), before.latencyHistUs.p99());
+    EXPECT_EQ(res.latencyHistUs.maxSample(),
+              before.latencyHistUs.maxSample());
+    EXPECT_EQ(res.idlePeriodsUs.count(), before.idlePeriodsUs.count());
+    EXPECT_EQ(res.idlePeriodFraction(20, 200),
+              before.idlePeriodFraction(20, 200));
+    EXPECT_EQ(res.requests, before.requests);
+}
+
+/** The invalid_argument message constructing @p cfg throws, or "". */
+std::string
+rejection(ServerConfig cfg)
+{
+    try {
+        ServerSim sim(std::move(cfg));
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ServerConfigCheck, NegativeWarmupRejected)
+{
+    ServerConfig cfg;
+    cfg.warmup = -1;
+    EXPECT_NE(rejection(std::move(cfg)).find("warmup must be >= 0"),
+              std::string::npos);
+    ServerConfig ok;
+    ok.warmup = 0;
+    EXPECT_EQ(rejection(std::move(ok)), "");
+}
+
+TEST(ServerConfigCheck, NegativeNetworkLatencyRejected)
+{
+    ServerConfig cfg;
+    cfg.networkLatency = -1 * kUs;
+    EXPECT_NE(rejection(std::move(cfg)).find("networkLatency must be >= 0"),
+              std::string::npos);
+    ServerConfig ok;
+    ok.networkLatency = 0; // a fleet with a fabric models the network
+    EXPECT_EQ(rejection(std::move(ok)), "");
+}
+
+TEST(ServerConfigCheck, NonPositiveDurationRejected)
+{
+    for (const sim::Tick d : {sim::Tick(0), -1 * kMs}) {
+        ServerConfig cfg;
+        cfg.duration = d;
+        EXPECT_NE(rejection(std::move(cfg)).find("duration must be > 0"),
+                  std::string::npos)
+            << d;
+    }
+}
+
+TEST(ServerConfigCheck, NonPositiveDvfsIntervalRejectedWithDvfsOn)
+{
+    ServerConfig cfg;
+    cfg.dvfs.enabled = true;
+    cfg.dvfsInterval = 0;
+    EXPECT_NE(rejection(std::move(cfg))
+                  .find("dvfsInterval must be > 0 with DVFS on"),
+              std::string::npos);
+    ServerConfig off; // never read without DVFS
+    off.dvfsInterval = 0;
+    EXPECT_EQ(rejection(std::move(off)), "");
+}
+
+TEST(ServerConfigCheck, RemoteFractionOutsideUnitIntervalRejected)
+{
+    for (const double f : {-0.1, 1.5, std::nan("")}) {
+        ServerConfig cfg;
+        cfg.numa.enabled = true;
+        cfg.numa.remoteFraction = f;
+        EXPECT_NE(rejection(std::move(cfg))
+                      .find("numa.remoteFraction must be in [0, 1]"),
+                  std::string::npos)
+            << f;
+    }
+    for (const double f : {0.0, 1.0}) {
+        ServerConfig ok;
+        ok.numa.enabled = true;
+        ok.numa.remoteFraction = f;
+        EXPECT_EQ(rejection(std::move(ok)), "") << f;
+    }
 }
 
 } // namespace

@@ -31,6 +31,31 @@ TEST(Histogram, EmptyIsZero)
     EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
 }
 
+TEST(Histogram, MovedFromIsUnbinnedAndRecordsNothing)
+{
+    Histogram a(1.0, 1e6, 32);
+    a.record(10.0);
+    a.record(100.0);
+    Histogram b = std::move(a);
+    EXPECT_EQ(b.count(), 2u);
+    EXPECT_TRUE(b.binned());
+    // The moved-from source is unbinned, not unspecified.
+    EXPECT_FALSE(a.binned());
+    EXPECT_EQ(a.count(), 0u);
+    a.record(5.0);
+    a.record(std::nan(""));
+    EXPECT_EQ(a.count(), 0u);
+    EXPECT_EQ(a.nanCount(), 0u);
+    EXPECT_EQ(a.numBins(), 0u);
+    EXPECT_DOUBLE_EQ(a.quantile(0.5), 0.0);
+    // Neither side of a merge between binned and unbinned changes.
+    EXPECT_FALSE(b.merge(a));
+    EXPECT_FALSE(a.merge(b));
+    EXPECT_EQ(b.count(), 2u);
+    EXPECT_EQ(a.count(), 0u);
+    EXPECT_FALSE(Histogram::unbinned().binned());
+}
+
 TEST(Histogram, MeanIsExact)
 {
     Histogram h(1.0, 1e6, 32);
