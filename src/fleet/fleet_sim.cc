@@ -276,7 +276,14 @@ FleetSim::FleetSim(FleetConfig cfg)
         cfg_.health.audit.failFast = true;
     }
     if (cfg_.health.enabled) {
-        slo_.emplace(cfg_.health.slo, cfg_.sloUs, cfg_.epoch);
+        // The SLO monitor's sample buffers fit the busiest rate.
+        const std::vector<DiurnalProfile::Point> &day =
+            cfg_.traffic.diurnal.points;
+        double peak = day.empty() ? 1.0 : 0.0;
+        for (const DiurnalProfile::Point &p : day)
+            peak = std::max(peak, p.multiplier);
+        slo_.emplace(cfg_.health.slo, cfg_.sloUs, cfg_.epoch,
+                     cfg_.traffic.qps * peak);
         auditor_.emplace(cfg_.health.audit);
         slo_->setTrace(fleetTrace_);
         auditor_->setTrace(fleetTrace_);

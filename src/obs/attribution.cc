@@ -18,16 +18,6 @@ segmentName(Segment s)
     return names[static_cast<std::size_t>(s)];
 }
 
-Segment
-RequestRecord::dominant() const
-{
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < kNumSegments; ++i)
-        if (seg[i] > seg[best])
-            best = i;
-    return static_cast<Segment>(best);
-}
-
 void
 SegmentSums::add(const SegmentSums &o)
 {
@@ -83,29 +73,6 @@ AttributionResult::answered(std::uint64_t id, sim::Tick arrival,
     push(rec);
 }
 
-namespace {
-
-constexpr std::uint64_t kSlotMax = std::uint64_t{1} << 32;
-
-/** @p r fits a Slot: one replica, a chain summing to e2e, every tick
- *  and the id below 2^32, and a server that is not the sentinel. */
-bool
-packs(const RequestRecord &r)
-{
-    if (r.replicas != 1 || r.id >= kSlotMax ||
-        r.srv == AttributionResult::kSide)
-        return false;
-    sim::Tick sum = 0;
-    for (const sim::Tick s : r.seg) {
-        if (static_cast<std::uint64_t>(s) >= kSlotMax)
-            return false;
-        sum += s;
-    }
-    return sum == r.e2e;
-}
-
-} // namespace
-
 void
 AttributionResult::push(const RequestRecord &r)
 {
@@ -116,15 +83,34 @@ AttributionResult::push(const RequestRecord &r)
         chunks_.emplace_back();
         chunks_.back().reserve(kChunk);
     }
+    // One pass packs the record and checks that it fits a Slot: one
+    // replica, a chain summing to e2e, every tick and the id below
+    // 2^32, at most kSlotSegments non-zero segments, and a server below
+    // the side sentinel.
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
     Slot s;
     s.arrival = r.arrival;
-    if (packs(r)) {
+    bool fits = r.replicas == 1 && r.id < k32 && r.srv < kSide;
+    sim::Tick sum = 0;
+    std::uint32_t mask = 0;
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < kNumSegments; ++k) {
+        const sim::Tick t = r.seg[k];
+        sum += t;
+        fits = fits && static_cast<std::uint64_t>(t) < k32;
+        if (t != 0) {
+            if (n < kSlotSegments)
+                s.seg[n] = static_cast<std::uint32_t>(t);
+            ++n;
+            mask |= std::uint32_t{1} << k;
+        }
+    }
+    if (fits && n <= kSlotSegments && sum == r.e2e) {
         s.id = static_cast<std::uint32_t>(r.id);
-        s.srv = r.srv;
-        std::copy(std::begin(r.seg), std::end(r.seg), s.seg);
+        s.srvMask = r.srv << kMaskBits | mask;
     } else {
         s.id = static_cast<std::uint32_t>(side_.size());
-        s.srv = kSide;
+        s.srvMask = kSide << kMaskBits;
         side_.push_back(r);
     }
     chunks_.back().push_back(s);
@@ -135,17 +121,16 @@ RequestRecord
 AttributionResult::operator[](std::size_t i) const
 {
     const Slot &s = slot(i);
-    if (s.srv == kSide)
+    if (s.srv() == kSide)
         return side_[s.id];
     RequestRecord r;
     r.id = s.id;
     r.arrival = s.arrival;
-    r.srv = s.srv;
+    r.srv = s.srv();
     r.replicas = 1;
-    for (std::size_t k = 0; k < kNumSegments; ++k) {
-        r.seg[k] = s.seg[k];
-        r.e2e += s.seg[k];
-    }
+    r.e2e = visit(i, [&r](std::size_t k, sim::Tick ticks) {
+                r.seg[k] = ticks;
+            }).e2e;
     return r;
 }
 
@@ -168,7 +153,7 @@ AttributionResult::firstByArrival(std::size_t limit) const
     heap.reserve(keep);
     for (std::size_t i = 0; i < size_ && keep > 0; ++i) {
         const Slot &s = slot(i);
-        const Key k{s.arrival, s.srv == kSide ? side_[s.id].id : s.id,
+        const Key k{s.arrival, s.srv() == kSide ? side_[s.id].id : s.id,
                     static_cast<std::uint32_t>(i)};
         if (heap.size() < keep) {
             heap.push_back(k);

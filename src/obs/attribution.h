@@ -19,7 +19,7 @@
  *  - the spine adds the response leg. When the flight closes, its
  *    replicas fold into one RequestRecord — the critical replica's
  *    chain — appended to the run's AttributionResult, which packs it
- *    into one 64-byte slot; a flight keeps replicas that ended before
+ *    into one 48-byte slot; a flight keeps replicas that ended before
  *    it closed (fanout legs, failed attempts) in a RequestChains.
  *
  * The invariant: the critical chain's segments **sum exactly**
@@ -169,9 +169,6 @@ struct RequestRecord
     std::uint32_t srv = 0;      ///< server of the critical replica
     std::uint32_t replicas = 0; ///< replicas that measured any segment
     sim::Tick seg[kNumSegments] = {}; ///< sums exactly to e2e
-
-    /** The segment holding the largest share of the chain. */
-    Segment dominant() const;
 };
 
 /** The ended replicas of one open request (fleet side): one entry per
@@ -197,36 +194,57 @@ class RequestChains
  * flights close, in fixed-size chunks so the store never reallocates
  * (and never doubles its footprint) as it grows.
  *
- * Each record takes one 64-byte Slot. A slot holds the arrival, a
- * 32-bit id, the server and the 12 segment ticks as 32-bit values; it
+ * Each record takes one 48-byte Slot: the arrival, a 32-bit id, one
+ * word with the server and a mask of the non-zero segments, and up to
+ * kSlotSegments of those segments' ticks as 32-bit values. A slot
  * stores no end-to-end latency, since a critical chain sums exactly to
  * it, and no replica count, since it holds only single-replica
  * requests. A record that does not fit — replicas != 1, e2e != the
- * sum of its segments, a segment or the id not below 2^32, or srv at
- * the side sentinel — is kept whole in a side table, and its slot
- * holds the side index instead of the id. Either way, operator[]
- * returns every field exactly as pushed.
+ * sum of its segments, a segment or the id not below 2^32, more than
+ * kSlotSegments non-zero segments, or srv not below kSide — is kept
+ * whole in a side table, and its slot holds the side index instead of
+ * the id. Either way, operator[] returns every field exactly as
+ * pushed. Slots are 8-byte aligned at a 48-byte stride, so every second
+ * one straddles two cache lines.
  */
 class AttributionResult
 {
   public:
-    /** One packed record: one cache line. */
-    struct alignas(64) Slot
+    /** Segment ticks a slot holds inline: all but a few hundred of a
+     *  fleet's records have at most 8 non-zero segments. */
+    static constexpr std::size_t kSlotSegments = 8;
+    /** Low bits of Slot::srvMask: one per segment. */
+    static constexpr unsigned kMaskBits = kNumSegments;
+    static_assert(kMaskBits < 32, "the mask leaves room for the server");
+
+    /** One packed record. */
+    struct Slot
     {
         sim::Tick arrival = 0;
-        /** The request id, or the side-table index when srv is kSide. */
+        /** The request id, or the side-table index when srv() is
+         *  kSide. */
         std::uint32_t id = 0;
-        /** The critical replica's server, or kSide. */
-        std::uint32_t srv = 0;
-        std::uint32_t seg[kNumSegments] = {};
+        /** The critical replica's server (or kSide) above the mask of
+         *  its non-zero segments. */
+        std::uint32_t srvMask = 0;
+        /** The non-zero segments' ticks, in segment order. */
+        std::uint32_t seg[kSlotSegments] = {};
+
+        std::uint32_t srv() const { return srvMask >> kMaskBits; }
+        std::uint32_t
+        mask() const
+        {
+            return srvMask & ((std::uint32_t{1} << kMaskBits) - 1);
+        }
     };
 
-    /** Slot::srv of a record kept whole in the side table. */
-    static constexpr std::uint32_t kSide = UINT32_MAX;
+    /** Slot::srv() of a record kept whole in the side table: the
+     *  largest server the packed word can hold. */
+    static constexpr std::uint32_t kSide = UINT32_MAX >> kMaskBits;
     /** Most records a run can hold: rank keys, firstByArrival's
      *  indices and the side index are all 32-bit. */
     static constexpr std::uint64_t kMaxRecords = std::uint64_t{1} << 32;
-    /** Slots per chunk (256 KiB). */
+    /** Slots per chunk (192 KiB). */
     static constexpr std::size_t kChunk = 4096;
 
     /**
@@ -254,6 +272,39 @@ class AttributionResult
 
     /** Record @p i, every field as pushed. */
     RequestRecord operator[](std::size_t i) const;
+
+    /** A record's latency and replica count. */
+    struct Totals
+    {
+        sim::Tick e2e = 0;
+        std::uint32_t replicas = 0;
+    };
+
+    /**
+     * Record @p i without building it: calls @p fn(s, ticks) for each
+     * segment s whose ticks are not 0, in segment order.
+     */
+    template <typename Fn>
+    Totals
+    visit(std::size_t i, Fn &&fn) const
+    {
+        const Slot &s = slot(i);
+        if (s.srv() == kSide) {
+            const RequestRecord &r = side_[s.id];
+            for (std::size_t k = 0; k < kNumSegments; ++k)
+                if (r.seg[k] != 0)
+                    fn(k, r.seg[k]);
+            return {r.e2e, r.replicas};
+        }
+        Totals t{0, 1};
+        std::size_t j = 0;
+        for (std::uint32_t mask = s.mask(); mask != 0; mask &= mask - 1) {
+            const sim::Tick ticks = s.seg[j++];
+            fn(static_cast<std::size_t>(__builtin_ctz(mask)), ticks);
+            t.e2e += ticks;
+        }
+        return t;
+    }
 
     /** Record @p i's slot; it never moves once pushed. */
     const Slot &
@@ -288,7 +339,8 @@ class AttributionResult
     std::vector<RequestRecord> side_;
     std::size_t size_ = 0;
 };
-static_assert(sizeof(AttributionResult::Slot) == 64, "one cache line");
+static_assert(sizeof(AttributionResult::Slot) == 48,
+              "arrival, id, server and mask, 8 segment ticks");
 
 /** Strict (arrival, id) order over records. */
 inline bool

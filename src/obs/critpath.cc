@@ -20,24 +20,55 @@ bitWidth(std::uint64_t v)
     return w;
 }
 
-/** LSD radix sort of @p keys whose set bits all lie below @p bits. */
+/**
+ * In-place MSD radix sort of [@p first, @p last), whose keys agree on
+ * every bit from @p bits up: "American flag sort" (McIlroy, Bostic &
+ * McIlroy, "Engineering Radix Sort", Computing Systems 6(1), 1993).
+ * Each pass counts one 8-bit digit, swaps every key into its bucket
+ * along permutation cycles, and recurses into the buckets; short
+ * buckets finish with std::sort. No second key array.
+ */
 void
-radixSort(std::vector<std::uint64_t> &keys, unsigned bits)
+flagSort(std::uint64_t *first, std::uint64_t *last, unsigned bits)
 {
-    constexpr unsigned kDigit = 11;
+    constexpr unsigned kDigit = 8;
     constexpr std::size_t kBuckets = std::size_t{1} << kDigit;
-    std::vector<std::uint64_t> tmp(keys.size());
-    std::vector<std::size_t> start(kBuckets);
-    for (unsigned shift = 0; shift < bits; shift += kDigit) {
-        std::fill(start.begin(), start.end(), 0);
-        for (const std::uint64_t k : keys)
-            ++start[(k >> shift) & (kBuckets - 1)];
-        std::size_t sum = 0;
-        for (std::size_t &c : start)
-            sum += std::exchange(c, sum);
-        for (const std::uint64_t k : keys)
-            tmp[start[(k >> shift) & (kBuckets - 1)]++] = k;
-        keys.swap(tmp);
+    constexpr std::ptrdiff_t kShort = 64;
+    if (last - first <= kShort) {
+        std::sort(first, last);
+        return;
+    }
+    const unsigned shift = bits > kDigit ? bits - kDigit : 0;
+    const std::uint64_t mask = (std::uint64_t{1} << (bits - shift)) - 1;
+    const auto digit = [shift, mask](std::uint64_t k) {
+        return static_cast<std::size_t>((k >> shift) & mask);
+    };
+    std::size_t count[kBuckets] = {};
+    for (const std::uint64_t *p = first; p != last; ++p)
+        ++count[digit(*p)];
+    // next[b]: the first key of bucket b not yet in place; end[b]: the
+    // bucket's end.
+    std::uint64_t *next[kBuckets];
+    std::uint64_t *end[kBuckets];
+    std::uint64_t *at = first;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+        next[b] = at;
+        at += count[b];
+        end[b] = at;
+    }
+    for (std::size_t b = 0; b < kBuckets; ++b)
+        while (next[b] != end[b]) {
+            std::uint64_t k = *next[b];
+            for (std::size_t d = digit(k); d != b; d = digit(k))
+                std::swap(k, *next[d]++);
+            *next[b]++ = k;
+        }
+    if (shift == 0)
+        return;
+    at = first;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+        flagSort(at, at + count[b], shift);
+        at += count[b];
     }
 }
 
@@ -80,19 +111,30 @@ LatencyAttribution::build(const AttributionResult &res,
     // at or below the p-quantile. (arrival, id) is a strict order, so
     // the rank order — and with it every band's FP summation order —
     // does not depend on the order the records were folded in. The
-    // sort runs over packed 64-bit keys, the latency's 32 leading
-    // significant bits above the record index (n <= 2^32, which
-    // AttributionResult::push enforces); runs that share those bits
-    // (rare) are then put in exact order from the records.
+    // sort runs in place over packed 64-bit keys, the latency's 32
+    // leading significant bits above the record index (n <= 2^32,
+    // which AttributionResult::push enforces), so the build holds 8
+    // bytes per record; runs that share those bits (rare) are then put
+    // in exact order from the records.
     std::vector<std::uint64_t> order(n);
     std::uint64_t max_e2e = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const RequestRecord rec = res[i];
+        // The segment holding the largest share of the chain: the
+        // first of the largest, or segment 0 when all are 0.
+        std::size_t dominant = 0;
+        sim::Tick top = 0;
+        const AttributionResult::Totals rec =
+            res.visit(i, [&dominant, &top](std::size_t s, sim::Tick t) {
+                if (t > top) {
+                    top = t;
+                    dominant = s;
+                }
+            });
         order[i] = static_cast<std::uint64_t>(rec.e2e);
         max_e2e = std::max(max_e2e, order[i]);
         if (rec.replicas > 1)
             ++out.fanoutRequests;
-        ++out.criticalBySegment[static_cast<std::size_t>(rec.dominant())];
+        ++out.criticalBySegment[dominant];
     }
     const unsigned shift =
         bitWidth(max_e2e) > 32 ? bitWidth(max_e2e) - 32 : 0;
@@ -100,7 +142,8 @@ LatencyAttribution::build(const AttributionResult &res,
     const std::uint64_t idx_mask = (std::uint64_t{1} << idx_bits) - 1;
     for (std::size_t i = 0; i < n; ++i)
         order[i] = (order[i] >> shift) << idx_bits | i;
-    radixSort(order, idx_bits + 32);
+    flagSort(order.data(), order.data() + n,
+             idx_bits + bitWidth(max_e2e >> shift));
     for (auto run = order.begin(); run != order.end();) {
         const auto end =
             std::find_if(run, order.end(), [run, idx_bits](auto k) {
@@ -117,18 +160,29 @@ LatencyAttribution::build(const AttributionResult &res,
     }
     const auto edges = stats::percentileBandEdges(n);
 
-    // Rank order visits the records at random: fetch a few ahead.
+    // Rank order visits the records at random: fetch a few ahead, both
+    // ends of the slot, since every second 48-byte slot straddles two
+    // cache lines. A segment's sum skips the records where it is 0:
+    // adding +0.0 to a sum of non-negative terms leaves every bit as it
+    // was.
     constexpr std::size_t kAhead = 8;
     for (std::size_t b = 0; b < kNumBands; ++b) {
         BlameBand &band = out.bands[b];
         for (std::size_t r = edges[b]; r < edges[b + 1]; ++r) {
-            if (r + kAhead < n)
-                __builtin_prefetch(&res.slot(order[r + kAhead] & idx_mask));
-            const RequestRecord rec = res[order[r] & idx_mask];
+            if (r + kAhead < n) {
+                const char *ahead = reinterpret_cast<const char *>(
+                    &res.slot(order[r + kAhead] & idx_mask));
+                __builtin_prefetch(ahead);
+                __builtin_prefetch(ahead + sizeof(AttributionResult::Slot) -
+                                   1);
+            }
+            const AttributionResult::Totals rec =
+                res.visit(order[r] & idx_mask, [&band](std::size_t s,
+                                                       sim::Tick t) {
+                    band.segMeanUs[s] += sim::toMicros(t);
+                });
             ++band.count;
             band.e2eMeanUs += sim::toMicros(rec.e2e);
-            for (std::size_t s = 0; s < kNumSegments; ++s)
-                band.segMeanUs[s] += sim::toMicros(rec.seg[s]);
         }
         if (band.count > 0) {
             const double inv = 1.0 / static_cast<double>(band.count);

@@ -33,7 +33,7 @@ burnTraceName(std::size_t sli)
 } // namespace
 
 SloMonitor::SloMonitor(SloConfig cfg, double default_latency_slo_us,
-                       sim::Tick epoch)
+                       sim::Tick epoch, double peak_qps)
     : cfg_(cfg)
 {
     if (cfg_.latencyThresholdUs <= 0.0)
@@ -55,12 +55,24 @@ SloMonitor::SloMonitor(SloConfig cfg, double default_latency_slo_us,
     };
     ring_.resize(buckets(
         std::max(policies_[0].longWindow, policies_[1].longWindow)));
+    // Each sample buffer holds an epoch's samples at the peak rate,
+    // half again as many and 64 more, up to maxSamplesPerEpoch. The
+    // fullest epochs measured fit: 1.31x the rate's 2 104 samples per
+    // epoch on an MMPP fleet (perfbench's observed_fleet), 1.43x its 88
+    // on a Poisson one. Completions bunched by an outage or by
+    // retransmits can overfill a buffer; it grows and keeps that
+    // capacity, since spare_ hands each buffer back.
     const std::size_t buffers = buckets(policies_[0].longWindow);
-    cur_.latency.reserve(cfg_.maxSamplesPerEpoch);
+    const double want = 1.5 * peak_qps * sim::toSeconds(e) + 64;
+    const double cap = static_cast<double>(cfg_.maxSamplesPerEpoch);
+    const std::size_t samples = want < cap
+        ? static_cast<std::size_t>(want)
+        : cfg_.maxSamplesPerEpoch;
+    cur_.latency.reserve(samples);
     spare_.reserve(buffers);
     spare_.resize(buffers - 1);
     for (std::vector<double> &b : spare_)
-        b.reserve(cfg_.maxSamplesPerEpoch);
+        b.reserve(samples);
     p99Runs_.reserve(buffers);
 }
 

@@ -119,12 +119,16 @@ struct AlertEvent
 class SloMonitor
 {
   public:
-    /** @param epoch the length of one bucket (the fleet epoch). The
-     *  bucket ring and the latency sample buffers are sized from it
-     *  once, here, so a run at that epoch allocates nothing per epoch;
-     *  shorter epochs still work and grow the storage. */
+    /** @param epoch the length of one bucket (the fleet epoch).
+     *  @param peak_qps the rate of latency samples at the traffic's
+     *  busiest (its mean rate times the diurnal profile's largest
+     *  multiplier). The bucket ring and the latency sample buffers are
+     *  sized from them once, here: each buffer with room for an epoch
+     *  at that rate plus headroom measured on Poisson and MMPP fleets,
+     *  up to maxSamplesPerEpoch. A fuller epoch grows its buffer,
+     *  which keeps the capacity; shorter epochs grow the ring. */
     SloMonitor(SloConfig cfg, double default_latency_slo_us,
-               sim::Tick epoch);
+               sim::Tick epoch, double peak_qps);
 
     /** Mirror alert lifecycles and burn counters onto @p w's Health
      *  track (null disables). */

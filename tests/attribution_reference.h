@@ -4,7 +4,9 @@
  * reassembles every request's replica chains from a complete trace by
  * walking Tracer::merged() in (ts, writer, seq) order — the
  * straightforward formulation the online accumulation must agree
- * with, record for record — plus the comparison the tests share.
+ * with, record for record — plus the comparison the tests share, and
+ * two references for the blame build's rank order: a plain std::sort
+ * of the records, and the LSD radix build it replaced.
  *
  * Writer convention (FleetSim's layout): writer 0 is the fleet spine,
  * whose segment spans carry the target server in `value`; writer
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
@@ -28,6 +31,7 @@
 #include "obs/attribution.h"
 #include "obs/critpath.h"
 #include "obs/tracer.h"
+#include "stats/rank.h"
 
 namespace apc::testref {
 
@@ -193,6 +197,175 @@ expectMatchesReference(const obs::LatencyAttribution &online,
     expectSameRecords(online.samples, recordsByArrival(want));
     EXPECT_EQ(blameJson(online),
               blameJson(obs::LatencyAttribution::build(want, SIZE_MAX)));
+}
+
+/** A record fits an AttributionResult slot: one replica, a chain
+ *  summing exactly to e2e, the id and every segment below 2^32, at
+ *  most 8 non-zero segments, and a server below the side sentinel
+ *  2^20 - 1. Anything else takes the side table. */
+inline bool
+fitsSlot(const obs::RequestRecord &r)
+{
+    constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+    sim::Tick sum = 0;
+    std::size_t nonzero = 0;
+    bool big = r.id >= k32;
+    for (const sim::Tick s : r.seg) {
+        sum += s;
+        nonzero += s != 0 ? 1 : 0;
+        big = big || static_cast<std::uint64_t>(s) >= k32;
+    }
+    return r.replicas == 1 && r.e2e == sum && !big && nonzero <= 8 &&
+        r.srv < (std::uint32_t{1} << 20) - 1;
+}
+
+/** Strict (e2e, arrival, id) rank order. */
+inline bool
+rankedBefore(const obs::RequestRecord &a, const obs::RequestRecord &b)
+{
+    return a.e2e != b.e2e ? a.e2e < b.e2e : obs::arrivedBefore(a, b);
+}
+
+/** The blame report over @p ranked — records already in rank order —
+ *  with its bands summed in that order and the first @p sample_limit
+ *  records by arrival as samples. */
+inline obs::LatencyAttribution
+blameInOrder(const std::vector<obs::RequestRecord> &ranked,
+             std::size_t sample_limit)
+{
+    obs::LatencyAttribution out;
+    out.enabled = true;
+    out.requests = ranked.size();
+    for (const obs::RequestRecord &r : ranked) {
+        out.fanoutRequests += r.replicas > 1 ? 1 : 0;
+        // The critical segment: the first holding the largest share.
+        std::size_t dominant = 0;
+        for (std::size_t s = 1; s < obs::kNumSegments; ++s)
+            if (r.seg[s] > r.seg[dominant])
+                dominant = s;
+        ++out.criticalBySegment[dominant];
+    }
+    const auto edges = stats::percentileBandEdges(ranked.size());
+    for (std::size_t b = 0; b < obs::LatencyAttribution::kNumBands; ++b) {
+        obs::BlameBand &band = out.bands[b];
+        for (std::size_t i = edges[b]; i < edges[b + 1]; ++i) {
+            ++band.count;
+            band.e2eMeanUs += sim::toMicros(ranked[i].e2e);
+            for (std::size_t s = 0; s < obs::kNumSegments; ++s)
+                band.segMeanUs[s] += sim::toMicros(ranked[i].seg[s]);
+        }
+        if (band.count > 0) {
+            const double inv = 1.0 / static_cast<double>(band.count);
+            band.e2eMeanUs *= inv;
+            for (double &v : band.segMeanUs)
+                v *= inv;
+        }
+    }
+    out.samples = ranked;
+    std::sort(out.samples.begin(), out.samples.end(), obs::arrivedBefore);
+    out.samples.resize(std::min(sample_limit, out.samples.size()));
+    return out;
+}
+
+/** The plain reference build: copy the records, std::sort them by
+ *  (e2e, arrival, id) and sum each band in that order. */
+inline obs::LatencyAttribution
+referenceBlame(std::vector<obs::RequestRecord> recs, std::size_t sample_limit)
+{
+    std::sort(recs.begin(), recs.end(), rankedBefore);
+    return blameInOrder(recs, sample_limit);
+}
+
+/**
+ * The rank order LatencyAttribution::build computed before it sorted in
+ * place: an LSD radix sort, 11 bits a pass through a second key array,
+ * over keys holding the latency's 32 leading significant bits above
+ * the record index, then the runs sharing those bits sorted from the
+ * records.
+ */
+inline std::vector<obs::RequestRecord>
+lsdRanked(const obs::AttributionResult &res)
+{
+    const auto width = [](std::uint64_t v) {
+        unsigned w = 0;
+        for (; v; v >>= 1)
+            ++w;
+        return w;
+    };
+    const std::size_t n = res.size();
+    if (n == 0)
+        return {};
+    std::vector<std::uint64_t> order(n);
+    std::uint64_t max_e2e = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        order[i] = static_cast<std::uint64_t>(res[i].e2e);
+        max_e2e = std::max(max_e2e, order[i]);
+    }
+    const unsigned shift = width(max_e2e) > 32 ? width(max_e2e) - 32 : 0;
+    const unsigned idx_bits = std::max(1u, width(n - 1));
+    const std::uint64_t idx_mask = (std::uint64_t{1} << idx_bits) - 1;
+    for (std::size_t i = 0; i < n; ++i)
+        order[i] = (order[i] >> shift) << idx_bits | i;
+    constexpr unsigned kDigit = 11;
+    constexpr std::size_t kBuckets = std::size_t{1} << kDigit;
+    std::vector<std::uint64_t> tmp(n);
+    std::vector<std::size_t> start(kBuckets);
+    for (unsigned at = 0; at < idx_bits + 32; at += kDigit) {
+        std::fill(start.begin(), start.end(), 0);
+        for (const std::uint64_t k : order)
+            ++start[(k >> at) & (kBuckets - 1)];
+        std::size_t sum = 0;
+        for (std::size_t &c : start) {
+            const std::size_t here = c;
+            c = sum;
+            sum += here;
+        }
+        for (const std::uint64_t k : order)
+            tmp[start[(k >> at) & (kBuckets - 1)]++] = k;
+        order.swap(tmp);
+    }
+    std::vector<obs::RequestRecord> ranked;
+    ranked.reserve(n);
+    for (const std::uint64_t k : order)
+        ranked.push_back(res[k & idx_mask]);
+    for (auto run = ranked.begin(); run != ranked.end();) {
+        auto end = run + 1;
+        while (end != ranked.end() &&
+               (static_cast<std::uint64_t>(end->e2e) >> shift) ==
+                   (static_cast<std::uint64_t>(run->e2e) >> shift))
+            ++end;
+        std::sort(run, end, rankedBefore);
+        run = end;
+    }
+    return ranked;
+}
+
+/** Two reports agree exactly: counts, and every band mean bit for bit,
+ *  and the samples field by field. */
+inline void
+expectSameBlame(const obs::LatencyAttribution &got,
+                const obs::LatencyAttribution &want)
+{
+    const auto bits = [](double v) {
+        std::uint64_t u;
+        std::memcpy(&u, &v, sizeof(u));
+        return u;
+    };
+    EXPECT_EQ(got.requests, want.requests);
+    EXPECT_EQ(got.fanoutRequests, want.fanoutRequests);
+    for (std::size_t s = 0; s < obs::kNumSegments; ++s)
+        EXPECT_EQ(got.criticalBySegment[s], want.criticalBySegment[s])
+            << "segment " << s;
+    for (std::size_t b = 0; b < obs::LatencyAttribution::kNumBands; ++b) {
+        const obs::BlameBand &g = got.bands[b];
+        const obs::BlameBand &w = want.bands[b];
+        EXPECT_EQ(g.count, w.count) << "band " << b;
+        EXPECT_EQ(bits(g.e2eMeanUs), bits(w.e2eMeanUs)) << "band " << b;
+        for (std::size_t s = 0; s < obs::kNumSegments; ++s)
+            EXPECT_EQ(bits(g.segMeanUs[s]), bits(w.segMeanUs[s]))
+                << "band " << b << " segment " << s;
+    }
+    expectSameRecords(got.samples, want.samples);
 }
 
 } // namespace apc::testref

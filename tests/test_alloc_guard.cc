@@ -18,7 +18,8 @@
  * The footprint of a simulated server is gated the same way: live heap
  * bytes (malloc_usable_size of every block the counting hooks see) and
  * blocks of one ServerSim, live bytes per server once a fleet has run,
- * and the sizes of the per-server objects there are dozens of.
+ * and the sizes of the per-server objects there are dozens of. So are
+ * the bytes the blame report's build allocates per attributed record.
  */
 
 #include <gtest/gtest.h>
@@ -33,14 +34,17 @@
 #include <utility>
 
 #include "fleet/fleet_sim.h"
+#include "obs/critpath.h"
 #include "server/server_sim.h"
 #include "soc/skx_config.h"
 
 namespace {
 
-// Counts every allocation through the replaced operator new below, and
-// the live blocks and their usable bytes across new and delete.
+// Counts every allocation through the replaced operator new below and
+// the bytes it asked for, and the live blocks and their usable bytes
+// across new and delete.
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocatedBytes{0};
 std::atomic<std::int64_t> g_liveBlocks{0};
 std::atomic<std::int64_t> g_liveBytes{0};
 
@@ -64,6 +68,7 @@ void *
 operator new(std::size_t n)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_allocatedBytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n != 0 ? n : 1)) {
         g_liveBlocks.fetch_add(1, std::memory_order_relaxed);
         g_liveBytes.fetch_add(
@@ -298,10 +303,46 @@ TEST(AllocGuard, FleetFootprintPerServerAfterRun)
                 kServers, per, static_cast<double>(blocks) / kServers);
     // APC_AUDIT_FAILFAST=1 (CI's second pass) forces the health
     // monitor and the auditor onto every fleet; their buffers and
-    // per-server baselines add 31 918 bytes per server to this fleet.
+    // per-server baselines add 5 184 bytes per server to this fleet
+    // (release: 42 378 bytes per server in all), plus 16 bytes of
+    // slack. It was 31 918 while the SLO monitor reserved 4 096 samples
+    // for every bucket of its fast window, whatever the request rate.
     const char *audit = std::getenv("APC_AUDIT_FAILFAST");
     const bool audited = audit && *audit && *audit != '0';
-    EXPECT_LE(per, kFleetBytesPerServer + (audited ? 31920.0 : 0.0));
+    EXPECT_LE(per, kFleetBytesPerServer + (audited ? 5200.0 : 0.0));
+}
+
+TEST(AllocGuard, BlameBuildTakesOneKeyPerRecord)
+{
+    // LatencyAttribution::build ranks the records in place, over one
+    // 8-byte key per record. The rest it allocates, the samples and
+    // the heap that picks them, is bounded by the sample limit: about
+    // 39 KB for 256 samples. The LSD radix build before it allocated
+    // a second key array, 16 bytes per record in all.
+    constexpr std::size_t kN = 100000;
+    obs::AttributionResult res;
+    for (std::size_t i = 0; i < kN; ++i) {
+        obs::RequestRecord r;
+        r.id = i;
+        r.arrival = static_cast<sim::Tick>((i * 7919) % kN);
+        r.srv = static_cast<std::uint32_t>(i % 64);
+        r.replicas = 1;
+        r.seg[static_cast<std::size_t>(obs::Segment::Wake)] =
+            static_cast<sim::Tick>(i % 3) * 2000;
+        r.seg[static_cast<std::size_t>(obs::Segment::Serve)] =
+            1000 + static_cast<sim::Tick>((i * 2654435761u) % 50000);
+        for (const sim::Tick t : r.seg)
+            r.e2e += t;
+        res.push(r);
+    }
+    const std::uint64_t before = g_allocatedBytes.load();
+    const obs::LatencyAttribution la = obs::LatencyAttribution::build(res, 256);
+    const std::uint64_t bytes = g_allocatedBytes.load() - before;
+    std::printf("blame build over %zu records: %.2f bytes per record\n", kN,
+                static_cast<double>(bytes) / kN);
+    ASSERT_EQ(la.requests, kN);
+    ASSERT_EQ(la.samples.size(), 256u);
+    EXPECT_LE(bytes, 8 * kN + 64 * 1024);
 }
 
 TEST(AllocGuard, NumaServerStaysWithinWorkBudget)

@@ -3,7 +3,9 @@
  * Tail-latency attribution tests: the online chain accumulator on
  * hand-built requests (critical-replica choice, trace-order tie breaks,
  * lost requests, the chunked record store), a differential check of
- * the accumulator against the merged-order trace reference
+ * the in-place rank build against a plain sort and the LSD build it
+ * replaced, a differential check of the accumulator against the
+ * merged-order trace reference
  * (attribution_reference.h) on seeded synthetic traces and on real
  * fleet runs, the exact-additivity invariant on a fabric+NIC+cap fleet
  * grid (every critical path sums to its request's measured end-to-end
@@ -17,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <random>
 #include <string>
@@ -108,7 +111,10 @@ TEST(AttributionChains, FanoutFoldsTheExactSlowLeg)
     EXPECT_EQ(segOf(r, obs::Segment::Serve), 18 * kUs);
     EXPECT_EQ(segOf(r, obs::Segment::StallDvfs), 2 * kUs);
     EXPECT_EQ(segOf(r, obs::Segment::XmitResp), 8 * kUs);
-    EXPECT_EQ(r.dominant(), obs::Segment::Serve);
+    const obs::LatencyAttribution la = obs::LatencyAttribution::build(res, 0);
+    EXPECT_EQ(la.criticalBySegment[static_cast<std::size_t>(
+                  obs::Segment::Serve)],
+              1u);
 
     // The fast leg's chain sums to its own 45 us, not to the latency.
     EXPECT_EQ(reps[0].sums.total(), 45 * kUs);
@@ -257,11 +263,11 @@ TEST(AttributionChains, PackedStoreRoundTripsEveryWideClass)
 {
     // Narrow records mixed with every class a slot cannot hold —
     // replicas 0, 2 and 3, e2e != the segment sum, a segment or the id
-    // at 2^32, srv at the side sentinel — plus the largest values that
-    // still pack, over several chunks and out of arrival order:
-    // operator[] returns every field as pushed, exactly the wide ones
-    // take the side table, and the bands sum over both kinds in exact
-    // (e2e, arrival, id) order.
+    // at 2^32, srv at or above the side sentinel, more than 8 non-zero
+    // segments — plus the largest values that still pack, over several
+    // chunks and out of arrival order: operator[] returns every field
+    // as pushed, exactly the wide ones take the side table, and the
+    // bands sum over both kinds in exact (e2e, arrival, id) order.
     using Store = obs::AttributionResult;
     constexpr sim::Tick k32 = sim::Tick{1} << 32;
     constexpr std::size_t kN = 3 * Store::kChunk + 123;
@@ -282,50 +288,74 @@ TEST(AttributionChains, PackedStoreRoundTripsEveryWideClass)
             s = rng() % 4 == 0 ? static_cast<sim::Tick>(rng() % 100000) : 0;
         r.seg[at(obs::Segment::Serve)] +=
             1 + static_cast<sim::Tick>(rng() % 5000);
-        bool packs = false;
-        switch (i % 16) {
+        // The class this case must land in; default cases may be either.
+        int packs = -1;
+        switch (i % 20) {
         case 1:
             r.replicas = 0;
+            packs = 0;
             break;
         case 3:
             r.replicas = 2;
+            packs = 0;
             break;
         case 5:
             r.replicas = 3;
+            packs = 0;
             break;
         case 7:
             r.seg[at(obs::Segment::Queue)] = k32;
+            packs = 0;
             break;
         case 9:
             r.id += static_cast<std::uint64_t>(k32);
+            packs = 0;
             break;
         case 11:
             r.srv = Store::kSide;
+            packs = 0;
             break;
         case 13: // e2e is set off the segment sum below
+            packs = 0;
             break;
-        case 15: // the largest segment, id and server that still pack
+        case 15: // the largest segment, id, server and segment count
+                 // that still pack
+            for (std::size_t s = 0; s < obs::kNumSegments; ++s)
+                r.seg[s] = s < Store::kSlotSegments
+                    ? 1 + static_cast<sim::Tick>(rng() % 1000)
+                    : 0;
             r.seg[at(obs::Segment::Wake)] = k32 - 1;
             if (i == 15)
                 r.id = static_cast<std::uint64_t>(k32 - 1);
             r.srv = Store::kSide - 1;
-            packs = true;
+            packs = 1;
+            break;
+        case 17:
+            r.srv = UINT32_MAX;
+            packs = 0;
+            break;
+        case 19: // nine non-zero segments
+            for (std::size_t s = 0; s < 9; ++s)
+                r.seg[s] += 1;
+            packs = 0;
             break;
         default:
-            packs = true;
             break;
         }
         for (const sim::Tick s : r.seg)
             r.e2e += s;
-        if (i % 16 == 13)
+        if (i % 20 == 13)
             r.e2e += 1 + static_cast<sim::Tick>(rng() % 3);
-        wide += packs ? 0 : 1;
+        if (packs >= 0) {
+            ASSERT_EQ(testref::fitsSlot(r), packs == 1) << "record " << i;
+        }
+        wide += testref::fitsSlot(r) ? 0 : 1;
         res.push(r);
         recs.push_back(r);
     }
     ASSERT_EQ(res.size(), kN);
     EXPECT_EQ(res.sideRecords(), wide);
-    EXPECT_LE(res.slotBytes(), 64 * kN + 64 * Store::kChunk);
+    EXPECT_LE(res.slotBytes(), 48 * kN + 48 * Store::kChunk);
     std::vector<obs::RequestRecord> got;
     for (std::size_t i = 0; i < kN; ++i)
         got.push_back(res[i]);
@@ -361,6 +391,133 @@ TEST(AttributionChains, PackedStoreRoundTripsEveryWideClass)
     EXPECT_EQ(la.fanoutRequests, fanout);
     std::sort(recs.begin(), recs.end(), obs::arrivedBefore);
     testref::expectSameRecords(la.samples, recs);
+}
+
+/**
+ * A seeded store of @p n records, folded out of arrival order: mostly
+ * 6-7 non-zero segments as a fleet's chains have, exact latency and
+ * arrival ties, and every side-table class. With @p big_latency, some
+ * packed chains sum past 2^32 and some segments reach 2^36, so the
+ * rank keys drop low latency bits and whole runs tie on their prefix.
+ */
+void
+seededStore(std::uint64_t seed, std::size_t n, bool big_latency,
+            obs::AttributionResult &res, std::vector<obs::RequestRecord> &recs)
+{
+    using Store = obs::AttributionResult;
+    constexpr sim::Tick k32 = sim::Tick{1} << 32;
+    std::mt19937_64 rng(seed);
+    for (std::size_t i = 0; i < n; ++i) {
+        obs::RequestRecord r;
+        r.id = (i * 7919 + seed) % n;
+        r.arrival = static_cast<sim::Tick>(rng() % (n / 4));
+        r.srv = static_cast<std::uint32_t>(rng() % 128);
+        r.replicas = 1;
+        if (!recs.empty() && rng() % 8 == 0) {
+            // An exact latency tie with an earlier record.
+            const obs::RequestRecord &twin = recs[rng() % recs.size()];
+            std::copy(std::begin(twin.seg), std::end(twin.seg), r.seg);
+        } else {
+            const std::size_t nonzero = 6 + rng() % 2;
+            for (std::size_t k = 0; k < nonzero; ++k)
+                r.seg[rng() % obs::kNumSegments] +=
+                    1 + static_cast<sim::Tick>(rng() % 20000);
+        }
+        switch (rng() % 32) {
+        case 0:
+            r.replicas = 0;
+            break;
+        case 1:
+            r.replicas = 2;
+            break;
+        case 2:
+            r.replicas = 3;
+            break;
+        case 3:
+            r.id += static_cast<std::uint64_t>(k32);
+            break;
+        case 4:
+            r.srv = Store::kSide;
+            break;
+        case 5:
+            r.srv = UINT32_MAX;
+            break;
+        case 6:
+            r.srv = Store::kSide - 1;
+            break;
+        case 7: // more than 8 non-zero segments
+            for (sim::Tick &s : r.seg)
+                s += 1 + static_cast<sim::Tick>(rng() % 7);
+            break;
+        case 8: // no segment at all
+            std::fill(std::begin(r.seg), std::end(r.seg), 0);
+            break;
+        case 9:
+            if (big_latency)
+                r.seg[static_cast<std::size_t>(obs::Segment::Serve)] =
+                    (sim::Tick{1} << 36) + static_cast<sim::Tick>(rng() % 64);
+            break;
+        case 10:
+        case 11:
+            if (big_latency) {
+                // Packs, but sums past 2^32 with low-bit ties.
+                r.seg[static_cast<std::size_t>(obs::Segment::Serve)] =
+                    k32 - 1 - static_cast<sim::Tick>(rng() % 64);
+                r.seg[static_cast<std::size_t>(obs::Segment::Queue)] =
+                    (k32 >> 1) + static_cast<sim::Tick>(rng() % 64);
+            }
+            break;
+        default:
+            break;
+        }
+        for (const sim::Tick s : r.seg)
+            r.e2e += s;
+        if (rng() % 40 == 0)
+            r.e2e += 1 + static_cast<sim::Tick>(rng() % 3);
+        res.push(r);
+        recs.push_back(r);
+    }
+}
+
+TEST(AttributionChains, RankBuildMatchesPlainSortAndLsdBuild)
+{
+    // The in-place rank build against two references on seeded stores
+    // of three or more chunks: a plain std::sort of the records by
+    // (e2e, arrival, id), and the LSD radix build it replaced. Band
+    // means must agree bit for bit, so the bands summed in the same
+    // order.
+    struct Case
+    {
+        std::uint64_t seed;
+        std::size_t n;
+        bool bigLatency;
+        std::size_t samples;
+    };
+    constexpr std::size_t kChunk = obs::AttributionResult::kChunk;
+    for (const Case &c : std::vector<Case>{{3, 3 * kChunk + 123, false, 300},
+                                           {5, 3 * kChunk + 7, true, SIZE_MAX},
+                                           {8, 15 * kChunk + 1, true, 256},
+                                           {13, 15 * kChunk, false, 0}}) {
+        SCOPED_TRACE(c.seed);
+        obs::AttributionResult res;
+        std::vector<obs::RequestRecord> recs;
+        seededStore(c.seed, c.n, c.bigLatency, res, recs);
+        std::size_t wide = 0;
+        for (const obs::RequestRecord &r : recs)
+            wide += testref::fitsSlot(r) ? 0 : 1;
+        EXPECT_EQ(res.sideRecords(), wide);
+        EXPECT_GT(wide, c.n / 8);
+        std::vector<obs::RequestRecord> got;
+        for (std::size_t i = 0; i < res.size(); ++i)
+            got.push_back(res[i]);
+        testref::expectSameRecords(got, recs);
+
+        const obs::LatencyAttribution la =
+            obs::LatencyAttribution::build(res, c.samples);
+        testref::expectSameBlame(la, testref::referenceBlame(recs, c.samples));
+        testref::expectSameBlame(
+            la, testref::blameInOrder(testref::lsdRanked(res), c.samples));
+    }
 }
 
 // ------------------------------------------- synthetic differential

@@ -61,10 +61,12 @@ TEST(SloMonitor, ThresholdInheritsFleetSloOnlyWhenUnset)
     obs::SloConfig explicit_cfg;
     explicit_cfg.latencyThresholdUs = 250.0;
     EXPECT_DOUBLE_EQ(
-        obs::SloMonitor(explicit_cfg, 777.0, kMs).config().latencyThresholdUs,
+        obs::SloMonitor(explicit_cfg, 777.0, kMs, 0.0)
+            .config()
+            .latencyThresholdUs,
         250.0);
     EXPECT_DOUBLE_EQ(
-        obs::SloMonitor(obs::SloConfig{}, 777.0, kMs)
+        obs::SloMonitor(obs::SloConfig{}, 777.0, kMs, 0.0)
             .config()
             .latencyThresholdUs,
         777.0);
@@ -72,7 +74,7 @@ TEST(SloMonitor, ThresholdInheritsFleetSloOnlyWhenUnset)
 
 TEST(SloMonitor, FiresOnlyWhenBothWindowsBurnAndResolvesOnEither)
 {
-    obs::SloMonitor m(scriptedSlo(), 0.0, kMs);
+    obs::SloMonitor m(scriptedSlo(), 0.0, kMs, 0.0);
 
     // 4 healthy epochs, then the SLI goes fully bad.
     for (int k = 1; k <= 4; ++k)
@@ -132,7 +134,7 @@ TEST(SloMonitor, PowerSliFollowsCapCounterDeltas)
     c.powerObjective = 0.9;
     c.fast = {4 * kMs, 1 * kMs, 5.0, "page"};
     c.slow = {4 * kMs, 1 * kMs, 1e9, "ticket"};
-    obs::SloMonitor m(c, 0.0, kMs);
+    obs::SloMonitor m(c, 0.0, kMs, 0.0);
 
     // Counters are cumulative; the monitor consumes epoch deltas.
     m.setCapCounters(100, 0);
@@ -158,7 +160,7 @@ TEST(SloMonitor, LatencyPercentileBufferIsBoundedAndCounted)
 {
     obs::SloConfig c = scriptedSlo();
     c.maxSamplesPerEpoch = 4;
-    obs::SloMonitor m(c, 0.0, kMs);
+    obs::SloMonitor m(c, 0.0, kMs, 0.0);
     for (int i = 0; i < 10; ++i)
         m.recordLatency(50.0);
     m.onEpoch(0, 1 * kMs);
@@ -169,7 +171,7 @@ TEST(SloMonitor, LatencyPercentileBufferIsBoundedAndCounted)
 
 TEST(SloMonitor, IdleFleetIsFullyAvailableNotNaN)
 {
-    obs::SloMonitor m(scriptedSlo(), 0.0, kMs);
+    obs::SloMonitor m(scriptedSlo(), 0.0, kMs, 0.0);
 
     // Zero-traffic epochs: zero requests means zero requests failed,
     // so an empty window burns nothing (never 0/0).
@@ -197,7 +199,7 @@ TEST(SloMonitor, EpochSizingIsOnlyACapacityHint)
     std::vector<obs::SloMonitor> ms;
     ms.reserve(3);
     for (const sim::Tick epoch : {kMs, kUs, 20 * kMs})
-        ms.emplace_back(c, 0.0, epoch);
+        ms.emplace_back(c, 0.0, epoch, 0.0);
     sim::Tick t = 0;
     for (int k = 0; k < 60; ++k) {
         const sim::Tick len = k < 40 ? kMs : kMs / 4;
